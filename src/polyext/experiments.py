@@ -38,11 +38,11 @@ from .gf2 import (
     sample_uniform_matrix,
 )
 from .oracles import (
-    additive_energy,
     cw_shift_count,
     dichotomy_check,
     disperser_attack,
     energy_partition,
+    pair_energies,
     sample_vanishing_poly,
 )
 from .ranklab import eval_rank, find_high_rank_subsets, special_sumset_sampler
@@ -289,9 +289,7 @@ def _energy_trial(params, stream):
     except RetryExhaustedError:
         return {"success": False, "retries": params["retries"], "max_energy": -1, "cap_ok": False}
     cap = part.energy_cap()
-    worst = max(
-        additive_energy(xp, yp) for xp in part.x_parts for yp in part.y_parts
-    )
+    worst = int(pair_energies(part.x_parts, part.y_parts).max())
     return {
         "success": True,
         "retries": part.retries_used,

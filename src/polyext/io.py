@@ -261,6 +261,11 @@ def certificate_from_dict(data: dict) -> RankCertificate:
     n = int(data["n"])
     degree = int(data["degree"])
     rank = int(data["rank"])
+    point_count = int(data["point_count"])
+    if point_count < 1:
+        raise ValueError("point_count must be positive")
+    if rank > point_count:
+        raise ValueError("claimed rank exceeds the point count")
     witness = tuple(_vec(s, n, "witness") for s in data["witness"])
     if len(witness) != rank:
         raise ValueError("witness size disagrees with the claimed rank")
@@ -272,7 +277,7 @@ def certificate_from_dict(data: dict) -> RankCertificate:
     return RankCertificate(
         n=n,
         degree=degree,
-        point_count=int(data["point_count"]),
+        point_count=point_count,
         rank=rank,
         witness=witness,
     )

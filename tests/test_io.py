@@ -226,6 +226,14 @@ def test_certificate_rejects_dependent_witness():
         certificate_from_dict(data)
 
 
+def test_certificate_rejects_impossible_point_count():
+    good = eval_rank(hamming_ball(3, 1), 1).to_json_dict()
+    for point_count, message in ((good["rank"] - 1, "exceeds"), (0, "positive")):
+        data = dict(good, point_count=point_count)
+        with pytest.raises(ValueError, match=message):
+            certificate_from_dict(data)
+
+
 def test_certificate_rejects_rank_mismatch():
     data = eval_rank(hamming_ball(3, 1), 1).to_json_dict()
     data["rank"] = data["rank"] - 1

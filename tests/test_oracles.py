@@ -1,11 +1,13 @@
 """Energy partitions, shift-orbit counts, structure attacks, and evasiveness audits."""
 
+import dataclasses
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from polyext import rng
+from polyext import oracles, rng
 from polyext.anf import Polynomial, eval_bits, sample_poly, truth_table
 from polyext.constructions import EvasiveDescriptor, build_evasive_h, lift_point
 from polyext.errors import BudgetExceededError, PreconditionError, RetryExhaustedError
@@ -17,6 +19,7 @@ from polyext.oracles import (
     disperser_attack,
     energy_partition,
     monochromatic_sumset_search,
+    pair_energies,
     sample_vanishing_poly,
     subspace_count,
     subspace_evasive_audit,
@@ -169,6 +172,108 @@ def test_partition_preconditions():
         energy_partition(four, three, t=0, ell=4, stream=stream)
     with pytest.raises(PreconditionError):
         energy_partition(four, four, t=3, ell=4, stream=stream)
+
+
+def test_partition_verify_recounts_the_fiber_cap():
+    full = vecs(2, range(4))
+    stream = rng.derive(MASTER, "oracles", "partition-recount")
+    part = energy_partition(full, full, t=2, ell=4, stream=stream)
+    # one part holding F_2^2 on both sides has every fiber of size 4 > ell = 3
+    forged = dataclasses.replace(
+        part, x_parts=(tuple(full),), y_parts=(tuple(full),), t=0, ell=3, max_fiber=3
+    )
+    assert not forged.verify(full, full)
+    assert dataclasses.replace(forged, ell=4, max_fiber=4).verify(full, full)
+    # a stored max_fiber that disagrees with the parts is rejected even under the cap
+    assert not dataclasses.replace(part, max_fiber=0).verify(full, full)
+
+
+def scalar_energy_partition(x, y, t, ell, stream, retries):
+    """Dict-count reference: the same shuffles, every fiber counted one sum at a time."""
+    part_size = len(x) >> t
+    for attempt in range(retries):
+        xs = list(x)
+        ys = list(y)
+        stream.shuffle(xs)
+        stream.shuffle(ys)
+        x_parts = tuple(tuple(xs[i : i + part_size]) for i in range(0, len(xs), part_size))
+        y_parts = tuple(tuple(ys[i : i + part_size]) for i in range(0, len(ys), part_size))
+        max_fiber = max(
+            max(Counter(a.bits ^ b.bits for a in xp for b in yp).values())
+            for xp in x_parts
+            for yp in y_parts
+        )
+        if max_fiber <= ell:
+            return x_parts, y_parts, max_fiber, attempt
+    return None
+
+
+# (k, t, n, ell, word shift): the shift moves every word up, so wide vectors
+# keep the collisions of n - shift bits.
+KERNEL_CASES = [
+    (3, 0, 5, 8, 0),  # t = 0: one part holds all points
+    (3, 0, 5, 4, 0),
+    (4, 4, 6, 1, 0),  # t = k: singleton parts
+    (6, 5, 7, 2, 0),  # part size 2
+    (6, 4, 7, 3, 0),  # part size 4
+    (6, 3, 7, 3, 0),  # part size 8, cap forces a retry
+    (5, 2, 6, 2, 0),  # cap exhausts every resample
+    (4, 2, 60, 4, 54),  # int64 words whose (pair, sum) keys need Python ints
+    (5, 3, 70, 2, 64),  # 70-bit vectors
+    (4, 0, 70, 16, 64),
+]
+
+
+def _kernel_case(k, t, n, ell, shift):
+    stream = rng.derive(MASTER, "oracles", "partition-kernel", k, t, n, ell)
+    x = vecs(n, (b << shift for b in stream.sample(range(1 << (n - shift)), 1 << k)))
+    y = vecs(n, (b << shift for b in stream.sample(range(1 << (n - shift)), 1 << k)))
+    expected = scalar_energy_partition(x, y, t, ell, rng.derive(MASTER, n, k, t), retries=20)
+    return x, y, expected
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("k,t,n,ell,shift", KERNEL_CASES)
+def test_partition_kernel_matches_scalar_reference(k, t, n, ell, shift):
+    x, y, expected = _kernel_case(k, t, n, ell, shift)
+    stream = rng.derive(MASTER, n, k, t)
+    if expected is None:
+        with pytest.raises(RetryExhaustedError):
+            energy_partition(x, y, t, ell, stream, retries=20)
+        return
+    part = energy_partition(x, y, t, ell, stream, retries=20)
+    assert (part.x_parts, part.y_parts, part.max_fiber, part.retries_used) == expected
+    assert part.verify(x, y)
+    energies = pair_energies(part.x_parts, part.y_parts)
+    assert energies.shape == (1 << t, 1 << t)
+    for i, xp in enumerate(part.x_parts):
+        for j, yp in enumerate(part.y_parts):
+            assert energies[i, j] == additive_energy(xp, yp)
+
+
+def test_kernel_cases_cover_retries_and_exhaustion():
+    outcomes = {case: _kernel_case(*case)[2] for case in KERNEL_CASES}
+    assert any(r is None for r in outcomes.values())
+    assert any(r is not None and r[3] > 0 for r in outcomes.values())
+    # some wide case has a fiber above 1, so equal Python-int sums are counted
+    assert any(r is not None and r[2] > 1 for case, r in outcomes.items() if case[2] > 63)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_kernels_agree_across_block_sizes(monkeypatch):
+    stream = rng.derive(MASTER, "oracles", "partition-blocks")
+    x = vecs(8, stream.sample(range(256), 32))
+    y = vecs(8, stream.sample(range(256), 32))
+    seed = stream.getrandbits(32)
+    for t in (0, 2, 5):
+        part = energy_partition(x, y, t, 64, rng.derive(seed, t))
+        whole = pair_energies(part.x_parts, part.y_parts)
+        for live in (1, 7, 64):
+            monkeypatch.setattr(oracles, "LIVE_SUMS", live)
+            again = energy_partition(x, y, t, 64, rng.derive(seed, t))
+            assert again == part
+            assert (pair_energies(part.x_parts, part.y_parts) == whole).all()
+            monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
