@@ -82,7 +82,13 @@ class BitVector:
 
     def support(self) -> tuple[int, ...]:
         """Sorted 0-based indices of the nonzero coordinates."""
-        return tuple(i for i in range(self.n) if (self.bits >> i) & 1)
+        out = []
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return tuple(out)
 
     def canonical_key(self) -> tuple[int, tuple[int, ...]]:
         """Sort key realizing the weight-then-lex canonical order."""
@@ -134,7 +140,7 @@ class BitMatrix:
         mask = (1 << cols) - 1
         self.rows = rows
         self.cols = cols
-        self.row_words = tuple(w & mask for w in row_words)
+        self.row_words = tuple([w & mask for w in row_words])
 
     @classmethod
     def from_rows(cls, vectors: Sequence[BitVector]) -> "BitMatrix":
@@ -226,11 +232,15 @@ class XorBasis:
         return word
 
     def add(self, word: int) -> bool:
-        word = self.reduce(word)
-        if word == 0:
-            return False
-        self._pivots[word.bit_length() - 1] = word
-        return True
+        pivots = self._pivots
+        while word:
+            lead = word.bit_length() - 1
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = word
+                return True
+            word ^= pivot
+        return False
 
     def contains(self, word: int) -> bool:
         return self.reduce(word) == 0
@@ -260,8 +270,7 @@ def rank(matrix: BitMatrix) -> int:
 
 def span_rank(words: Iterable[int]) -> int:
     """Rank of a collection of packed row words."""
-    basis = XorBasis()
-    return sum(1 for w in words if basis.add(w))
+    return sum(map(XorBasis().add, words))
 
 
 def sample_uniform_matrix(rows: int, cols: int, stream: Random) -> BitMatrix:
@@ -292,8 +301,10 @@ def sample_invertible(m: int, stream: Random, column_retries: int = 10**6) -> Bi
             raise RetryExhaustedError(f"no independent column {i} after {column_retries} tries")
     rows = [0] * m
     for j, col in enumerate(columns):
-        for i in range(m):
-            rows[i] |= ((col >> i) & 1) << j
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << j
+            col ^= low
     return BitMatrix(m, m, rows)
 
 
@@ -406,35 +417,41 @@ class AffineSolver:
         m = len(row_words)
         work = list(row_words)
         combo = [1 << i for i in range(m)]  # combo[i] tracks work[i] as a mix of inputs
-        pivots: list[tuple[int, int, int]] = []  # (column, reduced row, combo)
         next_row = 0
         for col in range(ncols):
-            sel = None
-            for i in range(next_row, m):
-                if (work[i] >> col) & 1:
-                    sel = i
+            if next_row == m:
+                break  # every row holds a pivot; the remaining columns are free
+            bit = 1 << col
+            for sel in range(next_row, m):
+                if work[sel] & bit:
                     break
-            if sel is None:
+            else:
                 continue
-            work[next_row], work[sel] = work[sel], work[next_row]
-            combo[next_row], combo[sel] = combo[sel], combo[next_row]
+            row, mix = work[sel], combo[sel]
+            work[sel], combo[sel] = work[next_row], combo[next_row]
+            work[next_row], combo[next_row] = row, mix
             for i in range(m):
-                if i != next_row and (work[i] >> col) & 1:
-                    work[i] ^= work[next_row]
-                    combo[i] ^= combo[next_row]
+                if i != next_row and work[i] & bit:
+                    work[i] ^= row
+                    combo[i] ^= mix
             next_row += 1
         self.ncols = ncols
         # After full RREF each surviving row's pivot is its lowest set bit.
-        self._pivots = tuple(
-            ((work[i] & -work[i]).bit_length() - 1, work[i], combo[i]) for i in range(next_row)
-        )
+        pivots: list[tuple[int, int, int]] = []  # (column, row without its pivot, combo)
+        for i in range(next_row):
+            low = work[i] & -work[i]
+            pivots.append((low.bit_length() - 1, work[i] ^ low, combo[i]))
+        self._pivots = tuple(pivots)
         # Rows eliminated to zero give the consistency conditions <combo, z> = 0.
         self._checks = tuple(combo[i] for i in range(next_row, m))
         pivot_set = {c for c, _, _ in self._pivots}
         self._free_cols = tuple(c for c in range(ncols) if c not in pivot_set)
 
     def solvable(self, z_bits: int) -> bool:
-        return all((c & z_bits).bit_count() & 1 == 0 for c in self._checks)
+        for c in self._checks:
+            if (c & z_bits).bit_count() & 1:
+                return False
+        return True
 
     def fiber_size_log2(self) -> int:
         """log2 of the fiber size for any solvable right-hand side."""
@@ -442,14 +459,13 @@ class AffineSolver:
 
     def sample(self, z_bits: int, stream: Random) -> int | None:
         """Uniform solution of E x = z, or None when the fiber is empty."""
-        if not self.solvable(z_bits):
+        if self._checks and not self.solvable(z_bits):
             return None
         x = 0
         if self._free_cols:
             r = stream.getrandbits(len(self._free_cols))
             for k, col in enumerate(self._free_cols):
                 x |= ((r >> k) & 1) << col
-        for col, row, combo in self._pivots:
-            bit = ((combo & z_bits).bit_count() & 1) ^ (((row ^ (1 << col)) & x).bit_count() & 1)
-            x |= bit << col
+        for col, rest, combo in self._pivots:
+            x |= (((combo & z_bits).bit_count() ^ (rest & x).bit_count()) & 1) << col
         return x

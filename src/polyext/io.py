@@ -56,7 +56,6 @@ __all__ = [
     "witness_from_dict",
     "certificate_from_dict",
     "load_json",
-    "save_text",
 ]
 
 Descriptor = Union[TwoSourceDescriptor, SeededDescriptor, EvasiveDescriptor]
@@ -240,10 +239,17 @@ def descriptor_from_dict(data: dict) -> Descriptor:
 
 
 def witness_from_dict(data: dict) -> AttackWitness:
+    """Parse an attack witness; it comes back unverified, whatever the file claims.
+
+    The on-disk ``verified`` flag is ignored: only re-checking the witness
+    against the function it attacks (``oracles.verify_constancy``) may set it.
+    """
     sa = [BitVector.from_string(s) for s in data["set_a"]]
     sb = [BitVector.from_string(s) for s in data["set_b"]]
     if not sa or not sb:
         raise ValueError("witness sets must be nonempty")
+    if len({v.n for v in sa + sb}) != 1:
+        raise ValueError("witness vectors must all have one length")
     value = int(data["value"])
     if value not in (0, 1):
         raise ValueError("witness value must be a bit")
@@ -251,7 +257,7 @@ def witness_from_dict(data: dict) -> AttackWitness:
         set_a=tuple(sa),
         set_b=tuple(sb),
         value=value,
-        verified=bool(data["verified"]),
+        verified=False,
         params=dict(data.get("params", {})),
     )
 
@@ -285,7 +291,3 @@ def certificate_from_dict(data: dict) -> RankCertificate:
 
 def load_json(path: Union[str, Path]) -> dict:
     return _load_obj(Path(path).read_text())
-
-
-def save_text(path: Union[str, Path], text: str) -> None:
-    Path(path).write_text(text)

@@ -14,6 +14,7 @@ evaluation matrix has full rank |A'| * |B'|.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Optional, Sequence
 
@@ -28,6 +29,7 @@ from .gf2 import (
     hamming_ball,
     sample_invertible,
     sample_uniform_matrix,
+    span_rank,
     weight_slice,
 )
 from .sources import Flat
@@ -281,39 +283,55 @@ class SpecialSumsetDraw:
 
 
 class _FiberSampler:
-    """Uniform fiber draws for one surjection over one flat support."""
+    """Uniform fiber draws for one map over one partial flat support."""
 
-    __slots__ = ("_solver", "_buckets", "_n")
+    __slots__ = ("_buckets",)
 
-    def __init__(self, support_bits: Sequence[int], n: int, row_words: Sequence[int]):
-        self._n = n
-        if len(support_bits) == 1 << n:
-            # Full ambient support: fibers are affine solution sets.
-            self._solver: Optional[AffineSolver] = AffineSolver(row_words, n)
-            self._buckets: Optional[dict[int, list[int]]] = None
-        else:
-            self._solver = None
-            buckets: dict[int, list[int]] = {}
-            m = len(row_words)
-            for xb in support_bits:
-                img = 0
-                for i, w in enumerate(row_words):
-                    img |= ((w & xb).bit_count() & 1) << i
-                buckets.setdefault(img, []).append(xb)
-            self._buckets = buckets
+    def __init__(self, support_bits: Sequence[int], matrix: BitMatrix):
+        buckets: dict[int, list[int]] = {}
+        for xb in support_bits:
+            buckets.setdefault(matrix.apply_word(xb), []).append(xb)
+        self._buckets = buckets
 
     def covers(self, m: int) -> bool:
-        if self._solver is not None:
-            return len(self._solver._pivots) == m
         return len(self._buckets) == 1 << m
 
     def sample(self, z_bits: int, stream: Random) -> Optional[int]:
-        if self._solver is not None:
-            return self._solver.sample(z_bits, stream)
         bucket = self._buckets.get(z_bits)
         if not bucket:
             return None
         return bucket[stream.randrange(len(bucket))]
+
+
+def _onto_fibers(
+    support_bits: Optional[Sequence[int]], n: int, matrix: BitMatrix
+) -> Optional[AffineSolver | _FiberSampler]:
+    """Fiber sampler of ``matrix`` over a support, or None unless it maps onto F_2^m.
+
+    ``support_bits`` None stands for all of F_2^n: the map is then onto exactly
+    when it has rank m, and each fiber is an affine solution set, so the
+    rank test comes first and the elimination runs only for an accepted map.
+    """
+    m = matrix.rows
+    if support_bits is None:
+        if span_rank(matrix.row_words) != m:
+            return None
+        return AffineSolver(matrix.row_words, n)
+    fibers = _FiberSampler(support_bits, matrix)
+    return fibers if fibers.covers(m) else None
+
+
+def _support_bits(source: Flat) -> Optional[list[int]]:
+    """Packed support words, or None when the support is all of F_2^n."""
+    if len(source.support) == 1 << source.n:
+        return None
+    return [v.bits for v in source.support]
+
+
+@lru_cache(maxsize=64)
+def _ball_slices(m: int, half: int, third: int) -> tuple[tuple[BitVector, ...], ...]:
+    """The weight-``half`` slices on the first and on the last ``third`` coordinates."""
+    return tuple(weight_slice(m, half, 1, third)), tuple(weight_slice(m, half, m - third + 1, m))
 
 
 def special_sumset_sampler(
@@ -347,14 +365,13 @@ def special_sumset_sampler(
     n = x_source.n
     if y_source.n != n:
         raise PreconditionError("sources must share one ambient length")
-    b_zero = weight_slice(m, half, 1, third) if third else []
-    b_one = weight_slice(m, half, m - third + 1, m)
-    xs_bits = [v.bits for v in x_source.support]
-    ys_bits = [v.bits for v in y_source.support]
+    b_zero, b_one = _ball_slices(m, half, third)
+    xs_bits = _support_bits(x_source)
+    ys_bits = xs_bits if y_source is x_source else _support_bits(y_source)
+    # Over one support (or two full ones) the fibers depend only on the map.
+    shared = y_source is x_source or (xs_bits is None and ys_bits is None)
 
-    fibers_x: Optional[_FiberSampler] = None
-    fibers_y: Optional[_FiberSampler] = None
-    surjection: Optional[BitMatrix] = None
+    surjection = None
     for attempt in range(trials):
         if fixed_map is not None:
             if attempt > 0:
@@ -364,13 +381,13 @@ def special_sumset_sampler(
                 raise PreconditionError("fixed map has the wrong shape")
         else:
             cand = sample_uniform_matrix(m, n, stream)
-        fx = _FiberSampler(xs_bits, n, cand.row_words)
-        if not fx.covers(m):
+        fibers_x = _onto_fibers(xs_bits, n, cand)
+        if fibers_x is None:
             continue
-        fy = _FiberSampler(ys_bits, n, cand.row_words)
-        if not fy.covers(m):
+        fibers_y = fibers_x if shared else _onto_fibers(ys_bits, n, cand)
+        if fibers_y is None:
             continue
-        surjection, fibers_x, fibers_y = cand, fx, fy
+        surjection = cand
         break
     if surjection is None:
         raise RetryExhaustedError(f"no surjective map within {trials} samples")
@@ -401,8 +418,8 @@ def special_sumset_sampler(
                 return SpecialSumsetDraw(
                     surjection=surjection,
                     mixer=mixer,
-                    b_zero=tuple(b_zero),
-                    b_one=tuple(b_one),
+                    b_zero=b_zero,
+                    b_one=b_one,
                     x_star=x_star,
                     y_star=y_star,
                     full_rank=True,

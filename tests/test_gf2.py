@@ -269,6 +269,15 @@ def test_ball_sorted_by_canonical_key():
     assert keys == sorted(keys)
 
 
+def test_support_and_canonical_key_match_the_coordinate_definition():
+    for n in range(9):
+        for bits in range(1 << n):
+            v = BitVector(n, bits)
+            coords = tuple(i for i in range(n) if v[i])
+            assert v.support() == coords
+            assert v.canonical_key() == (v.weight(), coords)
+
+
 def test_weight_slice_first_window():
     assert weight_slice(6, 1, 1, 2) == [bv("100000"), bv("010000")]
 

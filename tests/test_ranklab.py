@@ -1,5 +1,7 @@
 """Evaluation-rank certificates, sumsets, and the product-form pair sampler."""
 
+import hashlib
+
 import pytest
 
 from polyext import rng
@@ -280,6 +282,51 @@ def test_special_draw_on_proper_subsets():
     assert set(draw.x_star) <= set(pts)
     assert set(draw.y_star) <= set(pts)
     assert draw.full_rank
+
+
+def _special_draws_digest(x_source, y_source, d, m, draws, label):
+    """sha256 over the surjection, mixer, X*, Y*, verdict and two picks of each draw."""
+    stream = rng.derive(MASTER, "ranklab", "pinned", label)
+    h = hashlib.sha256()
+    for _ in range(draws):
+        draw = special_sumset_sampler(x_source, y_source, d, m, 1000, stream)
+        px = draw.x_star[stream.randrange(len(draw.x_star))]
+        py = draw.y_star[stream.randrange(len(draw.y_star))]
+        fields = (
+            draw.surjection.to_string(),
+            draw.mixer.to_string(),
+            *(v.to_string() for v in draw.x_star),
+            "|",
+            *(v.to_string() for v in draw.y_star),
+            "|",
+            px.to_string(),
+            py.to_string(),
+            str(draw.full_rank),
+        )
+        h.update((";".join(fields) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_special_draws_are_pinned():
+    """Every draw, and so the stream it consumes, matches the elimination-per-map sampler.
+
+    The digests were taken with the sampler that built a fresh fiber solver
+    for each support and candidate map; the full-support rank test and the
+    shared solver must reproduce them draw for draw.
+    """
+    u6 = uniform_flat(6)
+    assert _special_draws_digest(u6, u6, 2, 6, 2000, "full") == (
+        "08c7d8bb0bda82a51fd248c938be0af58ed3266549439f42abf69d2a96f55bb4"
+    )
+    picks = rng.derive(MASTER, "ranklab", "pinned", "support").sample(range(256), 240)
+    partial = Flat(8, tuple(BitVector(8, b) for b in picks))
+    assert _special_draws_digest(partial, uniform_flat(8), 2, 6, 300, "partial") == (
+        "4c394018830db1ab24c948a019a92a40f54f2110fd7b5b88e67b7c4f4276172a"
+    )
+    u9 = uniform_flat(9)
+    assert _special_draws_digest(u9, u9, 4, 6, 300, "deg4") == (
+        "e1102bb1bb897ef0678aebf813fb6283ed6b67af0ef5f28026ee272b08c6a140"
+    )
 
 
 def test_special_sampler_rejects_small_m():
