@@ -36,7 +36,6 @@ def main() -> int:
     ap.add_argument("--seed", type=int, required=True, help="master seed")
     ap.add_argument("--out-dir", default="reports", help="directory for the JSON reports")
     ap.add_argument("--scale", type=float, default=1.0, help="trial-count multiplier")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--only", nargs="*", default=None, help="subset of experiment names")
     args = ap.parse_args()
 
@@ -50,14 +49,7 @@ def main() -> int:
     all_ok = True
     for name in names:
         trials = max(1, round(FULL_TRIALS.get(name, 100) * args.scale))
-        config = config_from_dict(
-            {
-                "experiment": name,
-                "seed": args.seed,
-                "trials": trials,
-                "workers": args.workers,
-            }
-        )
+        config = config_from_dict({"experiment": name, "seed": args.seed, "trials": trials})
         report = run_experiment(config)
         path = out_dir / f"{name}.json"
         path.write_text(report.to_json())

@@ -32,6 +32,7 @@ __all__ = [
     "monomial_order",
     "eval_vector",
     "eval_bits",
+    "eval_polys",
     "evaluate",
     "sample_poly",
     "truth_table",
@@ -180,16 +181,23 @@ def eval_vector(x: BitVector, order: MonomialOrder) -> BitVector:
     return BitVector(order.size, eval_bits(x.bits, order))
 
 
+def eval_polys(polys: Sequence[Polynomial], x_bits: int) -> int:
+    """Packed values of a polynomial tuple at a packed point: bit i is polys[i](x)."""
+    out = 0
+    for i, f in enumerate(polys):
+        acc = 0
+        for mask in f._active_masks:
+            if x_bits & mask == mask:
+                acc ^= 1
+        out |= acc << i
+    return out
+
+
 def evaluate(f: Polynomial, x: BitVector) -> int:
     """f(x) over GF(2)."""
     if x.n != f.order.n:
         raise ValueError("point length must match the polynomial")
-    xb = x.bits
-    acc = 0
-    for mask in f._active_masks:
-        if xb & mask == mask:
-            acc ^= 1
-    return acc
+    return eval_polys((f,), x.bits)
 
 
 def sample_poly(n: int, d: int, stream: Random) -> Polynomial:

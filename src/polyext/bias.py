@@ -20,7 +20,7 @@ from fractions import Fraction
 from random import Random
 from typing import Mapping, Optional, Sequence, Union
 
-from .anf import Polynomial, eval_bits, monomial_order
+from .anf import Polynomial, eval_bits, eval_polys, monomial_order
 from .errors import BudgetExceededError, PreconditionError
 from .gf2 import BitVector
 from .reports import AuditReport
@@ -54,21 +54,13 @@ class BiasReport:
     fail_prob: float
 
 
-def _poly_on_bits(f: Polynomial, xb: int) -> int:
-    acc = 0
-    for mask in f._active_masks:
-        if xb & mask == mask:
-            acc ^= 1
-    return acc
-
-
 def bias_exact(f: Polynomial, source: Source) -> Fraction:
     """Exact bias of f on the source via full support enumeration."""
     total = Fraction(0)
     for point, prob in support_of(source):
         if point.n != f.order.n:
             raise PreconditionError("source output length must match the polynomial")
-        total += -prob if _poly_on_bits(f, point.bits) else prob
+        total += -prob if eval_polys((f,), point.bits) else prob
     return total
 
 
@@ -92,7 +84,7 @@ def bias_mc(
     acc = 0
     for _ in range(samples):
         x = sample_source(source, stream)
-        acc += -1 if _poly_on_bits(f, x.bits) else 1
+        acc += -1 if eval_polys((f,), x.bits) else 1
     return BiasReport(acc / samples, samples, hw, fail_prob)
 
 
@@ -176,16 +168,8 @@ def _pushforward(
     polys: Sequence[Polynomial], source: Source
 ) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
-    masks = [f._active_masks for f in polys]
     for point, prob in support_of(source):
-        xb = point.bits
-        key = 0
-        for i, active in enumerate(masks):
-            acc = 0
-            for mask in active:
-                if xb & mask == mask:
-                    acc ^= 1
-            key |= acc << i
+        key = eval_polys(polys, point.bits)
         out[key] = out.get(key, Fraction(0)) + prob
     return out
 
@@ -252,7 +236,7 @@ def disperser_audit(f: Polynomial, sources: Sequence[Source]) -> AuditReport:
     for idx, source in enumerate(sources):
         values = set()
         for point, _ in support_of(source):
-            values.add(_poly_on_bits(f, point.bits))
+            values.add(eval_polys((f,), point.bits))
             if len(values) == 2:
                 break
         ok = values == {0, 1}

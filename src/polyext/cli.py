@@ -225,8 +225,6 @@ def _cmd_experiment(args) -> int:
         data["seed"] = args.seed
     if args.trials is not None:
         data["trials"] = args.trials
-    if args.workers is not None:
-        data["workers"] = args.workers
     if args.out is not None:
         data["out"] = args.out
     if args.format is not None:
@@ -248,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     # subcommand with its own default.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, help="master seed (required whenever randomness is drawn)")
-    common.add_argument("--workers", type=int, help="worker count for experiments")
     common.add_argument("--out", help="write output to this path instead of stdout")
     common.add_argument("--format", choices=["json", "csv"], help="report format (default json)")
 
@@ -356,7 +353,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     # Global flags default to SUPPRESS so a subparser never clobbers a value
     # given before the subcommand; backfill the unset ones here.
-    for dest in ("seed", "workers", "out", "format"):
+    for dest in ("seed", "out", "format"):
         if not hasattr(args, dest):
             setattr(args, dest, None)
     try:

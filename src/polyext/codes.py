@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix, BitVector, subset_xors
 from .bias import mc_halfwidth
 
 __all__ = [
@@ -65,13 +65,10 @@ class CodeView:
         return word
 
     def codewords(self) -> list[int]:
-        """All 2^dim codewords (with multiplicity one per message) in Gray order cost."""
+        """All 2^dim codewords, one per message: entry k is ``codeword(k)``."""
         if self.dim > EXHAUSTIVE_DIM_LIMIT:
             raise BudgetExceededError(f"2^{self.dim} codewords exceed the enumeration cap")
-        words = [0]
-        for row in self.generator.row_words:
-            words.extend(w ^ row for w in list(words))
-        return words
+        return subset_xors(self.generator.row_words)
 
     def distinct_codewords(self) -> set[int]:
         return set(self.codewords())

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import rng
-from .anf import Polynomial, eval_bits, monomial_order, sample_poly
+from .anf import Polynomial, eval_bits, eval_polys, monomial_order, sample_poly
 from .errors import BudgetExceededError, PreconditionError
 from .gf2 import (
     BitMatrix,
@@ -117,17 +117,7 @@ def build_two_source(n: int, seed: int, r: int | None = None) -> TwoSourceDescri
 
 def lift_point(polys: tuple[Polynomial, ...], x: BitVector) -> int:
     """Packed (x, f_1(x), ..., f_r(x)) with x occupying the low bits."""
-    out = x.bits
-    pos = x.n
-    for f in polys:
-        acc = 0
-        xb = x.bits
-        for mask in f._active_masks:
-            if xb & mask == mask:
-                acc ^= 1
-        out |= acc << pos
-        pos += 1
-    return out
+    return x.bits | eval_polys(polys, x.bits) << x.n
 
 
 def eval_two_source(desc: TwoSourceDescriptor, x: BitVector, y: BitVector) -> int:

@@ -2,14 +2,13 @@
 
 Each experiment is a named pipeline: a per-trial procedure drawing all its
 randomness from a stream derived as ``(master seed, experiment, trial)``, plus
-an aggregator folding the sorted trial rows into summary statistics and a
-verdict.  Because trial streams never depend on scheduling, reports are
-byte-identical across worker counts and re-runs (the wall-time field aside).
+an aggregator folding the trial rows into summary statistics and a verdict.
+Because every trial stream is a function of the config alone, reports are
+byte-identical across re-runs (the wall-time field aside).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Optional
@@ -466,7 +465,6 @@ class ExperimentConfig:
     experiment: str
     seed: int
     trials: int
-    workers: int = 1
     params: dict = field(default_factory=dict)
     out: Optional[str] = None
     format: str = "json"
@@ -479,8 +477,6 @@ class ExperimentConfig:
             raise PreconditionError("master seed must be an integer")
         if self.trials < 1:
             raise PreconditionError("trial count must be >= 1")
-        if self.workers < 1:
-            raise PreconditionError("worker count must be >= 1")
         if self.format not in ("json", "csv"):
             raise PreconditionError("format must be json or csv")
         allowed = EXPERIMENTS[self.experiment].defaults
@@ -493,7 +489,7 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    extra = set(data) - {"experiment", "seed", "trials", "workers", "params", "out", "format"}
+    extra = set(data) - {"experiment", "seed", "trials", "params", "out", "format"}
     if extra:
         raise PreconditionError(f"unknown config fields: {sorted(extra)}")
     if "experiment" not in data:
@@ -504,7 +500,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         experiment=str(data["experiment"]),
         seed=data["seed"],
         trials=int(data.get("trials", 100)),
-        workers=int(data.get("workers", 1)),
         params=dict(data.get("params", {})),
         out=data.get("out"),
         format=str(data.get("format", "json")),
@@ -514,29 +509,21 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every trial on its own derived stream and fold up the report.
 
-    Rows are keyed and sorted by trial index, so results do not depend on the
-    worker count or on completion order.
+    Trials run in index order, one row each, so a re-run of the same config
+    gives a byte-identical report, wall time aside.
     """
     entry = EXPERIMENTS[config.experiment]
     params = {**entry.defaults, **config.params}
     start = perf_counter()
-
-    def one(i: int) -> dict:
+    rows = []
+    for i in range(config.trials):
         stream = rng.derive(config.seed, "experiment", config.experiment, i)
-        return {"trial": i, **entry.trial(params, stream)}
-
-    if config.workers == 1:
-        rows = [one(i) for i in range(config.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(one, range(config.trials)))
-    rows.sort(key=lambda r: r["trial"])
+        rows.append({"trial": i, **entry.trial(params, stream)})
     aggregates, verdict = entry.aggregate(rows, params)
     return ExperimentReport(
         experiment=config.experiment,
         seed=config.seed,
         trials=config.trials,
-        workers=config.workers,
         params=params,
         rows=rows,
         aggregates=aggregates,

@@ -34,6 +34,7 @@ __all__ = [
     "enumerate_span",
     "nullspace_basis",
     "span_rank",
+    "subset_xors",
 ]
 
 
@@ -260,12 +261,7 @@ def binom_sum(n: int, d: int) -> int:
 
 def rank(matrix: BitMatrix) -> int:
     """GF(2) rank by word-level XOR elimination; the input is not modified."""
-    basis = XorBasis()
-    r = 0
-    for w in matrix.row_words:
-        if basis.add(w):
-            r += 1
-    return r
+    return span_rank(matrix.row_words)
 
 
 def span_rank(words: Iterable[int]) -> int:
@@ -351,6 +347,19 @@ def canonical_index(v: BitVector) -> int:
     return sum(math.comb(v.n, j) for j in range(w)) + _combination_rank(supp, v.n)
 
 
+def subset_xors(words: Sequence[int], offset: int = 0) -> list[int]:
+    """offset XOR each subset-XOR of the words, in binary-counter order.
+
+    Entry k combines the words at the set bits of k, so there are always
+    2^len(words) entries, with ``offset`` first; dependent words repeat
+    elements.
+    """
+    out = [offset]
+    for w in words:
+        out.extend([x ^ w for x in out])
+    return out
+
+
 def enumerate_span(basis_words: Iterable[int]) -> list[int]:
     """All distinct elements of the span of the given words, as packed ints.
 
@@ -359,46 +368,20 @@ def enumerate_span(basis_words: Iterable[int]) -> list[int]:
     deterministic (binary-counter over the reduced basis), with 0 first.
     """
     basis = XorBasis()
-    independent = [w for w in basis_words if basis.add(w)]
-    out = [0]
-    for b in independent:
-        out.extend(x ^ b for x in list(out))
-    return out
+    return subset_xors([w for w in basis_words if basis.add(w)])
 
 
 def nullspace_basis(row_words: Sequence[int], ncols: int) -> list[int]:
     """Basis (packed words) of {x : row . x = 0 for every row}.
 
-    Standard RREF: pivot columns ascending, one basis vector per free column.
+    One vector per free column f of the reduced echelon form, ascending: bit
+    f, plus each pivot column whose reduced row has bit f.
     """
-    work = list(row_words)
-    pivot_cols: list[tuple[int, int]] = []  # (row index in `work`, column)
-    next_row = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(next_row, len(work)):
-            if (work[i] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[next_row], work[sel] = work[sel], work[next_row]
-        for i in range(len(work)):
-            if i != next_row and (work[i] >> col) & 1:
-                work[i] ^= work[next_row]
-        pivot_cols.append((next_row, col))
-        next_row += 1
-    pivot_set = {c for _, c in pivot_cols}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for ri, c in pivot_cols:
-            if (work[ri] >> free) & 1:
-                vec |= 1 << c
-        basis.append(vec)
-    return basis
+    solver = AffineSolver(row_words, ncols)
+    return [
+        (1 << f) | sum(1 << c for c, rest, _ in solver._pivots if (rest >> f) & 1)
+        for f in solver._free_cols
+    ]
 
 
 class AffineSolver:

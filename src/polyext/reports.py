@@ -108,7 +108,6 @@ class ExperimentReport:
     experiment: str
     seed: int
     trials: int
-    workers: int
     params: dict
     rows: list[dict]
     aggregates: dict
@@ -120,7 +119,6 @@ class ExperimentReport:
             "experiment": self.experiment,
             "seed": self.seed,
             "trials": self.trials,
-            "workers": self.workers,
             "params": self.params,
             "rows": self.rows,
             "aggregates": self.aggregates,
@@ -140,7 +138,6 @@ class ExperimentReport:
             experiment=self.experiment,
             seed=self.seed,
             trials=self.trials,
-            workers=self.workers,
             verdict=self.verdict,
             wall_time_s=self.wall_time_s,
         )

@@ -1,9 +1,9 @@
 """Deterministic random streams derived from a master seed.
 
-Every randomized routine takes an explicit ``random.Random`` stream.  Parallel
-work fans out over child streams derived here from ``(seed, *labels)``, so
-aggregated results depend only on the master seed and the label layout, never
-on worker count or completion order.
+Every randomized routine takes an explicit ``random.Random`` stream.
+Independent pieces of work (experiment trials, seeded rebuilds) draw from
+child streams derived here from ``(seed, *labels)``, so aggregated results
+depend only on the master seed and the label layout.
 """
 
 from __future__ import annotations

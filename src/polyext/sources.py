@@ -19,9 +19,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import anf
-from .anf import Polynomial
+from .anf import Polynomial, eval_polys
 from .errors import BudgetExceededError, PreconditionError, RetryExhaustedError
-from .gf2 import BitVector, binom_sum, span_rank
+from .gf2 import BitVector, binom_sum, span_rank, subset_xors
 
 __all__ = [
     "Flat",
@@ -154,14 +154,7 @@ class PolynomialImage:
             raise ValueError("every output polynomial must read all m inputs")
 
     def value(self, u_bits: int) -> int:
-        out = 0
-        for i, p in enumerate(self.polys):
-            acc = 0
-            for mask in p._active_masks:
-                if u_bits & mask == mask:
-                    acc ^= 1
-            out |= acc << i
-        return out
+        return eval_polys(self.polys, u_bits)
 
 
 @dataclass(frozen=True)
@@ -232,10 +225,7 @@ def support_of(source: Source) -> list[tuple[BitVector, Fraction]]:
         dim = len(source.basis)
         _check_budget(1 << dim, "affine span")
         total = 1 << dim
-        points = [source.offset.bits]
-        for b in source.basis:
-            points.extend(x ^ b.bits for x in list(points))
-        for x in points:
+        for x in subset_xors([b.bits for b in source.basis], source.offset.bits):
             counts[x] = 1
     elif isinstance(source, Sumset):
         _check_budget(len(source.x.support) * len(source.y.support), "sumset pairs")
@@ -300,20 +290,12 @@ def sample_source(source: Source, stream: Random, rejection_budget: int = 10**6)
             return BitVector(source.n, int(pts[stream.randrange(int(pts.size))]))
         for _ in range(rejection_budget):
             xb = stream.getrandbits(source.n)
-            if all(_eval_bits_poly(p, xb) == 0 for p in source.polys):
+            if not eval_polys(source.polys, xb):
                 return BitVector(source.n, xb)
         raise RetryExhaustedError(
             f"no variety point after {rejection_budget} rejection draws"
         )
     raise TypeError(f"not a source: {source!r}")
-
-
-def _eval_bits_poly(p: Polynomial, xb: int) -> int:
-    acc = 0
-    for mask in p._active_masks:
-        if xb & mask == mask:
-            acc ^= 1
-    return acc
 
 
 def min_entropy(source: Source) -> float:

@@ -11,6 +11,7 @@ from polyext.anf import (
     anf_from_truth_table,
     compose_linear,
     compose_linear_by_table,
+    eval_polys,
     eval_vector,
     evaluate,
     mobius_transform,
@@ -198,12 +199,20 @@ def test_mobius_transform_is_involution():
 
 
 @settings(max_examples=40)
-@given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False))
-def test_truth_table_agrees_with_evaluate(n, rand):
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=4),
+    st.randoms(use_true_random=False),
+)
+def test_truth_table_agrees_with_evaluate(n, m, rand):
     f = sample_poly(n, min(n, 2), rand)
     table = truth_table(f)
+    polys = tuple(sample_poly(n, min(n, 3), rand) for _ in range(m))
+    tables = [truth_table(p) for p in polys]
     for xb in range(1 << n):
         assert table[xb] == evaluate(f, BitVector(n, xb))
+        packed = sum(int(t[xb]) << i for i, t in enumerate(tables))
+        assert eval_polys(polys, xb) == packed
 
 
 # ---------------------------------------------------------------------------

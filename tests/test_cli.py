@@ -1,6 +1,9 @@
 """Command-line verbs, exit-code contract, and the experiment registry."""
 
+import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -64,8 +67,6 @@ def test_config_validates_counts_and_format():
     with pytest.raises(PreconditionError):
         ExperimentConfig(experiment="dichotomy", seed=1, trials=0)
     with pytest.raises(PreconditionError):
-        ExperimentConfig(experiment="dichotomy", seed=1, trials=1, workers=0)
-    with pytest.raises(PreconditionError):
         ExperimentConfig(experiment="dichotomy", seed=1, trials=1, format="xml")
     with pytest.raises(PreconditionError):
         ExperimentConfig(experiment="dichotomy", seed=True, trials=1)
@@ -73,7 +74,10 @@ def test_config_validates_counts_and_format():
 
 def test_config_defaults():
     cfg = config_from_dict({"experiment": "dichotomy", "seed": 9})
-    assert cfg.trials == 100 and cfg.workers == 1 and cfg.format == "json"
+    assert cfg.trials == 100 and cfg.format == "json"
+    # the thread pool and its size are gone; a config that still sets one is refused
+    with pytest.raises(PreconditionError, match="unknown config fields"):
+        config_from_dict({"experiment": "dichotomy", "seed": 9, "workers": 2})
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +92,49 @@ def test_rerun_is_identical_except_wall_time():
     assert first.verdict
 
 
-def test_worker_count_does_not_change_rows():
-    base = {"experiment": "dichotomy", "seed": 3, "trials": 8}
-    solo = run_experiment(config_from_dict(base))
-    pooled = run_experiment(config_from_dict({**base, "workers": 3}))
-    assert solo.rows == pooled.rows
-    assert solo.aggregates == pooled.aggregates
-    assert solo.verdict == pooled.verdict
+def _release_trials() -> dict:
+    """The release trial counts, read from the script that runs the registry."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_all_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FULL_TRIALS
+
+
+#: sha256 of each report's rows, aggregates and verdict at seed 1 and the
+#: release trial counts: a kernel change that moves one changes what the
+#: registry reports.
+REGISTRY_DIGESTS = {
+    "bias-concentration": "d6b1614d3d366932f7e73a63db5ffe75c25b636ae3393e592152101f25583a1d",
+    "cw-shifts": "e58b114d54a989d460291975c7a59691ccf84c5aabc5c249ceb5e75e063d3d88",
+    "dichotomy": "50b11b2bd309f48181b6c379b1968bc870313126190a00065a46b60c5073a98f",
+    "disperser-attack": "6ab6a49099b2de4861e014619eefa774a1bdc83036f234b9e835dca23bf123f5",
+    "energy-partition": "09ec8df6f0921126ba39c865baa2e75b96a5b99c09122270b4892b052d71c015",
+    "high-rank-subsets": "3f20eb2644e71c9e255201447af79682fd84d20aa014dcdd7dcf7fe3d256f905",
+    "interpolating-rank": "0e806e6142c13b85be18a9b813d47b9c399bf122106bca0c5640c3b6321fe364",
+    "moment-identity": "059e15fb00d7dc28ce0d0fec792320eafa6189e4b53d50badeb3b3d23c2838f1",
+    "rank-monotonicity": "24cc7668130f0d44f29553a02498c8f9816676bb90d70a35b0e97852e4131489",
+    "seeded-structure": "aac8b0c85c1cd77deac03a7b5a3e21f04b67a714a2eb7a23e77f0ccc82ad1375",
+    "special-sumset": "67b801bd8e99c245edce9b9c7cb827a1ced951b49f68ff585523242f7d2d5106",
+    "two-source-degree": "2484140aafe43bb1d8bf50f0ab2c93adb3437535f56bc8f196585160caf19eca",
+    "variety-reduction": "7fe1159ab0c86e453e2d317ea7e874e92303eb59a54606b4a9e74fffc88e60b9",
+}
+
+
+def test_registry_output_is_pinned():
+    """Every experiment's output at release scale matches its committed digest."""
+    trials = _release_trials()
+    assert sorted(trials) == sorted(EXPERIMENTS) == sorted(REGISTRY_DIGESTS)
+    moved = []
+    for name in sorted(EXPERIMENTS):
+        report = run_experiment(
+            config_from_dict({"experiment": name, "seed": 1, "trials": trials[name]})
+        )
+        body = {"rows": report.rows, "aggregates": report.aggregates, "verdict": report.verdict}
+        text = json.dumps(body, sort_keys=True, separators=(",", ":"), default=str)
+        if hashlib.sha256(text.encode()).hexdigest() != REGISTRY_DIGESTS[name]:
+            moved.append(name)
+    assert moved == []
 
 
 def test_param_overrides_are_echoed():
@@ -340,15 +380,3 @@ def test_cli_experiment_failing_verdict(tmp_path, capsys):
     )
     assert cli.main(["experiment", "special-sumset", "--config", cfg]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] is False
-
-
-def test_cli_experiment_workers_flag(tmp_path):
-    out1 = tmp_path / "w1.json"
-    out2 = tmp_path / "w2.json"
-    argv = ["experiment", "interpolating-rank", "--seed", "2", "--trials", "6"]
-    assert cli.main(argv + ["--out", str(out1)]) == 0
-    assert cli.main(argv + ["--workers", "3", "--out", str(out2)]) == 0
-    d1 = json.loads(out1.read_text())
-    d2 = json.loads(out2.read_text())
-    assert d1["rows"] == d2["rows"]
-    assert d2["workers"] == 3
