@@ -24,7 +24,7 @@ from .anf import Polynomial, eval_bits, eval_polys, monomial_order
 from .errors import BudgetExceededError, PreconditionError
 from .gf2 import BitVector
 from .reports import AuditReport
-from .sources import Source, sample_source, support_of
+from .sources import Source, ambient_length, sample_source, support_of
 
 __all__ = [
     "BiasReport",
@@ -56,12 +56,16 @@ class BiasReport:
 
 def bias_exact(f: Polynomial, source: Source) -> Fraction:
     """Exact bias of f on the source via full support enumeration."""
+    _check_length(f, source)
     total = Fraction(0)
     for point, prob in support_of(source):
-        if point.n != f.order.n:
-            raise PreconditionError("source output length must match the polynomial")
         total += -prob if eval_polys((f,), point.bits) else prob
     return total
+
+
+def _check_length(f: Polynomial, source: Source) -> None:
+    if ambient_length(source) != f.order.n:
+        raise PreconditionError("source output length must match the polynomial")
 
 
 def mc_halfwidth(samples: int, fail_prob: float) -> float:
@@ -81,6 +85,7 @@ def bias_mc(
     bounded samples applied to the +-1 values.
     """
     hw = mc_halfwidth(samples, fail_prob)
+    _check_length(f, source)
     acc = 0
     for _ in range(samples):
         x = sample_source(source, stream)

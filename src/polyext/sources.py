@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Sequence, Union
 
@@ -176,8 +177,7 @@ Source = Union[Flat, Affine, Sumset, Local, PolynomialImage, Variety]
 
 def uniform_flat(n: int) -> Flat:
     """The uniform distribution over all of F_2^n as an explicit flat source."""
-    if n > 22:
-        raise BudgetExceededError("refusing to materialize more than 2^22 points")
+    _check_budget(1 << n, "uniform flat")
     return Flat(n, tuple(BitVector(n, b) for b in range(1 << n)))
 
 
@@ -195,15 +195,26 @@ def ambient_length(source: Source) -> int:
 def _check_budget(cost: int, what: str) -> None:
     if cost > ENUMERATION_BUDGET:
         raise BudgetExceededError(
-            f"{what} needs {cost} enumeration steps, over the 2^22 budget"
+            f"{what} needs {cost} enumeration steps, over the "
+            f"2^{ENUMERATION_BUDGET.bit_length() - 1} budget"
         )
 
 
-def _variety_member_mask(polys: Sequence[Polynomial], n: int) -> np.ndarray:
-    member = np.ones(1 << n, dtype=bool)
-    for p in polys:
+@lru_cache(maxsize=4)
+def _variety_points(source: Variety) -> np.ndarray:
+    """The variety's member points in ascending order, as a read-only array.
+
+    Built from one truth table per polynomial and cached per (equal) source,
+    so repeated draws cost one index instead of 2^n evaluations.  Callers
+    check the enumeration budget first; n <= 22 makes uint32 wide enough, and
+    the four cached arrays hold at most 4 x 16 MiB.
+    """
+    member = np.ones(1 << source.n, dtype=bool)
+    for p in source.polys:
         member &= anf.truth_table(p) == 0
-    return member
+    pts = np.flatnonzero(member).astype(np.uint32)
+    pts.setflags(write=False)
+    return pts
 
 
 def support_of(source: Source) -> list[tuple[BitVector, Fraction]]:
@@ -211,8 +222,8 @@ def support_of(source: Source) -> list[tuple[BitVector, Fraction]]:
 
     Pairs are sorted in the canonical (weight, lex-support) order and the
     probabilities sum to 1 exactly.  Raises :class:`BudgetExceededError`
-    when full enumeration would exceed 2^22 visited points, and
-    :class:`PreconditionError` for an empty variety.
+    when full enumeration would visit more than ``ENUMERATION_BUDGET``
+    points, and :class:`PreconditionError` for an empty variety.
     """
     n = ambient_length(source)
     counts: dict[int, int] = {}
@@ -244,8 +255,7 @@ def support_of(source: Source) -> list[tuple[BitVector, Fraction]]:
             counts[x] = counts.get(x, 0) + 1
     elif isinstance(source, Variety):
         _check_budget(1 << source.n, "variety enumeration")
-        member = _variety_member_mask(source.polys, source.n)
-        pts = np.nonzero(member)[0]
+        pts = _variety_points(source)
         if pts.size == 0:
             raise PreconditionError("variety is empty; no distribution to enumerate")
         total = int(pts.size)
@@ -261,8 +271,10 @@ def support_of(source: Source) -> list[tuple[BitVector, Fraction]]:
 def sample_source(source: Source, stream: Random, rejection_budget: int = 10**6) -> BitVector:
     """One draw from the source.
 
-    Varieties with more than 2^22 ambient points fall back to rejection
-    sampling with the given budget; everything else samples directly.
+    A variety within the enumeration budget draws uniformly from its member
+    points, which are enumerated once and cached for up to four distinct
+    varieties; larger varieties fall back to rejection sampling with the
+    given budget.  Everything else samples directly.
     """
     if isinstance(source, Flat):
         return source.support[stream.randrange(len(source.support))]
@@ -282,9 +294,8 @@ def sample_source(source: Source, stream: Random, rejection_budget: int = 10**6)
         u = stream.getrandbits(source.m)
         return BitVector(ambient_length(source), source.value(u))
     if isinstance(source, Variety):
-        if source.n <= 22:
-            member = _variety_member_mask(source.polys, source.n)
-            pts = np.nonzero(member)[0]
+        if 1 << source.n <= ENUMERATION_BUDGET:
+            pts = _variety_points(source)
             if pts.size == 0:
                 raise PreconditionError("variety is empty")
             return BitVector(source.n, int(pts[stream.randrange(int(pts.size))]))

@@ -19,7 +19,7 @@ from polyext.bias import (
     moment_by_poly_enumeration,
     statistical_distance,
 )
-from polyext.errors import BudgetExceededError
+from polyext.errors import BudgetExceededError, PreconditionError
 from polyext.gf2 import BitVector, rank, sample_uniform_matrix
 from polyext.sources import Flat, support_of, uniform_flat
 
@@ -82,6 +82,15 @@ def test_bias_mc_constant_is_exact():
     assert report.estimate == -1.0
     assert report.samples == 500
     assert report.halfwidth == mc_halfwidth(500, 1e-6)
+
+
+def test_source_length_must_match_the_polynomial():
+    stream = rng.derive(MASTER, "bias", "length-mismatch")
+    f = sample_poly(4, 2, stream)
+    with pytest.raises(PreconditionError):
+        bias_exact(f, uniform_flat(6))
+    with pytest.raises(PreconditionError):
+        bias_mc(f, uniform_flat(6), 10, 0.1, stream)
 
 
 def test_bias_mc_calibration_on_balanced_function():

@@ -1,15 +1,18 @@
 """Weak-source models: exact enumeration, sampling, thresholds, variety reduction."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from polyext import rng
+from polyext import anf, io, rng, sources
 from polyext.anf import Polynomial, sample_poly, truth_table
+from polyext.bias import bias_mc
 from polyext.errors import BudgetExceededError, PreconditionError
-from polyext.gf2 import BitVector, sample_uniform_matrix
+from polyext.gf2 import BitVector, sample_uniform_matrix, span_rank
 from polyext.sources import (
     Affine,
     Flat,
@@ -19,6 +22,7 @@ from polyext.sources import (
     Sumset,
     ThresholdQuery,
     Variety,
+    ambient_length,
     entropy_threshold,
     min_entropy,
     sample_source,
@@ -175,6 +179,132 @@ def test_sample_flat_frequencies_match_exact():
         counts[x.bits] = counts.get(x.bits, 0) + 1
     for v, prob in support_of(src):
         assert abs(counts[v.bits] / 20000 - float(prob)) < 0.02
+
+
+def _pinned_sources() -> dict:
+    """One seeded source per sampler branch, the rejection branch included."""
+    s = rng.derive(MASTER, "sources", "pins")
+
+    def rand_flat(n, size):
+        return Flat(n, tuple(BitVector(n, b) for b in s.sample(range(1 << n), size)))
+
+    basis: list[BitVector] = []
+    while len(basis) < 5:
+        v = BitVector(12, s.getrandbits(12))
+        if span_rank([b.bits for b in basis] + [v.bits]) > len(basis):
+            basis.append(v)
+    local_bits = tuple(
+        LocalBit(tuple(s.sample(range(12), 3)), tuple(s.getrandbits(1) for _ in range(8)))
+        for _ in range(10)
+    )
+    return {
+        "flat": rand_flat(10, 100),
+        "affine": Affine(12, BitVector(12, s.getrandbits(12)), tuple(basis)),
+        "sumset": Sumset(rand_flat(10, 20), rand_flat(10, 30)),
+        "local": Local(3, 12, local_bits),
+        "polyimage": PolynomialImage(8, tuple(sample_poly(8, 2, s) for _ in range(10))),
+        "variety": Variety(12, (sample_poly(12, 2, s), sample_poly(12, 2, s))),
+        # n = 23 is past the enumeration budget, so draws go through rejection
+        "variety-rejection": Variety(
+            23, (sample_poly(23, 2, s), Polynomial.from_monomials(23, 2, [[0, 1]]))
+        ),
+    }
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+# sha256 of the JSON list of 200 draws (0/1 strings) per source kind
+PINNED_DRAWS = {
+    "affine": "95d8995e69589853c5fa578ed8ca1fe0cd076838e7b731bda3ae75840e441357",
+    "flat": "b0a409d7cd6e48d14daef9af41fdfe3ad633b19322807ce5a84cae9cb09ecf8f",
+    "local": "7f10913ed523a7b46e7aea00f6fedc2f27916fd42c32edeb479a6da38a7d5504",
+    "polyimage": "316ccf7a784f75e930b36a56e18d0ee16937b87b14ed804ee3758891a1ed543d",
+    "sumset": "b1da2fbb2b9c849ad25487e95fbcd25142da3792068bd55503be193836fbe7e2",
+    "variety": "51f96971d29a84175537de6182bacddea711ef5cab6ed4481fe9bb72f3dda657",
+    "variety-rejection": "517659b5d1cdc94c81658da37c459c5a5d231bbc51b0e1a57c614bdb4eec7762",
+}
+
+# sha256 of the JSON list of BiasReport fields of one 200-sample bias_mc call
+PINNED_ESTIMATES = {
+    "affine": "056b22ac1750f7c289f694aa3b2a7851daae21959be26472a39646a65191b91d",
+    "flat": "7986e17f83af2e791b81562f779c8e07314c38622eb773ef1443a410b16aa71b",
+    "local": "3de2688f07fc32daf749f1f644ac7ce98a57661dee1ee00da225318651820e75",
+    "polyimage": "659889098c7dff16cc2584296100459d32f536c05054a885c7a82e489fbf6c38",
+    "sumset": "2d93bf9bdcbe7e53e10fca5a639ceb59aba53ca087119c0cb2c452506e1c1e4e",
+    "variety": "a084caf772d21dfcaa00a4a91101fb2a6ebdb892a19a0429519ad65ac2fa6d60",
+    "variety-rejection": "915ca988f8c60523a91ea0581d6de2d495a16fdade996c2e32ad882cdbd6b24d",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_DRAWS))
+def test_sample_source_draws_are_pinned(kind):
+    src = _pinned_sources()[kind]
+    stream = rng.derive(MASTER, "sources", "pinned-draws", kind)
+    draws = [sample_source(src, stream).to_string() for _ in range(200)]
+    assert _sha(draws) == PINNED_DRAWS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_ESTIMATES))
+def test_bias_mc_estimates_are_pinned(kind):
+    src = _pinned_sources()[kind]
+    stream = rng.derive(MASTER, "sources", "pinned-estimates", kind)
+    f = sample_poly(ambient_length(src), 3, stream)
+    rep = bias_mc(f, src, 200, 0.01, stream)
+    assert _sha([rep.estimate, rep.samples, rep.halfwidth, rep.fail_prob]) == PINNED_ESTIMATES[kind]
+
+
+def _count_truth_tables(monkeypatch) -> list[int]:
+    calls = [0]
+
+    def counted(f):
+        calls[0] += 1
+        return truth_table(f)
+
+    monkeypatch.setattr(anf, "truth_table", counted)
+    return calls
+
+
+def test_variety_points_are_built_once_per_source(monkeypatch):
+    """Draws stop re-evaluating the 2^n truth tables: count, don't time."""
+    sources._variety_points.cache_clear()
+    calls = _count_truth_tables(monkeypatch)
+    stream = rng.derive(MASTER, "sources", "variety-cache")
+    src = Variety(14, (sample_poly(14, 2, stream), sample_poly(14, 2, stream)))
+    dist = support_of(src)
+    draws = {sample_source(src, stream).bits for _ in range(500)}
+    assert calls[0] == 2
+    assert draws <= {v.bits for v, _ in dist}
+    # an equal source rebuilt from its file form hits the same cache entry
+    again = io.source_from_dict(io.source_to_dict(src))
+    assert again is not src and again == src
+    sample_source(again, stream)
+    support_of(again)
+    assert calls[0] == 2
+    with pytest.raises(ValueError):
+        sources._variety_points(again)[0] = 1
+
+
+def test_one_enumeration_budget_for_every_branch(monkeypatch):
+    monkeypatch.setattr(sources, "ENUMERATION_BUDGET", 1 << 4)
+    calls = _count_truth_tables(monkeypatch)
+    with pytest.raises(BudgetExceededError):
+        uniform_flat(5)
+    assert len(uniform_flat(4).support) == 16
+    src = Variety(5, (Polynomial.from_monomials(5, 2, [[0, 1]]),))
+    with pytest.raises(BudgetExceededError):
+        support_of(src)
+    # past the budget a variety draw goes through rejection, not the tables
+    stream = rng.derive(MASTER, "sources", "budget-rejection")
+    assert all(sample_source(src, stream).bits & 0b11 != 0b11 for _ in range(50))
+    assert calls[0] == 0
+
+
+def test_empty_variety_draw_rejected():
+    one = Polynomial.from_monomials(3, 2, [[]])
+    with pytest.raises(PreconditionError):
+        sample_source(Variety(3, (one,)), rng.derive(MASTER, "sources", "empty-draw"))
 
 
 # ---------------------------------------------------------------------------
