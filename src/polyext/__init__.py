@@ -10,7 +10,12 @@ Submodules:
 - :mod:`polyext.constructions` — two-source, seeded, and evasive extractors
 - :mod:`polyext.codes` — balanced-code views, list sizes, Johnson-bound checks
 - :mod:`polyext.oracles` — additive energy, shift counts, structure attacks
-- :mod:`polyext.cli` — command-line front end and experiment registry
+- :mod:`polyext.experiments` — the seeded experiment registry and its runner
+- :mod:`polyext.reports` — report containers, canonical JSON and CSV output
+- :mod:`polyext.io` — parsers and emitters for the on-disk formats
+- :mod:`polyext.rng` — seed derivation for independent random streams
+- :mod:`polyext.errors` — shared exception types
+- :mod:`polyext.cli` — command-line front end
 """
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ which is an involution over GF(2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from random import Random
@@ -23,14 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
-from .gf2 import BitMatrix, BitVector, binom_sum
+from .gf2 import BitMatrix, BitVector
 
 __all__ = [
     "MonomialOrder",
     "Polynomial",
     "monomial_order",
-    "eval_vector",
     "eval_bits",
     "eval_polys",
     "evaluate",
@@ -39,7 +36,6 @@ __all__ = [
     "anf_from_truth_table",
     "mobius_transform",
     "compose_linear",
-    "compose_linear_by_table",
 ]
 
 
@@ -171,16 +167,6 @@ def eval_bits(x_bits: int, order: MonomialOrder) -> int:
     return out
 
 
-def eval_vector(x: BitVector, order: MonomialOrder) -> BitVector:
-    """All monomial values at x, as a vector against the monomial order.
-
-    The first coordinate (the empty monomial) is always 1.
-    """
-    if x.n != order.n:
-        raise ValueError("point length must match the monomial order")
-    return BitVector(order.size, eval_bits(x.bits, order))
-
-
 def eval_polys(polys: Sequence[Polynomial], x_bits: int) -> int:
     """Packed values of a polynomial tuple at a packed point: bit i is polys[i](x)."""
     out = 0
@@ -293,29 +279,4 @@ def compose_linear(q: Polynomial, matrix: BitMatrix) -> Polynomial:
             tuple(j for j in range(n_out) if (mask >> j) & 1)
         )
         bits |= 1 << idx
-    return Polynomial(out_order, BitVector(out_order.size, bits))
-
-
-def compose_linear_by_table(q: Polynomial, matrix: BitMatrix) -> Polynomial:
-    """Truth-table route to the same composition, for cross-checking.
-
-    Evaluates q on L x for every x, interpolates, and re-expresses the result
-    under q's degree cap.  Only sensible for small widths (<= ~20 variables).
-    """
-    if matrix.rows != q.order.n:
-        raise ValueError("matrix must have one row per polynomial variable")
-    n_out = matrix.cols
-    if n_out > 20:
-        raise PreconditionError("truth-table composition is capped at 20 variables")
-    tq = truth_table(q)
-    table = np.empty(1 << n_out, dtype=np.uint8)
-    for xb in range(1 << n_out):
-        table[xb] = tq[matrix.apply_word(xb)]
-    full = anf_from_truth_table(table)
-    out_order = monomial_order(n_out, q.order.d)
-    bits = 0
-    for mon in full.active_monomials():
-        if len(mon) > q.order.d:
-            raise AssertionError("linear composition raised the degree; this is a bug")
-        bits |= 1 << out_order.index_of(mon)
     return Polynomial(out_order, BitVector(out_order.size, bits))

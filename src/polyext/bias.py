@@ -22,7 +22,6 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .anf import Polynomial, eval_bits, eval_polys, monomial_order
 from .errors import BudgetExceededError, PreconditionError
-from .gf2 import BitVector
 from .reports import AuditReport
 from .sources import Source, ambient_length, sample_source, support_of
 
@@ -34,7 +33,6 @@ __all__ = [
     "moment_by_poly_enumeration",
     "moment_by_eval_collision",
     "statistical_distance",
-    "distribution_of",
     "extractor_audit",
     "disperser_audit",
 ]
@@ -157,11 +155,6 @@ def moment_by_eval_collision(source: Source, n: int, d: int, t: int) -> Fraction
 Distribution = Mapping[object, Fraction]
 
 
-def distribution_of(source: Source) -> dict[BitVector, Fraction]:
-    """Source support as a point -> probability mapping."""
-    return dict(support_of(source))
-
-
 def statistical_distance(p: Distribution, q: Distribution) -> Fraction:
     """Half the L1 distance between two enumerated distributions, exactly."""
     keys = set(p) | set(q)
@@ -206,9 +199,7 @@ def extractor_audit(
     witness = 0
     for idx, source in enumerate(sources):
         push = _pushforward(polys, source)
-        dist = Fraction(
-            sum(abs(push.get(z, Fraction(0)) - uniform) for z in range(1 << m)), 2
-        )
+        dist = statistical_distance(push, {z: uniform for z in range(1 << m)})
         heaviest = max(push, key=lambda z: (push[z], -z))
         per_source.append(
             {

@@ -34,7 +34,6 @@ __all__ = [
     "measured_imbalance",
     "list_size_exhaustive",
     "johnson_check",
-    "code_extractor_params",
 ]
 
 EXHAUSTIVE_DIM_LIMIT = 24
@@ -248,10 +247,3 @@ def johnson_check(code: CodeView, eps: RationalLike) -> JohnsonVerdict:
         center=center,
         limit=limit,
     )
-
-
-def code_extractor_params(list_size: int, eps: float) -> float:
-    """Min-entropy requirement log2(L) + log2(1/eps) + 1 for the code route."""
-    if list_size < 1 or not 0 < eps < 1:
-        raise PreconditionError("need L >= 1 and 0 < eps < 1")
-    return math.log2(list_size) + math.log2(1.0 / eps) + 1.0

@@ -41,7 +41,6 @@ __all__ = [
     "build_evasive_h",
     "min_sumset_evasive_r",
     "lift_point",
-    "split_left_degree",
 ]
 
 #: Cap on generator-matrix work in build_seeded (entries of G and H).
@@ -198,27 +197,3 @@ def build_evasive_h(k: int, d: int, seed: int, r: int | None = None) -> EvasiveD
     stream = rng.derive(seed, "evasive", k, d, r)
     polys = tuple(sample_poly(k, d, stream) for _ in range(r))
     return EvasiveDescriptor(k=k, d=d, r=r, polys=polys, seed=seed)
-
-
-def split_left_degree(f: Polynomial, n: int) -> tuple[Polynomial, Polynomial]:
-    """Split a 2n-variable polynomial into (g, h) with f = g + h.
-
-    h collects exactly the monomials supported inside the x-block (variables
-    1..n, including the constant), re-indexed as a polynomial over n
-    variables; g keeps the rest, so every monomial of g touches the y-block
-    and the degree of g in x alone drops by at least one.
-    """
-    if f.order.n != 2 * n:
-        raise PreconditionError("polynomial must be over exactly 2n variables")
-    d = f.order.d
-    x_order = monomial_order(n, min(d, n))
-    g_bits = 0
-    h_bits = 0
-    for mon in f.active_monomials():
-        if all(i < n for i in mon):
-            h_bits |= 1 << x_order.index_of(mon)
-        else:
-            g_bits |= 1 << f.order.index_of(mon)
-    g = Polynomial(f.order, BitVector(f.order.size, g_bits))
-    h = Polynomial(x_order, BitVector(x_order.size, h_bits))
-    return g, h

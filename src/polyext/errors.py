@@ -6,7 +6,6 @@ __all__ = [
     "PolyextError",
     "BudgetExceededError",
     "RetryExhaustedError",
-    "EmptyFiberError",
     "PreconditionError",
 ]
 
@@ -21,10 +20,6 @@ class BudgetExceededError(PolyextError):
 
 class RetryExhaustedError(PolyextError):
     """A rejection-sampling loop used up its retry allowance without success."""
-
-
-class EmptyFiberError(PolyextError):
-    """A conditional sampling request hit an empty preimage."""
 
 
 class PreconditionError(PolyextError):

@@ -168,15 +168,6 @@ class BitMatrix:
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.row_words[i])
 
-    def column_word(self, j: int) -> int:
-        """Column j packed into an int (bit i = entry (i, j))."""
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        out = 0
-        for i, w in enumerate(self.row_words):
-            out |= ((w >> j) & 1) << i
-        return out
-
     def mul_vec(self, v: BitVector) -> BitVector:
         """Matrix-vector product; v has length ``cols``, result length ``rows``."""
         if v.n != self.cols:
@@ -189,9 +180,6 @@ class BitMatrix:
         for i, w in enumerate(self.row_words):
             out |= ((w & bits).bit_count() & 1) << i
         return out
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows, [self.column_word(j) for j in range(self.cols)])
 
     def to_string(self) -> str:
         return "\n".join(self.row(i).to_string() for i in range(self.rows))
@@ -435,10 +423,6 @@ class AffineSolver:
             if (c & z_bits).bit_count() & 1:
                 return False
         return True
-
-    def fiber_size_log2(self) -> int:
-        """log2 of the fiber size for any solvable right-hand side."""
-        return len(self._free_cols)
 
     def sample(self, z_bits: int, stream: Random) -> int | None:
         """Uniform solution of E x = z, or None when the fiber is empty."""

@@ -1,6 +1,6 @@
 """Parsers and emitters for the on-disk formats.
 
-Vectors and matrices travel as 0/1 text; everything else is JSON with a
+Matrices travel as 0/1 text; everything else is JSON with a
 ``type``/``kind`` discriminator.  Emission is canonical (sorted keys, compact
 separators, trailing newline), so ``emit(parse(text)) == text`` holds
 byte-for-byte for canonical files.  Parsers validate eagerly and raise
@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .anf import Polynomial, eval_bits, monomial_order
+from .anf import Polynomial
 from .constructions import (
     EvasiveDescriptor,
     SeededDescriptor,
@@ -22,10 +22,7 @@ from .constructions import (
     build_seeded,
     build_two_source,
 )
-from .codes import CodeView
-from .gf2 import BitMatrix, BitVector, XorBasis
-from .oracles import AttackWitness
-from .ranklab import RankCertificate
+from .gf2 import BitMatrix, BitVector
 from .reports import render_json
 from .sources import (
     Affine,
@@ -39,8 +36,6 @@ from .sources import (
 )
 
 __all__ = [
-    "parse_vector",
-    "emit_vector",
     "parse_matrix",
     "emit_matrix",
     "parse_polynomial",
@@ -49,27 +44,12 @@ __all__ = [
     "source_from_dict",
     "parse_source",
     "emit_source",
-    "code_to_dict",
-    "code_from_dict",
     "descriptor_to_dict",
     "descriptor_from_dict",
-    "witness_from_dict",
-    "certificate_from_dict",
     "load_json",
 ]
 
 Descriptor = Union[TwoSourceDescriptor, SeededDescriptor, EvasiveDescriptor]
-
-
-def parse_vector(text: str) -> BitVector:
-    body = text.strip()
-    if not body or any(c not in "01" for c in body):
-        raise ValueError(f"vector file must hold a nonempty 0/1 string, got {body!r}")
-    return BitVector.from_string(body)
-
-
-def emit_vector(v: BitVector) -> str:
-    return v.to_string() + "\n"
 
 
 def parse_matrix(text: str) -> BitMatrix:
@@ -199,22 +179,6 @@ def emit_source(src: Source) -> str:
     return render_json(source_to_dict(src))
 
 
-def code_to_dict(code: CodeView) -> dict:
-    return {
-        "dim": code.dim,
-        "length": code.block_length,
-        "rows": [code.generator.row(i).to_string() for i in range(code.dim)],
-    }
-
-
-def code_from_dict(data: dict) -> CodeView:
-    length = int(data["length"])
-    rows = [_vec(r, length, "rows") for r in data["rows"]]
-    if len(rows) != int(data["dim"]):
-        raise ValueError("dim field disagrees with the number of generator rows")
-    return CodeView(BitMatrix.from_rows(rows))
-
-
 def descriptor_to_dict(desc: Descriptor) -> dict:
     if isinstance(desc, TwoSourceDescriptor):
         return {"kind": "two-source", "n": desc.n, "r": desc.r, "seed": desc.seed}
@@ -236,57 +200,6 @@ def descriptor_from_dict(data: dict) -> Descriptor:
     if kind == "evasive":
         return build_evasive_h(int(data["k"]), int(data["d"]), int(data["seed"]), r=int(data["r"]))
     raise ValueError(f"unknown descriptor kind {kind!r}")
-
-
-def witness_from_dict(data: dict) -> AttackWitness:
-    """Parse an attack witness; it comes back unverified, whatever the file claims.
-
-    The on-disk ``verified`` flag is ignored: only re-checking the witness
-    against the function it attacks (``oracles.verify_constancy``) may set it.
-    """
-    sa = [BitVector.from_string(s) for s in data["set_a"]]
-    sb = [BitVector.from_string(s) for s in data["set_b"]]
-    if not sa or not sb:
-        raise ValueError("witness sets must be nonempty")
-    if len({v.n for v in sa + sb}) != 1:
-        raise ValueError("witness vectors must all have one length")
-    value = int(data["value"])
-    if value not in (0, 1):
-        raise ValueError("witness value must be a bit")
-    return AttackWitness(
-        set_a=tuple(sa),
-        set_b=tuple(sb),
-        value=value,
-        verified=False,
-        params=dict(data.get("params", {})),
-    )
-
-
-def certificate_from_dict(data: dict) -> RankCertificate:
-    """Parse a rank certificate and re-verify its independence witness."""
-    n = int(data["n"])
-    degree = int(data["degree"])
-    rank = int(data["rank"])
-    point_count = int(data["point_count"])
-    if point_count < 1:
-        raise ValueError("point_count must be positive")
-    if rank > point_count:
-        raise ValueError("claimed rank exceeds the point count")
-    witness = tuple(_vec(s, n, "witness") for s in data["witness"])
-    if len(witness) != rank:
-        raise ValueError("witness size disagrees with the claimed rank")
-    order = monomial_order(n, degree)
-    basis = XorBasis()
-    for v in witness:
-        if not basis.add(eval_bits(v.bits, order)):
-            raise ValueError(f"witness point {v.to_string()} is dependent; certificate rejected")
-    return RankCertificate(
-        n=n,
-        degree=degree,
-        point_count=point_count,
-        rank=rank,
-        witness=witness,
-    )
 
 
 def load_json(path: Union[str, Path]) -> dict:

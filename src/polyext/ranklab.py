@@ -19,7 +19,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .anf import eval_bits, monomial_order
-from .errors import EmptyFiberError, PreconditionError, RetryExhaustedError
+from .errors import PreconditionError, RetryExhaustedError
 from .gf2 import (
     AffineSolver,
     BitMatrix,
@@ -43,7 +43,6 @@ __all__ = [
     "sumset_of",
     "full_rank_check",
     "find_high_rank_subsets",
-    "conditional_preimage_sample",
     "special_sumset_sampler",
 ]
 
@@ -232,23 +231,6 @@ def find_high_rank_subsets(
                 "sumset rank fell below the guaranteed floor; this is a bug"
             )
         return HighRankSelection(a_sel, b_sel, matrix, cert, attempts)
-
-
-def conditional_preimage_sample(
-    source: Flat, matrix: BitMatrix, target: BitVector, stream: Random
-) -> BitVector:
-    """Uniform draw from {x in supp : matrix @ x = target}.
-
-    Realizes conditional sampling given the linear observation; raises
-    :class:`EmptyFiberError` when the fiber is empty.
-    """
-    if matrix.cols != source.n or matrix.rows != target.n:
-        raise PreconditionError("dimension mismatch between source, matrix, target")
-    zb = target.bits
-    fiber = [p for p in source.support if matrix.apply_word(p.bits) == zb]
-    if not fiber:
-        raise EmptyFiberError(f"no support point maps to {target.to_string()}")
-    return fiber[stream.randrange(len(fiber))]
 
 
 @dataclass(frozen=True)

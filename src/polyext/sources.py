@@ -10,7 +10,6 @@ everything else (sampling, bias estimates, audits) is judged against, so
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +21,7 @@ import numpy as np
 from . import anf
 from .anf import Polynomial, eval_polys
 from .errors import BudgetExceededError, PreconditionError, RetryExhaustedError
-from .gf2 import BitVector, binom_sum, span_rank, subset_xors
+from .gf2 import BitVector, span_rank, subset_xors
 
 __all__ = [
     "Flat",
@@ -33,13 +32,9 @@ __all__ = [
     "PolynomialImage",
     "Variety",
     "Source",
-    "ThresholdQuery",
-    "ThresholdResult",
     "ambient_length",
     "support_of",
     "sample_source",
-    "min_entropy",
-    "entropy_threshold",
     "variety_reduce",
     "uniform_flat",
 ]
@@ -307,78 +302,6 @@ def sample_source(source: Source, stream: Random, rejection_budget: int = 10**6)
             f"no variety point after {rejection_budget} rejection draws"
         )
     raise TypeError(f"not a source: {source!r}")
-
-
-def min_entropy(source: Source) -> float:
-    """-log2 of the largest point probability, reported to 1e-9 bits.
-
-    The maximizing probability is exact; only the final logarithm is floating
-    point, and it is rounded to 9 decimal places.
-    """
-    dist = support_of(source)
-    p = max(pr for _, pr in dist)
-    return round(math.log2(p.denominator) - math.log2(p.numerator), 9)
-
-
-@dataclass(frozen=True)
-class ThresholdQuery:
-    """Inputs for the structured-family entropy thresholds.
-
-    ``kind`` is one of ``"local"``, ``"polynomial"``, ``"variety"``; ``n`` is
-    the output length, ``d`` the extractor degree, ``r`` the structure
-    parameter (locality / map degree / system degree).  ``c`` scales the
-    threshold and ``beta`` the polynomial-kind family bound; both are caller
-    inputs defaulting to 1 — nothing here certifies a concrete admissible
-    value for them.
-    """
-
-    kind: str
-    n: int
-    d: int
-    r: int
-    c: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("local", "polynomial", "variety"):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.n < 2 or self.d < 1 or self.r < 1:
-            raise ValueError("need n >= 2, d >= 1, r >= 1")
-        if self.kind == "polynomial" and self.d <= self.r:
-            raise PreconditionError("polynomial-image threshold needs d > r")
-
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    """A (family size, entropy threshold) pair; threshold may be vacuous."""
-
-    log2_family_size: Union[int, float]
-    threshold: float
-    vacuous: bool  # True when the threshold exceeds the output length n
-
-
-def entropy_threshold(query: ThresholdQuery) -> ThresholdResult:
-    """Min-entropy threshold and log2 family-size bound for a structured family.
-
-    Exact integer arithmetic is used where the formulas permit (power-of-two
-    n for the local count, always for the variety count); the thresholds
-    themselves involve fractional powers and are floats.
-    """
-    n, d, r, c = query.n, query.d, query.r, query.c
-    if query.kind == "local":
-        if n & (n - 1) == 0:
-            log2n: Union[int, float] = n.bit_length() - 1
-        else:
-            log2n = math.log2(n)
-        family = n * (2 * r * log2n + 2**r)
-        k = c * d * (2**r * n + r * n * log2n) ** (1.0 / d)
-    elif query.kind == "polynomial":
-        k = c * ((c**r * d**d / r**r) * n) ** (1.0 / (d - r))
-        family = ((query.beta * (k - 1)) / r) ** r * n
-    else:  # variety
-        family = (n + 1) * binom_sum(n, r)
-        k = c * d * n ** ((r + 1) / d)
-    return ThresholdResult(family, k, vacuous=k > n)
 
 
 def variety_reduce(

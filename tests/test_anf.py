@@ -10,9 +10,8 @@ from polyext.anf import (
     Polynomial,
     anf_from_truth_table,
     compose_linear,
-    compose_linear_by_table,
+    eval_bits,
     eval_polys,
-    eval_vector,
     evaluate,
     mobius_transform,
     monomial_order,
@@ -26,6 +25,24 @@ MASTER = 20260823
 
 def bv(text: str) -> BitVector:
     return BitVector.from_string(text)
+
+
+def eval_bits_vector(x: BitVector, order) -> BitVector:
+    """eval_bits at x, unpacked: coordinate j is the value of monomial j."""
+    return BitVector(order.size, eval_bits(x.bits, order))
+
+
+def compose_linear_by_table(q: Polynomial, matrix: BitMatrix) -> Polynomial:
+    """Reference route to compose_linear: evaluate q on L x for every x,
+    interpolate, and re-express the result under q's degree cap."""
+    tq = truth_table(q)
+    table = [tq[matrix.apply_word(xb)] for xb in range(1 << matrix.cols)]
+    out_order = monomial_order(matrix.cols, q.order.d)
+    bits = 0
+    for mon in anf_from_truth_table(table).active_monomials():
+        assert len(mon) <= q.order.d, "linear composition raised the degree"
+        bits |= 1 << out_order.index_of(mon)
+    return Polynomial(out_order, BitVector(out_order.size, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -49,19 +66,19 @@ def test_order_is_interned():
 
 
 # ---------------------------------------------------------------------------
-# eval_vector / evaluate
+# evaluation vectors (eval_bits) / evaluate
 
 
 def test_eval_vector_at_zero():
-    assert eval_vector(bv("00"), monomial_order(2, 2)) == bv("1000")
+    assert eval_bits_vector(bv("00"), monomial_order(2, 2)) == bv("1000")
 
 
 def test_eval_vector_all_ones():
-    assert eval_vector(bv("11"), monomial_order(2, 2)) == bv("1111")
+    assert eval_bits_vector(bv("11"), monomial_order(2, 2)) == bv("1111")
 
 
 def test_eval_vector_single_coordinate():
-    assert eval_vector(bv("10"), monomial_order(2, 2)) == bv("1100")
+    assert eval_bits_vector(bv("10"), monomial_order(2, 2)) == bv("1100")
 
 
 def test_eval_vector_is_monomial_products():
@@ -71,7 +88,7 @@ def test_eval_vector_is_monomial_products():
         d = stream.randrange(0, min(n, 3) + 1)
         order = monomial_order(n, d)
         x = BitVector(n, stream.getrandbits(n))
-        vec = eval_vector(x, order)
+        vec = eval_bits_vector(x, order)
         for j, mon in enumerate(order.monomials):
             prod = 1
             for i in mon:

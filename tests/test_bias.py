@@ -12,7 +12,6 @@ from polyext.bias import (
     bias_exact,
     bias_mc,
     disperser_audit,
-    distribution_of,
     extractor_audit,
     mc_halfwidth,
     moment_by_eval_collision,
@@ -221,7 +220,7 @@ def test_moment_monotone_under_linear_maps():
 
 
 def test_distance_of_identical_distributions():
-    p = distribution_of(flat(2, "00", "01"))
+    p = dict(support_of(flat(2, "00", "01")))
     assert statistical_distance(p, p) == 0
 
 
@@ -242,12 +241,12 @@ def test_data_processing_never_increases_distance():
     for _ in range(200):
         n = stream.randrange(1, 7)
         m = stream.randrange(1, 4)
-        p = distribution_of(
+        p = dict(support_of(
             Flat(n, tuple(BitVector(n, b) for b in stream.sample(range(1 << n), stream.randrange(1, (1 << n) + 1))))
-        )
-        q = distribution_of(
+        ))
+        q = dict(support_of(
             Flat(n, tuple(BitVector(n, b) for b in stream.sample(range(1 << n), stream.randrange(1, (1 << n) + 1))))
-        )
+        ))
         table = [stream.getrandbits(m) for _ in range(1 << n)]
         gp: dict[BitVector, Fraction] = {}
         gq: dict[BitVector, Fraction] = {}

@@ -8,7 +8,6 @@ from polyext import rng
 from polyext.codes import (
     CodeView,
     balancedness_report,
-    code_extractor_params,
     johnson_check,
     list_size_exhaustive,
     measured_imbalance,
@@ -215,25 +214,3 @@ def test_random_subcodes_stay_balanced():
                 break
     # union bound: 3 nonzero messages, one unbalanced codeword in 2^7
     assert bad_draws / 1000 <= 3 / 127 + 3 * 0.005
-
-
-# ---------------------------------------------------------------------------
-# parameter helper
-
-
-def test_extractor_params_examples():
-    assert code_extractor_params(16, 0.25) == 7.0
-    assert code_extractor_params(1, 0.5) == 2.0
-
-
-def test_extractor_params_near_one_eps():
-    assert abs(code_extractor_params(4, 0.999) - 3.0) < 0.01
-
-
-def test_extractor_params_rejects_bad_inputs():
-    with pytest.raises(PreconditionError):
-        code_extractor_params(0, 0.5)
-    with pytest.raises(PreconditionError):
-        code_extractor_params(4, 0.0)
-    with pytest.raises(PreconditionError):
-        code_extractor_params(4, 1.0)

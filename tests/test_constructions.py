@@ -1,4 +1,4 @@
-"""Concrete extractor builders: two-source, seeded subcode, evasive lift, split."""
+"""Concrete extractor builders: two-source, seeded subcode, evasive lift."""
 
 import math
 
@@ -9,7 +9,6 @@ from polyext.anf import (
     Polynomial,
     anf_from_truth_table,
     eval_bits,
-    evaluate,
     monomial_order,
 )
 from polyext.constructions import (
@@ -21,7 +20,6 @@ from polyext.constructions import (
     eval_two_source,
     lift_point,
     min_sumset_evasive_r,
-    split_left_degree,
 )
 from polyext.errors import PreconditionError
 from polyext.gf2 import BitMatrix, BitVector, binom_sum, rank, span_rank
@@ -251,53 +249,3 @@ def test_evasive_appended_block_expands_dimension():
         if span_rank(appended) >= 8:
             hits += 1
     assert hits >= 99
-
-
-# ---------------------------------------------------------------------------
-# left-degree split
-
-
-def test_split_partitions_monomials():
-    f = Polynomial.from_monomials(4, 2, [[0, 1], [0, 2]])  # x1 x2 + x1 y1
-    g, h = split_left_degree(f, 2)
-    assert h.active_monomials() == ((0, 1),)
-    assert g.active_monomials() == ((0, 2),)
-
-
-def test_split_sends_constant_to_h():
-    f = Polynomial.from_monomials(4, 2, [[], [2, 3]])  # 1 + y1 y2
-    g, h = split_left_degree(f, 2)
-    assert h.active_monomials() == ((),)
-    assert g.active_monomials() == ((2, 3),)
-
-
-def test_split_reassembles_exhaustively():
-    stream = rng.derive(MASTER, "constructions", "split")
-    for _ in range(25):
-        n = stream.randrange(1, 5)
-        from polyext.anf import sample_poly
-
-        f = sample_poly(2 * n, min(2 * n, 3), stream)
-        g, h = split_left_degree(f, n)
-        for combined in range(1 << (2 * n)):
-            whole = BitVector(2 * n, combined)
-            xpart = BitVector(n, combined & ((1 << n) - 1))
-            assert evaluate(f, whole) == evaluate(g, whole) ^ evaluate(h, xpart)
-
-
-def test_split_g_always_touches_y():
-    stream = rng.derive(MASTER, "constructions", "split-y")
-    for _ in range(25):
-        n = stream.randrange(1, 5)
-        from polyext.anf import sample_poly
-
-        f = sample_poly(2 * n, min(2 * n, 3), stream)
-        g, _ = split_left_degree(f, n)
-        for mon in g.active_monomials():
-            assert any(i >= n for i in mon)
-
-
-def test_split_rejects_odd_variable_count():
-    f = Polynomial.from_monomials(3, 1, [[0]])
-    with pytest.raises(PreconditionError):
-        split_left_degree(f, 2)

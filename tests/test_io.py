@@ -1,33 +1,22 @@
 """On-disk formats: byte-exact round trips and eager validation."""
 
-import dataclasses
-
 import pytest
 
 from polyext import rng
 from polyext.anf import Polynomial
-from polyext.codes import CodeView
 from polyext.constructions import build_evasive_h, build_seeded, build_two_source
-from polyext.gf2 import BitMatrix, BitVector, hamming_ball
+from polyext.gf2 import BitVector
 from polyext.io import (
-    certificate_from_dict,
-    code_from_dict,
-    code_to_dict,
     descriptor_from_dict,
     descriptor_to_dict,
     emit_matrix,
     emit_polynomial,
     emit_source,
-    emit_vector,
     load_json,
     parse_matrix,
     parse_polynomial,
     parse_source,
-    parse_vector,
-    witness_from_dict,
 )
-from polyext.oracles import AttackWitness
-from polyext.ranklab import eval_rank
 from polyext.sources import (
     Affine,
     Flat,
@@ -44,19 +33,7 @@ def bv(text: str) -> BitVector:
 
 
 # ---------------------------------------------------------------------------
-# vectors and matrices
-
-
-def test_vector_round_trip_is_byte_exact():
-    assert emit_vector(parse_vector("0110\n")) == "0110\n"
-    assert emit_vector(parse_vector("  10 ")) == "10\n"
-
-
-def test_vector_rejects_junk():
-    with pytest.raises(ValueError):
-        parse_vector("")
-    with pytest.raises(ValueError):
-        parse_vector("012")
+# matrices
 
 
 def test_matrix_round_trip_is_byte_exact():
@@ -163,20 +140,7 @@ def test_source_rejects_wrong_length_offset():
 
 
 # ---------------------------------------------------------------------------
-# codes, descriptors, witnesses, certificates
-
-
-def test_code_round_trip():
-    code = CodeView(BitMatrix(2, 4, [0b0011, 0b0101]))
-    data = code_to_dict(code)
-    again = code_from_dict(data)
-    assert again.generator.row_words == code.generator.row_words
-    assert code_to_dict(again) == data
-
-
-def test_code_rejects_dim_mismatch():
-    with pytest.raises(ValueError, match="dim"):
-        code_from_dict({"dim": 3, "length": 4, "rows": ["0011", "0101"]})
+# descriptors
 
 
 def test_descriptor_round_trips_reproduce_builders():
@@ -191,61 +155,6 @@ def test_descriptor_round_trips_reproduce_builders():
 def test_descriptor_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown descriptor"):
         descriptor_from_dict({"kind": "mystery"})
-
-
-def test_witness_round_trip():
-    w = AttackWitness(
-        set_a=(bv("01"),),
-        set_b=(bv("10"), bv("11")),
-        value=1,
-        verified=True,
-        params={"t": 1},
-    )
-    again = witness_from_dict(w.to_json_dict())
-    assert again == dataclasses.replace(w, verified=False)
-
-
-def test_witness_rejects_mixed_lengths():
-    data = AttackWitness((bv("01"),), (bv("10"), bv("110")), 1, False).to_json_dict()
-    with pytest.raises(ValueError, match="one length"):
-        witness_from_dict(data)
-
-
-def test_witness_rejects_empty_sets_and_bad_value():
-    good = AttackWitness((bv("0"),), (bv("1"),), 0, False).to_json_dict()
-    for field, bad in (("set_a", []), ("value", 2)):
-        data = dict(good)
-        data[field] = bad
-        with pytest.raises(ValueError):
-            witness_from_dict(data)
-
-
-def test_certificate_round_trip_reverifies():
-    cert = eval_rank(hamming_ball(3, 1), 1)
-    again = certificate_from_dict(cert.to_json_dict())
-    assert again == cert
-
-
-def test_certificate_rejects_dependent_witness():
-    data = eval_rank(hamming_ball(3, 1), 1).to_json_dict()
-    data["witness"][1] = data["witness"][0]
-    with pytest.raises(ValueError, match="dependent"):
-        certificate_from_dict(data)
-
-
-def test_certificate_rejects_impossible_point_count():
-    good = eval_rank(hamming_ball(3, 1), 1).to_json_dict()
-    for point_count, message in ((good["rank"] - 1, "exceeds"), (0, "positive")):
-        data = dict(good, point_count=point_count)
-        with pytest.raises(ValueError, match=message):
-            certificate_from_dict(data)
-
-
-def test_certificate_rejects_rank_mismatch():
-    data = eval_rank(hamming_ball(3, 1), 1).to_json_dict()
-    data["rank"] = data["rank"] - 1
-    with pytest.raises(ValueError, match="disagrees"):
-        certificate_from_dict(data)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from polyext import rng
 from polyext.anf import eval_bits, monomial_order, sample_poly
-from polyext.errors import EmptyFiberError, PreconditionError, RetryExhaustedError
+from polyext.errors import PreconditionError, RetryExhaustedError
 from polyext.gf2 import (
     BitMatrix,
     BitVector,
@@ -17,7 +17,6 @@ from polyext.gf2 import (
     weight_slice,
 )
 from polyext.ranklab import (
-    conditional_preimage_sample,
     eval_rank,
     find_high_rank_subsets,
     full_rank_check,
@@ -204,38 +203,6 @@ def test_high_rank_fixed_map_must_cover():
     pts = full_space(4)
     with pytest.raises(RetryExhaustedError):
         find_high_rank_subsets(pts, pts, 2, 3, 5, rng.derive(MASTER, "z"), fixed_map=zero)
-
-
-# ---------------------------------------------------------------------------
-# conditional_preimage_sample
-
-
-def test_preimage_under_identity_returns_target():
-    src = uniform_flat(3)
-    stream = rng.derive(MASTER, "ranklab", "preimage-id")
-    z = bv("101")
-    assert conditional_preimage_sample(src, BitMatrix.identity(3), z, stream) == z
-
-
-def test_preimage_uniform_over_projection_fiber():
-    src = uniform_flat(4)
-    proj = BitMatrix(2, 4, [0b0001, 0b0010])
-    z = bv("10")
-    stream = rng.derive(MASTER, "ranklab", "preimage-freq")
-    counts: dict[int, int] = {}
-    for _ in range(10**4):
-        x = conditional_preimage_sample(src, proj, z, stream)
-        assert proj.mul_vec(x) == z
-        counts[x.bits] = counts.get(x.bits, 0) + 1
-    assert len(counts) == 4  # the four extensions of the prefix
-    assert all(abs(c / 10**4 - 0.25) < 0.03 for c in counts.values())
-
-
-def test_preimage_empty_fiber_raises():
-    src = Flat(3, (bv("000"), bv("100")))
-    proj = BitMatrix(1, 3, [0b010])
-    with pytest.raises(EmptyFiberError):
-        conditional_preimage_sample(src, proj, BitVector(1, 1), rng.derive(MASTER, "e"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
-"""Weak-source models: exact enumeration, sampling, thresholds, variety reduction."""
+"""Weak-source models: exact enumeration, sampling, variety reduction."""
 
 import hashlib
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +19,8 @@ from polyext.sources import (
     LocalBit,
     PolynomialImage,
     Sumset,
-    ThresholdQuery,
     Variety,
     ambient_length,
-    entropy_threshold,
-    min_entropy,
     sample_source,
     support_of,
     uniform_flat,
@@ -308,21 +304,25 @@ def test_empty_variety_draw_rejected():
 
 
 # ---------------------------------------------------------------------------
-# min_entropy
+# min-entropy: the largest point probability of the exact distribution
+
+
+def max_probability(src) -> Fraction:
+    return max(prob for _, prob in support_of(src))
 
 
 def test_min_entropy_of_flat_eight_points():
     src = Flat(4, tuple(BitVector(4, i) for i in range(8)))
-    assert min_entropy(src) == 3.0
+    assert max_probability(src) == Fraction(1, 8)
 
 
 def test_min_entropy_of_point_mass():
-    assert min_entropy(flat(5, "10101")) == 0.0
+    assert max_probability(flat(5, "10101")) == 1
 
 
 def test_min_entropy_of_colliding_sumset():
     src = Sumset(flat(2, "00", "01"), flat(2, "00", "10"))
-    assert min_entropy(src) == 2.0
+    assert max_probability(src) == Fraction(1, 4)
 
 
 def test_min_entropy_flat_is_log_support():
@@ -331,7 +331,7 @@ def test_min_entropy_flat_is_log_support():
         n = stream.randrange(1, 9)
         size = stream.randrange(1, (1 << n) + 1)
         pts = tuple(BitVector(n, b) for b in stream.sample(range(1 << n), size))
-        assert abs(min_entropy(Flat(n, pts)) - math.log2(size)) < 1e-9
+        assert max_probability(Flat(n, pts)) == Fraction(1, size)
 
 
 def test_min_entropy_affine_is_dimension():
@@ -350,7 +350,7 @@ def test_min_entropy_affine_is_dimension():
         if len(rows) < dim:
             continue
         src = Affine(n, BitVector(n, stream.getrandbits(n)), tuple(rows))
-        assert abs(min_entropy(src) - dim) < 1e-9
+        assert max_probability(src) == Fraction(1, 1 << dim)
 
 
 def test_sumset_support_is_set_sum():
@@ -366,38 +366,6 @@ def test_sumset_support_is_set_sum():
         )
         got = {v.bits for v, _ in support_of(src)}
         assert got == {a ^ b for a in xs for b in ys}
-
-
-# ---------------------------------------------------------------------------
-# entropy_threshold
-
-
-def test_threshold_local_kind_example():
-    res = entropy_threshold(ThresholdQuery("local", n=16, d=2, r=1))
-    assert abs(res.threshold - 2 * math.sqrt(96)) < 1e-9
-    assert res.vacuous  # 19.59... exceeds n = 16
-    assert res.log2_family_size == 16 * (2 * 4 + 2)
-
-
-def test_threshold_local_log_size_bound():
-    res = entropy_threshold(ThresholdQuery("local", n=4, d=2, r=1))
-    assert res.log2_family_size == 24
-
-
-def test_threshold_variety_exponent_one():
-    res = entropy_threshold(ThresholdQuery("variety", n=10, d=3, r=2))
-    assert res.threshold == 30.0  # d = r + 1 collapses the exponent to 1
-    assert res.vacuous
-
-
-def test_threshold_polynomial_needs_d_above_r():
-    with pytest.raises(PreconditionError):
-        entropy_threshold(ThresholdQuery("polynomial", n=8, d=2, r=2))
-
-
-def test_threshold_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        ThresholdQuery("affine", n=8, d=2, r=1)
 
 
 # ---------------------------------------------------------------------------
@@ -451,4 +419,4 @@ def test_variety_reduce_random_systems_exact():
 def test_uniform_flat_covers_the_space():
     src = uniform_flat(3)
     assert {v.bits for v, _ in support_of(src)} == set(range(8))
-    assert min_entropy(src) == 3.0
+    assert max_probability(src) == Fraction(1, 8)
