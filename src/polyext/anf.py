@@ -45,9 +45,11 @@ class MonomialOrder:
     ``monomials[j]`` is a sorted tuple of 0-based variable indices and
     ``masks[j]`` the same set packed into an int.  Instances are interned via
     :func:`monomial_order`, so identity comparison is safe for same (n, d).
+    For n <= 12 the order also memoises :func:`eval_bits`, filled lazily, so
+    it holds at most 2^n evaluation words.
     """
 
-    __slots__ = ("n", "d", "monomials", "masks", "size", "_index")
+    __slots__ = ("n", "d", "monomials", "masks", "size", "_index", "_evals")
 
     def __init__(self, n: int, d: int):
         if n < 0 or d < 0:
@@ -61,6 +63,7 @@ class MonomialOrder:
         self.masks = tuple(sum(1 << i for i in mon) for mon in mons)
         self.size = len(mons)
         self._index = {mon: j for j, mon in enumerate(mons)}
+        self._evals: dict[int, int] | None = {} if n <= 12 else None
 
     def index_of(self, monomial: Sequence[int]) -> int:
         return self._index[tuple(sorted(monomial))]
@@ -160,10 +163,15 @@ class Polynomial:
 
 def eval_bits(x_bits: int, order: MonomialOrder) -> int:
     """Packed evaluation vector of a point: bit j set iff monomial j divides x."""
+    memo = order._evals
+    if memo is not None and x_bits in memo:
+        return memo[x_bits]
     out = 0
     for j, mask in enumerate(order.masks):
         if x_bits & mask == mask:
             out |= 1 << j
+    if memo is not None:
+        memo[x_bits] = out
     return out
 
 

@@ -20,10 +20,11 @@ from fractions import Fraction
 from random import Random
 from typing import Mapping, Optional, Sequence, Union
 
+from . import anf, sources
 from .anf import Polynomial, eval_bits, eval_polys, monomial_order
 from .errors import BudgetExceededError, PreconditionError
 from .reports import AuditReport
-from .sources import Source, ambient_length, sample_source, support_of
+from .sources import Source, _support_counts, ambient_length, sample_source
 
 __all__ = [
     "BiasReport",
@@ -53,12 +54,18 @@ class BiasReport:
 
 
 def bias_exact(f: Polynomial, source: Source) -> Fraction:
-    """Exact bias of f on the source via full support enumeration."""
+    """Exact bias of f on the source from its integer support counts, divided once.
+
+    f is read from its truth table when 2^n is within the enumeration budget,
+    and evaluated at each support word otherwise.
+    """
     _check_length(f, source)
-    total = Fraction(0)
-    for point, prob in support_of(source):
-        total += -prob if eval_polys((f,), point.bits) else prob
-    return total
+    words, counts, total = _support_counts(source)
+    if 1 << f.order.n <= sources.ENUMERATION_BUDGET:
+        ones = int(counts[anf.truth_table(f)[words] == 1].sum())
+    else:
+        ones = sum(c for w, c in zip(words.tolist(), counts.tolist()) if eval_polys((f,), w))
+    return Fraction(total - 2 * ones, total)
 
 
 def _check_length(f: Polynomial, source: Source) -> None:
@@ -92,18 +99,12 @@ def bias_mc(
 
 
 def _support_ints(source: Source, n: int, d: int) -> tuple[list[int], list[int], int]:
-    """Support eval-vectors (packed), integer weights, and common denominator."""
+    """Support eval-vectors (packed), integer counts, and their total."""
+    if ambient_length(source) != n:
+        raise PreconditionError("source output length must equal n")
     order = monomial_order(n, d)
-    dist = support_of(source)
-    denom = math.lcm(*(pr.denominator for _, pr in dist))
-    evals = []
-    weights = []
-    for point, prob in dist:
-        if point.n != n:
-            raise PreconditionError("source output length must equal n")
-        evals.append(eval_bits(point.bits, order))
-        weights.append(prob.numerator * (denom // prob.denominator))
-    return evals, weights, denom
+    words, counts, total = _support_counts(source)
+    return [eval_bits(w, order) for w in words.tolist()], counts.tolist(), total
 
 
 def moment_by_poly_enumeration(source: Source, n: int, d: int, t: int) -> Fraction:
@@ -165,11 +166,12 @@ def statistical_distance(p: Distribution, q: Distribution) -> Fraction:
 def _pushforward(
     polys: Sequence[Polynomial], source: Source
 ) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for point, prob in support_of(source):
-        key = eval_polys(polys, point.bits)
-        out[key] = out.get(key, Fraction(0)) + prob
-    return out
+    words, counts, total = _support_counts(source)
+    masses: dict[int, int] = {}
+    for w, c in zip(words.tolist(), counts.tolist()):
+        key = eval_polys(polys, w)
+        masses[key] = masses.get(key, 0) + c
+    return {key: Fraction(c, total) for key, c in masses.items()}
 
 
 def extractor_audit(
@@ -231,8 +233,8 @@ def disperser_audit(f: Polynomial, sources: Sequence[Source]) -> AuditReport:
     witness: Optional[int] = None
     for idx, source in enumerate(sources):
         values = set()
-        for point, _ in support_of(source):
-            values.add(eval_polys((f,), point.bits))
+        for w in _support_counts(source)[0].tolist():
+            values.add(eval_polys((f,), w))
             if len(values) == 2:
                 break
         ok = values == {0, 1}

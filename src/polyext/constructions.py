@@ -14,7 +14,6 @@ embed that seed for provenance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import rng
@@ -39,7 +38,6 @@ __all__ = [
     "build_seeded",
     "eval_seeded",
     "build_evasive_h",
-    "min_sumset_evasive_r",
     "lift_point",
 ]
 
@@ -167,26 +165,10 @@ def eval_seeded(desc: SeededDescriptor, x: BitVector, y: BitVector) -> int:
     return (row & w).bit_count() & 1
 
 
-def min_sumset_evasive_r(k: int, d: int, t: int) -> int:
-    """Smallest appended-polynomial count r meeting 8 d^2 (2e)^d k / binom_sum(t/100, d/2).
-
-    t/100 is taken as an integer floor; the result is the ceiling of the
-    right-hand side.
-    """
-    if d < 2 or d % 2 != 0:
-        raise PreconditionError("the formula is stated for even d >= 2")
-    if t < 100:
-        raise PreconditionError("need t >= 100 so the slice t/100 is nonempty")
-    denom = binom_sum(t // 100, d // 2)
-    value = 8.0 * d * d * (2.0 * math.e) ** d * k / denom
-    return math.ceil(value)
-
-
 def build_evasive_h(k: int, d: int, seed: int, r: int | None = None) -> EvasiveDescriptor:
     """Sample the evasive lifting map with r degree-<=d appended polynomials.
 
-    ``r`` defaults to 11k (the subspace-evasive setting); pass the value from
-    :func:`min_sumset_evasive_r` for the sumset-evasive parameterization.
+    ``r`` defaults to 11k (the subspace-evasive setting).
     """
     if k < 1 or d < 1:
         raise PreconditionError("need k >= 1 and d >= 1")

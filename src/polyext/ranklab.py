@@ -14,7 +14,7 @@ evaluation matrix has full rank |A'| * |B'|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from random import Random
 from typing import Optional, Sequence
 
@@ -45,6 +45,18 @@ __all__ = [
     "find_high_rank_subsets",
     "special_sumset_sampler",
 ]
+
+
+def _canonical_key(n: int, s: int) -> int:
+    """Int sort key of the canonical order: weight first, then the bit-reversed
+    word descending, since the lowest differing coordinate decides lex order."""
+    return s.bit_count() << n | ((1 << n) - 1) ^ int(f"{s:0{n}b}"[::-1], 2)
+
+
+@lru_cache(maxsize=None)
+def _canonical_keys(n: int) -> tuple[int, ...]:
+    """The keys of all 2^n words, built once per n <= 12."""
+    return tuple(_canonical_key(n, s) for s in range(1 << n))
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,8 @@ def eval_rank(points: Sequence[BitVector], d: int) -> RankCertificate:
     """Rank of the degree-<=d evaluation vectors of the given points.
 
     Duplicates are ignored.  The witness is the greedy independent subset in
-    input order, re-checked before the certificate is returned.
+    input order, re-checked by a separate elimination of its stored
+    evaluation words before the certificate is returned.
     """
     pts = list(dict.fromkeys(points))
     if not pts:
@@ -96,14 +109,15 @@ def eval_rank(points: Sequence[BitVector], d: int) -> RankCertificate:
         raise PreconditionError("points must share one ambient length")
     order = monomial_order(n, d)
     basis = XorBasis()
-    witness = []
+    witness, words = [], []
     for p in pts:
-        if basis.add(eval_bits(p.bits, order)):
+        e = eval_bits(p.bits, order)
+        if basis.add(e):
             witness.append(p)
+            words.append(e)
     check = XorBasis()
-    for p in witness:
-        if not check.add(eval_bits(p.bits, order)):
-            raise AssertionError("witness re-verification failed; this is a bug")
+    if not all(check.add(e) for e in words):
+        raise AssertionError("witness re-verification failed; this is a bug")
     return RankCertificate(
         n=n,
         degree=d,
@@ -126,10 +140,11 @@ def sumset_of(a: Sequence[BitVector], b: Sequence[BitVector]) -> SumsetResult:
         ab = av.bits
         for yb in bbits:
             seen.add(ab ^ yb)
-    sums = sorted((BitVector(n, s) for s in seen), key=BitVector.canonical_key)
+    key = _canonical_keys(n).__getitem__ if n <= 12 else partial(_canonical_key, n)
+    ordered = sorted(seen, key=key)
     pair_count = len(a) * len(b)
     return SumsetResult(
-        sums=tuple(sums),
+        sums=tuple(BitVector(n, s) for s in ordered),
         pair_count=pair_count,
         distinct_count=len(seen),
         collisions=len(seen) != pair_count,

@@ -39,7 +39,7 @@ __all__ = [
     "uniform_flat",
 ]
 
-#: Hard cap on exact-enumeration work (points visited) in :func:`support_of`.
+#: Hard cap on exact-enumeration work (points visited) in :func:`_support_counts`.
 ENUMERATION_BUDGET = 1 << 22
 
 
@@ -212,53 +212,50 @@ def _variety_points(source: Variety) -> np.ndarray:
     return pts
 
 
-def support_of(source: Source) -> list[tuple[BitVector, Fraction]]:
-    """Exact output distribution as (point, probability) pairs.
+def _support_counts(source: Source) -> tuple[np.ndarray, np.ndarray, int]:
+    """Distinct output words in ascending order, their integer counts, and the total.
 
-    Pairs are sorted in the canonical (weight, lex-support) order and the
-    probabilities sum to 1 exactly.  Raises :class:`BudgetExceededError`
-    when full enumeration would visit more than ``ENUMERATION_BUDGET``
-    points, and :class:`PreconditionError` for an empty variety.
+    Probabilities are ``counts / total``.  Words are unsigned machine ints up
+    to 64 bits and Python ints (object dtype) beyond, so no wide point is
+    truncated.  Raises :class:`BudgetExceededError` when full enumeration
+    would visit more than ``ENUMERATION_BUDGET`` points, and
+    :class:`PreconditionError` for an empty variety.
     """
-    n = ambient_length(source)
-    counts: dict[int, int] = {}
-    if isinstance(source, Flat):
-        _check_budget(len(source.support), "flat support")
-        total = len(source.support)
-        for v in source.support:
-            counts[v.bits] = counts.get(v.bits, 0) + 1
-    elif isinstance(source, Affine):
-        dim = len(source.basis)
-        _check_budget(1 << dim, "affine span")
-        total = 1 << dim
-        for x in subset_xors([b.bits for b in source.basis], source.offset.bits):
-            counts[x] = 1
-    elif isinstance(source, Sumset):
-        _check_budget(len(source.x.support) * len(source.y.support), "sumset pairs")
-        total = len(source.x.support) * len(source.y.support)
-        ybits = [v.bits for v in source.y.support]
-        for xv in source.x.support:
-            xb = xv.bits
-            for yb in ybits:
-                s = xb ^ yb
-                counts[s] = counts.get(s, 0) + 1
-    elif isinstance(source, (Local, PolynomialImage)):
-        _check_budget(1 << source.m, "input enumeration")
-        total = 1 << source.m
-        for u in range(1 << source.m):
-            x = source.value(u)
-            counts[x] = counts.get(x, 0) + 1
-    elif isinstance(source, Variety):
+    if isinstance(source, Variety):
         _check_budget(1 << source.n, "variety enumeration")
         pts = _variety_points(source)
         if pts.size == 0:
             raise PreconditionError("variety is empty; no distribution to enumerate")
-        total = int(pts.size)
-        for x in pts:
-            counts[int(x)] = 1
+        return pts, np.ones(pts.size, dtype=np.int64), int(pts.size)
+    dtype = np.uint64 if ambient_length(source) <= 64 else object
+    if isinstance(source, Flat):
+        _check_budget(len(source.support), "flat support")
+        raw = np.array([v.bits for v in source.support], dtype=dtype)
+    elif isinstance(source, Affine):
+        _check_budget(1 << len(source.basis), "affine span")
+        raw = np.array(subset_xors([b.bits for b in source.basis], source.offset.bits), dtype=dtype)
+    elif isinstance(source, Sumset):
+        _check_budget(len(source.x.support) * len(source.y.support), "sumset pairs")
+        xs, ys = (np.array([v.bits for v in f.support], dtype=dtype) for f in (source.x, source.y))
+        raw = np.bitwise_xor.outer(xs, ys).ravel()
+    elif isinstance(source, (Local, PolynomialImage)):
+        _check_budget(1 << source.m, "input enumeration")
+        raw = np.fromiter(map(source.value, range(1 << source.m)), dtype=dtype, count=1 << source.m)
     else:
         raise TypeError(f"not a source: {source!r}")
-    out = [(BitVector(n, b), Fraction(c, total)) for b, c in counts.items()]
+    words, counts = np.unique(raw, return_counts=True)
+    return words, counts, int(raw.size)
+
+
+def support_of(source: Source) -> list[tuple[BitVector, Fraction]]:
+    """Exact output distribution as (point, probability) pairs.
+
+    The view of :func:`_support_counts` in canonical (weight, lex-support)
+    order; probabilities sum to 1 exactly, and it raises as that function does.
+    """
+    n = ambient_length(source)
+    words, counts, total = _support_counts(source)
+    out = [(BitVector(n, w), Fraction(c, total)) for w, c in zip(words.tolist(), counts.tolist())]
     out.sort(key=lambda pair: pair[0].canonical_key())
     return out
 

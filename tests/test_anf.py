@@ -96,6 +96,17 @@ def test_eval_vector_is_monomial_products():
             assert vec[j] == prod
 
 
+def test_eval_memo_is_bounded_and_agrees():
+    """Up to n = 12 an order memoises its words, at most 2^n of them; past that, none."""
+    order = monomial_order(4, 2)
+    first = [eval_bits(x, order) for x in range(16)]
+    assert [eval_bits(x, order) for x in range(16)] == first
+    assert len(order._evals) == 16
+    wide = monomial_order(13, 1)
+    assert eval_bits(0b11, wide) == 0b111
+    assert wide._evals is None
+
+
 def test_evaluate_constant_one():
     one = Polynomial.from_monomials(3, 2, [[]])
     for xb in range(8):

@@ -1,7 +1,5 @@
 """Concrete extractor builders: two-source, seeded subcode, evasive lift."""
 
-import math
-
 import pytest
 
 from polyext import rng
@@ -19,7 +17,6 @@ from polyext.constructions import (
     eval_seeded,
     eval_two_source,
     lift_point,
-    min_sumset_evasive_r,
 )
 from polyext.errors import PreconditionError
 from polyext.gf2 import BitMatrix, BitVector, binom_sum, rank, span_rank
@@ -206,20 +203,6 @@ def test_evasive_zero_poly_gives_zero_graph():
     for xb in range(8):
         lifted = lift_point(desc.polys, BitVector(3, xb))
         assert lifted == xb  # appended coordinate stays zero
-
-
-def test_min_sumset_evasive_r_value():
-    expected = math.ceil(8 * 4 * (2 * math.e) ** 2 * 200 / 3)
-    got = min_sumset_evasive_r(200, 2, 200)
-    assert got == expected == 63054
-    assert abs(got - 63053) <= 2  # the formula lands just above 63053
-
-
-def test_min_sumset_evasive_r_rejects_odd_degree():
-    with pytest.raises(PreconditionError):
-        min_sumset_evasive_r(100, 3, 200)
-    with pytest.raises(PreconditionError):
-        min_sumset_evasive_r(100, 2, 50)
 
 
 def test_evasive_identity_block_preserves_independence():

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from polyext import rng
+from polyext import ranklab, rng
 from polyext.anf import eval_bits, monomial_order, sample_poly
 from polyext.errors import PreconditionError, RetryExhaustedError
 from polyext.gf2 import (
@@ -73,6 +73,21 @@ def test_eval_rank_witness_is_independent_and_sized():
         assert all(basis.add(eval_bits(p.bits, order)) for p in cert.witness)
 
 
+def test_eval_rank_evaluates_each_point_once(monkeypatch):
+    """The witness re-check re-eliminates stored words instead of re-evaluating."""
+    calls = [0]
+
+    def counted(x_bits, order):
+        calls[0] += 1
+        return eval_bits(x_bits, order)
+
+    monkeypatch.setattr(ranklab, "eval_bits", counted)
+    ball = hamming_ball(6, 2)
+    cert = eval_rank(list(ball) + list(ball), 2)
+    assert cert.rank == len(ball) == 22
+    assert calls[0] == 22
+
+
 def test_rank_monotone_under_linear_maps():
     stream = rng.derive(MASTER, "ranklab", "monotone")
     for _ in range(200):
@@ -105,6 +120,18 @@ def test_sumset_with_zero_is_identity():
     result = sumset_of([bv("000")], b)
     assert set(result.sums) == set(b)
     assert not result.collisions
+
+
+def test_sums_come_in_canonical_order():
+    """The int sort key agrees with canonical_key, through the table (n <= 12) and past it."""
+    for n in range(1, 11):
+        space = full_space(n)
+        assert list(sumset_of(space, [BitVector(n, 0)]).sums) == sorted(space, key=BitVector.canonical_key)
+    stream = rng.derive(MASTER, "ranklab", "canonical-order")
+    a = [BitVector(20, stream.getrandbits(20)) for _ in range(30)]
+    b = [BitVector(20, stream.getrandbits(20)) for _ in range(30)]
+    sums = sumset_of(a, b).sums
+    assert list(sums) == sorted(set(sums), key=BitVector.canonical_key)
 
 
 def test_sumset_of_subspace_collides():

@@ -7,9 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyext import anf, io, rng, sources
+from polyext import anf, bias, io, rng, sources
 from polyext.anf import Polynomial, sample_poly, truth_table
-from polyext.bias import bias_mc
+from polyext.bias import (
+    bias_exact,
+    bias_mc,
+    disperser_audit,
+    extractor_audit,
+    moment_by_eval_collision,
+    moment_by_poly_enumeration,
+)
 from polyext.errors import BudgetExceededError, PreconditionError
 from polyext.gf2 import BitVector, sample_uniform_matrix, span_rank
 from polyext.sources import (
@@ -251,6 +258,86 @@ def test_bias_mc_estimates_are_pinned(kind):
     assert _sha([rep.estimate, rep.samples, rep.halfwidth, rep.fail_prob]) == PINNED_ESTIMATES[kind]
 
 
+# sha256 of [numerator, denominator] of bias_exact with one seeded degree-3 f
+PINNED_EXACT = {
+    "affine": "923682bea6d517dc178d480c88e129e485ed902f4fa024866666658cd4ea6836",
+    "flat": "5f93a30b0fb8844aeb60c9d3e163871b7a70a43eece90489e06babd02e2d46f5",
+    "local": "2924aa39cda96f2011eb1cdaa55a91cc4c44470691fbec0ceb28c12f2ee203ee",
+    "polyimage": "923682bea6d517dc178d480c88e129e485ed902f4fa024866666658cd4ea6836",
+    "sumset": "545245b4824b84ba2ea2029b60e022c26328587ddbf95d0f9aae04fd6a1d28c5",
+    "variety": "e163dad4ca5f56f406ae89df8f399ba3a3f6b607773be1c2914408b92f809119",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_EXACT))
+def test_bias_exact_is_pinned(kind):
+    src = _pinned_sources()[kind]
+    f = sample_poly(ambient_length(src), 3, rng.derive(MASTER, "sources", "pinned-exact", kind))
+    value = bias_exact(f, src)
+    assert _sha([value.numerator, value.denominator]) == PINNED_EXACT[kind]
+
+
+# sha256 of support_of as [point string, numerator, denominator] triples
+PINNED_SUPPORTS = {
+    "affine": "2d1a390dc75c20fae1576b57c0e9bf50119884917d8b2ffb2c16367eaf112744",
+    "flat": "146cb21a2c02970a15d1735a75e4b5bf565796d8eeda48ca4862d4d53e8f983b",
+    "local": "f5a0505ed1654a6b74d6713b6dbda7cda48d6bdeb39bbd196daf7c2066e4f1e7",
+    "polyimage": "1ea617e28beb8db1ff6b03aff7cfddbf327547b5f4f7e0242f4b90158bffcd7e",
+    "sumset": "7add72ce00f98a25ada9c7dbf715b0696c8ad0820df8815157d40996f25212f1",
+    "variety": "f74f3b08ebd4bb495aa8d2f7f5a194d476800c224020d8302ce2bb56dacd0250",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SUPPORTS))
+def test_support_of_is_pinned(kind):
+    dist = support_of(_pinned_sources()[kind])
+    triples = [[v.to_string(), p.numerator, p.denominator] for v, p in dist]
+    assert _sha(triples) == PINNED_SUPPORTS[kind]
+
+
+def test_bias_exact_refuses_a_variety_past_the_budget():
+    src = _pinned_sources()["variety-rejection"]
+    f = sample_poly(23, 1, rng.derive(MASTER, "sources", "pinned-exact", "variety-rejection"))
+    with pytest.raises(BudgetExceededError):
+        bias_exact(f, src)
+
+
+def test_bias_exact_on_a_wide_flat_is_pinned():
+    """Points of a 100-bit flat do not fit a machine word; they stay Python ints."""
+    s = rng.derive(MASTER, "sources", "pinned-exact", "wide-flat")
+    src = Flat(100, tuple(dict.fromkeys(BitVector(100, s.getrandbits(100)) for _ in range(10))))
+    f = sample_poly(100, 2, s)
+    value = bias_exact(f, src)
+    assert _sha([value.numerator, value.denominator]) == (
+        "f1a52988e4c6e2b0b7adfad7107ede6e9808184f50d479b1f8db8539d21ebbdf"
+    )
+
+
+# sha256 of the extractor audit JSON, the disperser audit JSON and the two
+# moment routes (as [numerator, denominator]) for t = 2 and 4
+PINNED_AUDITS = {
+    "flat": "28b4a257bfb94b9de2e6c0c9aaca302ba722b86402e539a98813a18e4679e105",
+    "sumset": "8e9fd8fa249afba705d5dd6ab3c1fb061d28e0399750fc96329c6bcdb00d7615",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_AUDITS))
+def test_audits_and_moments_are_pinned(kind):
+    src = _pinned_sources()[kind]
+    n = ambient_length(src)
+    s = rng.derive(MASTER, "sources", "pinned-audits", kind)
+    polys = tuple(sample_poly(n, 2, s) for _ in range(3))
+    out = [
+        extractor_audit(polys, [src, uniform_flat(n)], Fraction(1, 4)).to_json(),
+        disperser_audit(polys[0], [src, uniform_flat(n)]).to_json(),
+    ]
+    for t in (2, 4):
+        for route in (moment_by_poly_enumeration, moment_by_eval_collision):
+            m = route(src, n, 1, t)
+            out.append([m.numerator, m.denominator])
+    assert _sha(out) == PINNED_AUDITS[kind]
+
+
 def _count_truth_tables(monkeypatch) -> list[int]:
     calls = [0]
 
@@ -280,6 +367,31 @@ def test_variety_points_are_built_once_per_source(monkeypatch):
     assert calls[0] == 2
     with pytest.raises(ValueError):
         sources._variety_points(again)[0] = 1
+
+
+def test_bias_exact_on_a_variety_reads_one_truth_table(monkeypatch):
+    """Exact bias gathers f's truth table at the variety points: count, don't time."""
+    stream = rng.derive(MASTER, "sources", "exact-structure")
+    src = Variety(14, (sample_poly(14, 2, stream), sample_poly(14, 2, stream)))
+    f = sample_poly(14, 3, stream)
+    expected = sum(-p if anf.evaluate(f, v) else p for v, p in support_of(src))
+    real_eval, real_table = anf.eval_polys, anf.truth_table
+    evals, tables_of_f = [0], [0]
+
+    def counted_eval(polys, x_bits):
+        evals[0] += 1
+        return real_eval(polys, x_bits)
+
+    def counted_table(g):
+        tables_of_f[0] += g is f
+        return real_table(g)
+
+    for module in (anf, bias, sources):
+        monkeypatch.setattr(module, "eval_polys", counted_eval)
+    monkeypatch.setattr(anf, "truth_table", counted_table)
+    assert bias_exact(f, src) == expected
+    assert evals[0] == 0
+    assert tables_of_f[0] == 1
 
 
 def test_one_enumeration_budget_for_every_branch(monkeypatch):
