@@ -30,6 +30,7 @@ __all__ = [
     "monomial_order",
     "eval_bits",
     "eval_polys",
+    "eval_words",
     "evaluate",
     "sample_poly",
     "truth_table",
@@ -37,6 +38,9 @@ __all__ = [
     "mobius_transform",
     "compose_linear",
 ]
+
+#: Point-mask pairs compared at once by :func:`eval_words`.
+EVAL_BLOCK = 1 << 16
 
 
 class MonomialOrder:
@@ -80,7 +84,7 @@ def monomial_order(n: int, d: int) -> MonomialOrder:
 class Polynomial:
     """GF(2) polynomial as a coefficient vector against a monomial order."""
 
-    __slots__ = ("order", "coeffs", "_active_masks")
+    __slots__ = ("order", "coeffs", "_active_masks", "_mask_array")
 
     def __init__(self, order: MonomialOrder, coeffs: BitVector):
         if coeffs.n != order.size:
@@ -91,6 +95,7 @@ class Polynomial:
         self._active_masks = tuple(
             order.masks[j] for j in range(order.size) if (c >> j) & 1
         )
+        self._mask_array: np.ndarray | None = None
 
     @classmethod
     def from_monomials(cls, n: int, d: int, monomials: Sequence[Sequence[int]]) -> "Polynomial":
@@ -185,6 +190,43 @@ def eval_polys(polys: Sequence[Polynomial], x_bits: int) -> int:
                 acc ^= 1
         out |= acc << i
     return out
+
+
+def eval_words(polys: Sequence[Polynomial], words: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Packed values of a polynomial tuple at many packed points, as uint64.
+
+    Entry k equals ``eval_polys(polys, words[k])``.  Each block of points is
+    ANDed against every active mask of every polynomial at once, and bit i of
+    an entry is the parity of the masks of ``polys[i]`` its point contains.
+    Points are uint64 words for n <= 64 and Python ints (object dtype) past
+    that; a block holds at most ``EVAL_BLOCK`` point-mask pairs, and at least
+    one point.
+    """
+    if len(polys) > 64:
+        raise ValueError("at most 64 polynomial values pack into one word")
+    dtype = np.uint64 if all(f.order.n <= 64 for f in polys) else object
+    points = np.asarray(words, dtype=dtype)
+    out = np.zeros(points.size, dtype=np.uint64)
+    if not polys:
+        return out
+    masks = np.concatenate([_mask_array(f) for f in polys])
+    ends = np.cumsum([len(f._active_masks) for f in polys]).tolist()
+    step = max(1, EVAL_BLOCK // max(1, masks.size))
+    for lo in range(0, points.size, step):
+        hits = ((points[lo : lo + step, None] & masks) == masks).view(np.uint8)
+        start = 0
+        for i, end in enumerate(ends):
+            odd = np.bitwise_xor.reduce(hits[:, start:end], axis=1).astype(np.uint64)
+            out[lo : lo + step] |= odd << np.uint64(i)
+            start = end
+    return out
+
+
+def _mask_array(f: Polynomial) -> np.ndarray:
+    """f's active masks in the dtype :func:`eval_words` uses, built once per f."""
+    if f._mask_array is None:
+        f._mask_array = np.array(f._active_masks, dtype=np.uint64 if f.order.n <= 64 else object)
+    return f._mask_array
 
 
 def evaluate(f: Polynomial, x: BitVector) -> int:

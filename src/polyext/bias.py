@@ -20,8 +20,10 @@ from fractions import Fraction
 from random import Random
 from typing import Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from . import anf, sources
-from .anf import Polynomial, eval_bits, eval_polys, monomial_order
+from .anf import Polynomial, eval_bits, eval_polys, eval_words, monomial_order
 from .errors import BudgetExceededError, PreconditionError
 from .reports import AuditReport
 from .sources import Source, _support_counts, ambient_length, sample_source
@@ -42,6 +44,9 @@ __all__ = [
 MOMENT_COEFF_LIMIT = 20
 MOMENT_WORK_LIMIT = 1 << 24
 
+#: Draws :func:`bias_mc` holds at once before evaluating them in one batch.
+MC_CHUNK = 1 << 12
+
 
 @dataclass(frozen=True)
 class BiasReport:
@@ -57,14 +62,14 @@ def bias_exact(f: Polynomial, source: Source) -> Fraction:
     """Exact bias of f on the source from its integer support counts, divided once.
 
     f is read from its truth table when 2^n is within the enumeration budget,
-    and evaluated at each support word otherwise.
+    and evaluated at all support words in one batch otherwise.
     """
     _check_length(f, source)
     words, counts, total = _support_counts(source)
     if 1 << f.order.n <= sources.ENUMERATION_BUDGET:
         ones = int(counts[anf.truth_table(f)[words] == 1].sum())
     else:
-        ones = sum(c for w, c in zip(words.tolist(), counts.tolist()) if eval_polys((f,), w))
+        ones = int(counts[eval_words((f,), words) == 1].sum())
     return Fraction(total - 2 * ones, total)
 
 
@@ -85,17 +90,22 @@ def bias_mc(
 ) -> BiasReport:
     """Estimate the bias from independent draws.
 
+    Draws come from the stream in order and are evaluated in blocks, one
+    :func:`anf.eval_words` call per chunk of at most ``MC_CHUNK`` draws, so
+    memory stays bounded for any sample count.  The estimate is
+    (samples - 2 * ones) / samples, where ones counts the draws with f = 1.
+
     The reported halfwidth bounds |estimate - bias| except with probability
     at most ``fail_prob``; it comes from the two-sided exponential tail for
     bounded samples applied to the +-1 values.
     """
     hw = mc_halfwidth(samples, fail_prob)
     _check_length(f, source)
-    acc = 0
-    for _ in range(samples):
-        x = sample_source(source, stream)
-        acc += -1 if eval_polys((f,), x.bits) else 1
-    return BiasReport(acc / samples, samples, hw, fail_prob)
+    ones = 0
+    for start in range(0, samples, MC_CHUNK):
+        chunk = [sample_source(source, stream).bits for _ in range(min(MC_CHUNK, samples - start))]
+        ones += int(np.count_nonzero(eval_words((f,), chunk)))
+    return BiasReport((samples - 2 * ones) / samples, samples, hw, fail_prob)
 
 
 def _support_ints(source: Source, n: int, d: int) -> tuple[list[int], list[int], int]:
@@ -167,11 +177,10 @@ def _pushforward(
     polys: Sequence[Polynomial], source: Source
 ) -> dict[int, Fraction]:
     words, counts, total = _support_counts(source)
-    masses: dict[int, int] = {}
-    for w, c in zip(words.tolist(), counts.tolist()):
-        key = eval_polys(polys, w)
-        masses[key] = masses.get(key, 0) + c
-    return {key: Fraction(c, total) for key, c in masses.items()}
+    keys, where = np.unique(eval_words(polys, words), return_inverse=True)
+    masses = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(masses, where, counts)
+    return {key: Fraction(c, total) for key, c in zip(keys.tolist(), masses.tolist())}
 
 
 def extractor_audit(
@@ -200,6 +209,7 @@ def extractor_audit(
     max_distance = Fraction(0)
     witness = 0
     for idx, source in enumerate(sources):
+        _check_length(polys[0], source)
         push = _pushforward(polys, source)
         dist = statistical_distance(push, {z: uniform for z in range(1 << m)})
         heaviest = max(push, key=lambda z: (push[z], -z))
@@ -232,6 +242,7 @@ def disperser_audit(f: Polynomial, sources: Sequence[Source]) -> AuditReport:
     per_source = []
     witness: Optional[int] = None
     for idx, source in enumerate(sources):
+        _check_length(f, source)
         values = set()
         for w in _support_counts(source)[0].tolist():
             values.add(eval_polys((f,), w))

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyext import rng
+from polyext import anf, rng
 from polyext.anf import (
     Polynomial,
     anf_from_truth_table,
     compose_linear,
     eval_bits,
     eval_polys,
+    eval_words,
     evaluate,
     mobius_transform,
     monomial_order,
@@ -148,6 +149,52 @@ def test_evaluate_additive_in_coefficients():
         for xb in range(1 << n):
             x = BitVector(n, xb)
             assert evaluate(f ^ g, x) == evaluate(f, x) ^ evaluate(g, x)
+
+
+# ---------------------------------------------------------------------------
+# batch evaluation
+
+
+def test_eval_words_matches_eval_polys_on_every_point():
+    stream = rng.derive(MASTER, "anf", "eval-words")
+    for n in range(1, 9):
+        for m in range(1, 5):
+            polys = tuple(sample_poly(n, stream.randrange(0, n + 1), stream) for _ in range(m))
+            points = list(range(1 << n))
+            expected = [eval_polys(polys, x) for x in points]
+            assert eval_words(polys, points).tolist() == expected
+            assert eval_words(polys, np.arange(1 << n, dtype=np.uint64)).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [70, 100])
+def test_eval_words_on_points_past_a_machine_word(n):
+    stream = rng.derive(MASTER, "anf", "eval-words-wide", n)
+    points = [stream.getrandbits(n) for _ in range(40)] + [(1 << n) - 1]
+    for m in range(1, 5):
+        polys = tuple(sample_poly(n, 2, stream) for _ in range(m))
+        assert eval_words(polys, points).tolist() == [eval_polys(polys, x) for x in points]
+
+
+def test_eval_words_edge_cases():
+    zero = Polynomial.zero(4, 2)
+    one = Polynomial.from_monomials(4, 2, [[]])
+    points = list(range(16))
+    assert eval_words((zero,), points).tolist() == [0] * 16
+    assert eval_words((one,), points).tolist() == [1] * 16
+    assert eval_words((zero, one, zero), points).tolist() == [0b010] * 16
+    assert eval_words((one,), []).size == 0
+    assert eval_words((), points).tolist() == [0] * 16
+
+
+def test_eval_words_agrees_across_block_sizes(monkeypatch):
+    stream = rng.derive(MASTER, "anf", "eval-words-blocks")
+    polys = tuple(sample_poly(8, 3, stream) for _ in range(3))
+    points = [stream.getrandbits(8) for _ in range(100)]
+    expected = [eval_polys(polys, x) for x in points]
+    for block in (1, 7, 64):
+        monkeypatch.setattr(anf, "EVAL_BLOCK", block)
+        assert eval_words(polys, points).tolist() == expected
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,18 @@ def test_extractor_audit_reports_worst_source():
     assert len(report.per_source) == 3
 
 
+def test_extractor_audit_refuses_a_source_of_the_wrong_length():
+    f = Polynomial.from_monomials(3, 1, [[0]])
+    with pytest.raises(PreconditionError):
+        extractor_audit([f], [uniform_flat(3), uniform_flat(5)], 0)
+
+
+def test_disperser_audit_refuses_a_source_of_the_wrong_length():
+    f = Polynomial.from_monomials(3, 1, [[0]])
+    with pytest.raises(PreconditionError):
+        disperser_audit(f, [uniform_flat(3), uniform_flat(5)])
+
+
 def test_disperser_audit_passes_on_linear():
     f = Polynomial.from_monomials(3, 1, [[0]])
     assert disperser_audit(f, [uniform_flat(3)]).verdict

@@ -252,6 +252,14 @@ def test_cli_audit_disperser_fails_on_constant(tmp_path, capsys, uniform_source)
     assert json.loads(capsys.readouterr().out)["verdict"] is False
 
 
+def test_cli_audit_refuses_mismatched_lengths(tmp_path, capsys, uniform_source):
+    poly = write(tmp_path / "f.json", '{"d":1,"monomials":[[0]],"n":3}')
+    for kind in ("extractor", "disperser"):
+        rc = cli.main(["audit", kind, "--polys", poly, "--sources", uniform_source])
+        assert rc == 2
+        assert "length" in capsys.readouterr().err
+
+
 def test_cli_construct_two_source(capsys):
     assert cli.main(["construct", "two-source", "--n", "2", "--seed", "3"]) == 0
     data = json.loads(capsys.readouterr().out)

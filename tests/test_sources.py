@@ -258,6 +258,28 @@ def test_bias_mc_estimates_are_pinned(kind):
     assert _sha([rep.estimate, rep.samples, rep.halfwidth, rep.fail_prob]) == PINNED_ESTIMATES[kind]
 
 
+def test_bias_mc_over_many_chunks_is_pinned():
+    """5,000 draws span two chunks of draws and many evaluation blocks."""
+    s = rng.derive(MASTER, "sources", "pinned-estimates", "chunked")
+    src = Flat(16, tuple(BitVector(16, b) for b in s.sample(range(1 << 16), 256)))
+    f = sample_poly(16, 5, s)
+    rep = bias_mc(f, src, 5000, 0.01, s)
+    assert _sha([rep.estimate, rep.samples, rep.halfwidth, rep.fail_prob]) == (
+        "20b4f9d00c6a8cec6dc5ca2ac071ea22ef92d41f0adbe1ce7c2e9f4dc2fd54df"
+    )
+
+
+def test_bias_mc_on_a_wide_flat_is_pinned():
+    """Draws of a 100-bit flat are evaluated as Python ints."""
+    s = rng.derive(MASTER, "sources", "pinned-estimates", "wide-flat")
+    src = Flat(100, tuple(dict.fromkeys(BitVector(100, s.getrandbits(100)) for _ in range(10))))
+    f = sample_poly(100, 2, s)
+    rep = bias_mc(f, src, 200, 0.01, s)
+    assert _sha([rep.estimate, rep.samples, rep.halfwidth, rep.fail_prob]) == (
+        "dbffd4fa1680f73dabb59e1f6b4fc89bba7f3865643ef919ebc9388aeeb0b8d5"
+    )
+
+
 # sha256 of [numerator, denominator] of bias_exact with one seeded degree-3 f
 PINNED_EXACT = {
     "affine": "923682bea6d517dc178d480c88e129e485ed902f4fa024866666658cd4ea6836",
