@@ -242,22 +242,49 @@ def sample_poly(n: int, d: int, stream: Random) -> Polynomial:
     return Polynomial(order, BitVector(order.size, stream.getrandbits(order.size)))
 
 
-def mobius_transform(table: np.ndarray) -> np.ndarray:
-    """Subset-XOR transform t'[x] = XOR over s subset of x of t[s].
+#: (mask, shift) of the in-word levels: bit i feeds bit i + 2^l when bit l of
+#: i is clear, i.e. the mask keeps the low half of every 2^(l+1)-bit block.
+_IN_WORD_LEVELS = tuple(
+    (np.uint64(mask), np.uint64(1 << level))
+    for level, mask in enumerate(
+        (
+            0x5555555555555555,
+            0x3333333333333333,
+            0x0F0F0F0F0F0F0F0F,
+            0x00FF00FF00FF00FF,
+            0x0000FFFF0000FFFF,
+            0x00000000FFFFFFFF,
+        )
+    )
+)
+
+
+def mobius_transform(table: np.ndarray | Sequence[int]) -> np.ndarray:
+    """Subset-XOR transform t'[x] = XOR over s subset of x of t[s], as uint8.
 
     Maps ANF coefficient arrays (indexed by packed monomial mask) to truth
-    tables and back — it is its own inverse over GF(2).
+    tables and back — it is its own inverse over GF(2).  The 0/1 entries are
+    packed into little-endian 64-bit words (zero-padded to 64 entries): the
+    first min(n, 6) levels, inside a word, are one mask-and-shift each, and
+    the levels above XOR whole words.
     """
-    size = table.size
+    bits = np.asarray(table)
+    size = bits.size
     if size & (size - 1):
         raise ValueError("table length must be a power of two")
-    t = table.copy()
+    if size and (bits.min() < 0 or bits.max() > 1):
+        raise ValueError("table entries must be 0 or 1")
+    words = np.zeros(max(1, size >> 6), dtype="<u8")
+    packed = np.packbits(bits, bitorder="little")
+    words.view(np.uint8)[: packed.size] = packed
+    for mask, shift in _IN_WORD_LEVELS[: size.bit_length() - 1]:
+        words ^= (words & mask) << shift
     half = 1
-    while half < size:
-        v = t.reshape(-1, 2 * half)
+    while half < words.size:
+        v = words.reshape(-1, 2 * half)
         v[:, half:] ^= v[:, :half]
         half <<= 1
-    return t
+    return np.unpackbits(words.view(np.uint8), count=size, bitorder="little")
 
 
 def truth_table(f: Polynomial) -> np.ndarray:

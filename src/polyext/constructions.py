@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import rng
+import numpy as np
+
+from . import rng, sources
 from .anf import Polynomial, eval_bits, eval_polys, monomial_order, sample_poly
 from .errors import BudgetExceededError, PreconditionError
 from .gf2 import (
@@ -37,6 +39,7 @@ __all__ = [
     "eval_two_source",
     "build_seeded",
     "eval_seeded",
+    "seeded_table",
     "build_evasive_h",
     "lift_point",
 ]
@@ -163,6 +166,41 @@ def eval_seeded(desc: SeededDescriptor, x: BitVector, y: BitVector) -> int:
     w = desc.compressor.apply_word(x.bits)
     row = desc.generator.row_words[canonical_index(y)]
     return (row & w).bit_count() & 1
+
+
+def seeded_table(desc: SeededDescriptor) -> np.ndarray:
+    """Every output bit at once, as a uint8 array of shape (2^t, 2^n).
+
+    Entry ``[yb, xb]`` equals ``eval_seeded(desc, BitVector(n, xb),
+    BitVector(t, yb))`` and is computed by the same steps for all points
+    together: W = H·x as the parity of ``xs & row`` for each compressor row,
+    the generator row of each packed y by :func:`canonical_index`, and the
+    parity of ``row & W``.  Words wider than 64 bits are split into 64-bit
+    limbs whose ANDs are XORed before the one parity.  Raises
+    :class:`BudgetExceededError` when 2^(n+t) exceeds
+    ``sources.ENUMERATION_BUDGET``.
+    """
+    n, t = desc.n, desc.t
+    if 1 << (n + t) > sources.ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"2^{n + t} seeded outputs exceed the enumeration budget")
+    xs = np.arange(1 << n, dtype=np.uint64)
+    h_rows = desc.compressor.row_words
+    g_rows = [desc.generator.row_words[canonical_index(BitVector(t, yb))] for yb in range(1 << t)]
+    acc = np.zeros((1 << t, 1 << n), dtype=np.uint64)
+    for lo in range(0, len(h_rows), 64):
+        w = np.zeros(xs.size, dtype=np.uint64)
+        for i, row in enumerate(h_rows[lo : lo + 64]):
+            w |= _parity(xs & np.uint64(row)) << np.uint64(i)
+        limb = np.array([(g >> lo) & 0xFFFFFFFFFFFFFFFF for g in g_rows], dtype=np.uint64)
+        acc ^= limb[:, None] & w[None, :]
+    return _parity(acc).astype(np.uint8)
+
+
+def _parity(words: np.ndarray) -> np.ndarray:
+    """Bitwise parity of each uint64 entry (0 or 1), by an XOR fold in place."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        words ^= words >> np.uint64(shift)
+    return words & np.uint64(1)
 
 
 def build_evasive_h(k: int, d: int, seed: int, r: int | None = None) -> EvasiveDescriptor:

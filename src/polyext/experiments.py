@@ -16,14 +16,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .anf import anf_from_truth_table, sample_poly, truth_table
+from .anf import anf_from_truth_table, mobius_transform, sample_poly, truth_table
 from .bias import moment_by_eval_collision, moment_by_poly_enumeration
 from .codes import CodeView, johnson_check, measured_imbalance
 from .constructions import (
     build_seeded,
     build_two_source,
-    eval_seeded,
     eval_two_source,
+    seeded_table,
 )
 from .errors import PreconditionError, RetryExhaustedError
 from .gf2 import (
@@ -35,6 +35,7 @@ from .gf2 import (
     hamming_ball,
     sample_invertible,
     sample_uniform_matrix,
+    subset_xors,
 )
 from .oracles import (
     cw_shift_count,
@@ -217,42 +218,36 @@ def _two_source_trial(params, stream):
 
 # --- seeded extractor structure --------------------------------------------
 
-def _seeded_left_linear(desc) -> bool:
+def _seeded_left_linear(table: np.ndarray) -> bool:
     """Exhaustive: every seed restriction must agree with its affine extension."""
-    n, t = desc.n, desc.t
-    for yb in range(1 << t):
-        y = BitVector(t, yb)
-        base = eval_seeded(desc, BitVector(n, 0), y)
-        diffs = [base ^ eval_seeded(desc, BitVector(n, 1 << j), y) for j in range(n)]
-        for xb in range(1 << n):
-            acc = base
-            w = xb
-            while w:
-                j = (w & -w).bit_length() - 1
-                acc ^= diffs[j]
-                w &= w - 1
-            if eval_seeded(desc, BitVector(n, xb), y) != acc:
-                return False
+    n = table.shape[1].bit_length() - 1
+    for row in table:
+        base = int(row[0])
+        diffs = [base ^ int(row[1 << j]) for j in range(n)]
+        if not np.array_equal(row, subset_xors(diffs, base)):
+            return False
     return True
 
 
-def _seeded_right_degree(desc) -> int:
-    worst = 0
-    for xb in range(1 << desc.n):
-        x = BitVector(desc.n, xb)
-        tab = [eval_seeded(desc, x, BitVector(desc.t, yb)) for yb in range(1 << desc.t)]
-        worst = max(worst, anf_from_truth_table(tab).degree())
-    return worst
+def _seeded_right_degree(table: np.ndarray) -> int:
+    """Largest seed-side degree of any restriction x -> f(x, .), exactly.
+
+    With x fixed, the coefficient of the seed monomial y^T is the sum over S
+    of a[S, T] x^S, which is a nonzero function of x iff some a[S, T] is 1.
+    So the worst restriction degree is the largest |T| among the monomials
+    of the joint ANF of the whole table (seed bits above the n source bits).
+    """
+    n = table.shape[1].bit_length() - 1
+    seeds = np.unique(np.flatnonzero(mobius_transform(table.ravel())) >> n)
+    return max((int(y).bit_count() for y in seeds), default=0)
 
 
-def _seeded_subcode_check(desc, dim: int, stream) -> bool:
-    n, t = desc.n, desc.t
+def _seeded_subcode_check(table: np.ndarray, dim: int, stream) -> bool:
+    n = table.shape[1].bit_length() - 1
     rows = []
     for i in stream.sample(range(n), min(dim, n)):
-        word = 0
-        for yb in range(1 << t):
-            word |= eval_seeded(desc, BitVector(n, 1 << i), BitVector(t, yb)) << yb
-        rows.append(BitVector(1 << t, word))
+        word = int.from_bytes(np.packbits(table[:, 1 << i], bitorder="little").tobytes(), "little")
+        rows.append(BitVector(table.shape[0], word))
     code = CodeView(BitMatrix.from_rows(rows))
     if not code.distinct_codewords() - {0}:
         return True  # degenerate all-zero sample: nothing to decode
@@ -264,9 +259,10 @@ def _seeded_trial(params, stream):
     n, t, d = params["n"], params["t"], params["d"]
     desc = build_seeded(n, t, d, stream.getrandbits(63))
     small = build_seeded(params["n_right"], t, d, stream.getrandbits(63))
-    left_ok = _seeded_left_linear(desc)
-    right_degree = _seeded_right_degree(small)
-    johnson_ok = _seeded_subcode_check(desc, params["subcode_dim"], stream)
+    table = seeded_table(desc)
+    left_ok = _seeded_left_linear(table)
+    right_degree = _seeded_right_degree(seeded_table(small))
+    johnson_ok = _seeded_subcode_check(table, params["subcode_dim"], stream)
     ok = left_ok and right_degree <= d and johnson_ok
     return {
         "left_ok": left_ok,

@@ -59,6 +59,11 @@ def _canonical_keys(n: int) -> tuple[int, ...]:
     return tuple(_canonical_key(n, s) for s in range(1 << n))
 
 
+def _key_of_word(n: int):
+    """The int canonical key of an n-bit word: a table read for n <= 12."""
+    return _canonical_keys(n).__getitem__ if n <= 12 else partial(_canonical_key, n)
+
+
 @dataclass(frozen=True)
 class RankCertificate:
     """Evaluation rank of a point set, with an independence witness.
@@ -140,8 +145,7 @@ def sumset_of(a: Sequence[BitVector], b: Sequence[BitVector]) -> SumsetResult:
         ab = av.bits
         for yb in bbits:
             seen.add(ab ^ yb)
-    key = _canonical_keys(n).__getitem__ if n <= 12 else partial(_canonical_key, n)
-    ordered = sorted(seen, key=key)
+    ordered = sorted(seen, key=_key_of_word(n))
     pair_count = len(a) * len(b)
     return SumsetResult(
         sums=tuple(BitVector(n, s) for s in ordered),
@@ -176,9 +180,9 @@ class HighRankSelection:
 
 
 def _image_index(points: Sequence[BitVector], matrix: BitMatrix) -> dict[int, BitVector]:
-    """First (canonical-order) preimage for each attained image value."""
+    """First preimage, in the order given, for each attained image value."""
     fibers: dict[int, BitVector] = {}
-    for p in sorted(points, key=BitVector.canonical_key):
+    for p in points:
         img = matrix.apply_word(p.bits)
         if img not in fibers:
             fibers[img] = p
@@ -218,6 +222,9 @@ def find_high_rank_subsets(
     if len(a) < need or len(b) < need:
         raise PreconditionError(f"sets must have at least binom_sum(m, d/2) = {need} points")
     ball_half = hamming_ball(m, d // 2)
+    key = _key_of_word(n)
+    a = sorted(a, key=lambda p: key(p.bits))
+    b = sorted(b, key=lambda p: key(p.bits))
     attempts = 0
     candidates = [fixed_map] if fixed_map is not None else None
     while True:

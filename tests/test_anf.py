@@ -1,5 +1,7 @@
 """Algebraic normal form: monomial order, evaluation, Mobius transform, composition."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,18 @@ def compose_linear_by_table(q: Polynomial, matrix: BitMatrix) -> Polynomial:
         assert len(mon) <= q.order.d, "linear composition raised the degree"
         bits |= 1 << out_order.index_of(mon)
     return Polynomial(out_order, BitVector(out_order.size, bits))
+
+
+def mobius_by_halves(table) -> np.ndarray:
+    """Reference route to mobius_transform: XOR the low half of every block
+    of 2 * half entries into its high half, for half = 1, 2, 4, ..."""
+    t = np.array(table, dtype=np.uint8)
+    half = 1
+    while half < t.size:
+        v = t.reshape(-1, 2 * half)
+        v[:, half:] ^= v[:, :half]
+        half <<= 1
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +285,50 @@ def test_mobius_transform_is_involution():
     for n in range(1, 9):
         table = np.array([stream.randrange(2) for _ in range(1 << n)], dtype=np.uint8)
         assert np.array_equal(mobius_transform(mobius_transform(table)), table)
+
+
+def test_mobius_transform_matches_the_reference_at_every_size():
+    stream = rng.derive(MASTER, "anf", "mobius-reference")
+    for n in range(19):
+        table = np.frombuffer(stream.randbytes(1 << n), dtype=np.uint8) & 1
+        before = table.copy()
+        got = mobius_transform(table)
+        assert got.dtype == np.uint8 and got.size == table.size
+        assert np.array_equal(got, mobius_by_halves(table))
+        assert np.array_equal(table, before)  # the input is left as it was
+    listed = [stream.randrange(2) for _ in range(32)]
+    assert np.array_equal(mobius_transform(listed), mobius_by_halves(listed))
+
+
+def test_mobius_transform_rejects_non_bits():
+    with pytest.raises(ValueError):
+        mobius_transform(np.array([0, 1, 2, 0], dtype=np.uint8))
+    with pytest.raises(ValueError):
+        mobius_transform([0, 1, 1])
+
+
+#: sha256 of truth_table(f).tobytes() for one seeded degree-<=min(n, 3) f per n
+TRUTH_TABLE_DIGESTS = {
+    0: "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    1: "47dc540c94ceb704a23875c11273e16bb0b8a87aed84de911f2133568115f254",
+    2: "afa7518106309c22d325df6d2663249d158d2f36f1976269d6d4104d9198a108",
+    3: "e8b1608033022d31d199ab85ffb3e475299ff0cd96c2597296ce0e64ec41d1ce",
+    4: "aac0746ecbb4ac9267e6e6445f9ec0a71b3ba0c37b392e91ffdc0f7cf749282b",
+    5: "0ae9180de9e6084a912477d3d2947e672ecac6916da367bff5fd8836a8964de6",
+    6: "c6c6bf191006605195a06209fef3ed3315f1d3ba2f41aecbdb53ce9c7acc2edc",
+    7: "7e97a54313b81ca3d23cfe9a8a3bde1fd27e5f52755b7e4312c38ace739b6430",
+    8: "36c2ee3d7963b55b13bd2b80dbb927b4e1ca13ad4a87cd671f5d3f2f700558eb",
+    14: "275c47a3119be45cfe1aa4d8ba22351c696b8d70e1191e24f2a069b2d0d98c4f",
+    18: "ccff0dac78c34f71dcc95553607e66eb484dcee1a6d93fd251bc6a436ec7931f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TRUTH_TABLE_DIGESTS))
+def test_truth_tables_are_pinned(n):
+    f = sample_poly(n, min(n, 3), rng.derive(MASTER, "anf", "truth-table-pin", n))
+    table = truth_table(f)
+    assert table.dtype == np.uint8 and table.size == 1 << n
+    assert hashlib.sha256(table.tobytes()).hexdigest() == TRUTH_TABLE_DIGESTS[n]
 
 
 @settings(max_examples=40)

@@ -137,6 +137,16 @@ def test_registry_output_is_pinned():
     assert moved == []
 
 
+def test_seeded_structure_at_degree_two_is_pinned():
+    """The shipped d = 2 config (criterion 08's second half) at seed 1."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "seeded_structure_d2.json"
+    report = run_experiment(config_from_dict(json.loads(path.read_text()) | {"seed": 1}))
+    body = {"rows": report.rows, "aggregates": report.aggregates, "verdict": report.verdict}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"), default=str)
+    digest = "59441bc3ca1c27ad61665090cd52541780056b7a514dd096a9dae82a00e981c1"
+    assert report.verdict and hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_param_overrides_are_echoed():
     cfg = config_from_dict(
         {

@@ -1,8 +1,9 @@
 """Concrete extractor builders: two-source, seeded subcode, evasive lift."""
 
+import numpy as np
 import pytest
 
-from polyext import rng
+from polyext import rng, sources
 from polyext.anf import (
     Polynomial,
     anf_from_truth_table,
@@ -17,8 +18,10 @@ from polyext.constructions import (
     eval_seeded,
     eval_two_source,
     lift_point,
+    seeded_table,
 )
-from polyext.errors import PreconditionError
+from polyext.errors import BudgetExceededError, PreconditionError
+from polyext.experiments import _seeded_left_linear, _seeded_right_degree
 from polyext.gf2 import BitMatrix, BitVector, binom_sum, rank, span_rank
 
 MASTER = 20260823
@@ -173,6 +176,74 @@ def test_seeded_right_degree_bounded():
         f = _seeded_joint_anf(desc)
         for mon in f.active_monomials():
             assert sum(1 for i in mon if i >= 4) <= d
+
+
+def _zero_compressor(desc):
+    return SeededDescriptor(
+        n=desc.n,
+        t=desc.t,
+        d=desc.d,
+        generator=desc.generator,
+        compressor=BitMatrix.zero(desc.compressor.rows, desc.n),
+        seed=desc.seed,
+    )
+
+
+def _assert_table_is_eval_seeded(desc):
+    table = seeded_table(desc)
+    assert table.dtype == np.uint8 and table.shape == (1 << desc.t, 1 << desc.n)
+    for yb in range(1 << desc.t):
+        y = BitVector(desc.t, yb)
+        row = [eval_seeded(desc, BitVector(desc.n, xb), y) for xb in range(1 << desc.n)]
+        assert table[yb].tolist() == row
+
+
+@pytest.mark.parametrize(
+    "n,t,d", [(n, t, d) for n in (4, 8) for t in (1, 2, 3) for d in (1, 2) if d <= t]
+)
+def test_seeded_table_is_eval_seeded_everywhere(n, t, d):
+    desc = build_seeded(n=n, t=t, d=d, seed=17 + n + t + d)
+    _assert_table_is_eval_seeded(desc)
+    _assert_table_is_eval_seeded(_zero_compressor(desc))
+    assert not seeded_table(_zero_compressor(desc)).any()
+
+
+def test_seeded_table_splits_generator_rows_past_64_bits():
+    desc = build_seeded(n=3, t=8, d=3, seed=23)
+    assert desc.generator.cols == 93
+    _assert_table_is_eval_seeded(desc)
+
+
+def test_seeded_table_is_budgeted(monkeypatch):
+    monkeypatch.setattr(sources, "ENUMERATION_BUDGET", 1 << 6)
+    assert seeded_table(build_seeded(n=3, t=3, d=1, seed=0)).shape == (8, 8)
+    with pytest.raises(BudgetExceededError):
+        seeded_table(build_seeded(n=4, t=3, d=1, seed=0))
+
+
+def test_seeded_left_linearity_check_sees_one_flipped_entry():
+    table = seeded_table(build_seeded(n=6, t=2, d=2, seed=29))
+    assert _seeded_left_linear(table)
+    stream = rng.derive(MASTER, "constructions", "flip")
+    for _ in range(20):
+        bad = table.copy()
+        bad[stream.randrange(4), stream.randrange(64)] ^= 1
+        assert not _seeded_left_linear(bad)
+
+
+def test_seeded_right_degree_is_the_worst_column_degree():
+    """The joint-ANF reading agrees with interpolating every column, on
+    seeded tables and on arbitrary 0/1 tables."""
+    stream = rng.derive(MASTER, "constructions", "right-degree")
+    tables = [seeded_table(build_seeded(n=4, t=3, d=d, seed=s)) for d in (1, 2, 3) for s in range(5)]
+    for _ in range(30):
+        t, n = stream.randrange(0, 4), stream.randrange(0, 4)
+        bits = [stream.randrange(2) for _ in range(1 << (t + n))]
+        tables.append(np.array(bits, dtype=np.uint8).reshape(1 << t, 1 << n))
+    tables.append(np.zeros((8, 4), dtype=np.uint8))
+    for table in tables:
+        worst = max(anf_from_truth_table(column).degree() for column in table.T)
+        assert _seeded_right_degree(table) == worst
 
 
 def test_seeded_rejects_bad_degree():
