@@ -149,22 +149,6 @@ class Polynomial:
             "monomials": [list(mon) for mon in self.active_monomials()],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Polynomial":
-        n, d = int(data["n"]), int(data["d"])
-        order = monomial_order(n, d)
-        bits = 0
-        for raw in data["monomials"]:
-            mon = [int(i) for i in raw]
-            if any(i < 0 or i >= n for i in mon):
-                raise ValueError(f"monomial {mon} has an index out of range for n={n}")
-            if len(set(mon)) != len(mon):
-                raise ValueError(f"monomial {mon} repeats an index")
-            if len(mon) > d:
-                raise ValueError(f"monomial {mon} exceeds the degree cap {d}")
-            bits |= 1 << order.index_of(mon)
-        return cls(order, BitVector(order.size, bits))
-
 
 def eval_bits(x_bits: int, order: MonomialOrder) -> int:
     """Packed evaluation vector of a point: bit j set iff monomial j divides x."""

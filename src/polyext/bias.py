@@ -1,9 +1,9 @@
 """Bias of polynomials on weak sources: exact, sampled, and moment identities.
 
 The bias of f on X is E[(-1)^f(X)] = Pr[f(X)=0] - Pr[f(X)=1].  Everything
-exact here is :class:`fractions.Fraction` arithmetic over the enumerated
-source support; the Monte-Carlo estimator carries an explicit concentration
-halfwidth instead of pretending to be exact.
+exact here comes from the integer counts of the enumerated source support,
+divided once into a :class:`fractions.Fraction`; the Monte-Carlo estimator
+carries an explicit concentration halfwidth instead of pretending to be exact.
 
 The moment identity cross-checks two independent computations of
 E_f[bias(f)^t] for f uniform over all degree-<=d polynomials: a brute-force

@@ -176,8 +176,7 @@ def _cmd_oracle_cw(args) -> int:
 def _cmd_oracle_attack(args) -> int:
     stream = rng.derive(_require_seed(args), "cli", "attack")
     if args.family:
-        data = json.loads(Path(args.family).read_text())
-        family = [Polynomial.from_json_dict(p) for p in data]
+        family = io.parse_family(Path(args.family).read_text())
     else:
         if args.n is None or args.d is None:
             raise PolyextError("pass --family or both --n and --d for a random family")

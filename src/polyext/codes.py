@@ -17,14 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .gf2 import BitMatrix, BitVector, subset_xors
-from .bias import mc_halfwidth
 
 __all__ = [
     "CodeView",
@@ -56,15 +54,8 @@ class CodeView:
     def block_length(self) -> int:
         return self.generator.cols
 
-    def codeword(self, message_bits: int) -> int:
-        word = 0
-        for i, row in enumerate(self.generator.row_words):
-            if (message_bits >> i) & 1:
-                word ^= row
-        return word
-
     def codewords(self) -> list[int]:
-        """All 2^dim codewords, one per message: entry k is ``codeword(k)``."""
+        """All 2^dim codewords, one per message: entry k XORs the rows at the set bits of k."""
         if self.dim > EXHAUSTIVE_DIM_LIMIT:
             raise BudgetExceededError(f"2^{self.dim} codewords exceed the enumeration cap")
         return subset_xors(self.generator.row_words)
@@ -73,84 +64,29 @@ class CodeView:
         return set(self.codewords())
 
 
-def _window(eps: Fraction, length: int) -> tuple[Fraction, Fraction]:
-    return (1 - eps) * length / 2, (1 + eps) * length / 2
-
-
-def _balanced(word: int, lo: Fraction, hi: Fraction) -> bool:
-    w = word.bit_count()
-    return lo <= w <= hi
-
-
 @dataclass(frozen=True)
 class BalanceReport:
     """Unbalanced fraction over nonzero codewords, plus the worst offender."""
 
-    delta: Union[Fraction, float]
+    delta: Fraction
     worst_codeword: Optional[BitVector]
-    mode: str
-    samples: Optional[int] = None
-    halfwidth: Optional[float] = None
-    fail_prob: Optional[float] = None
 
 
-def balancedness_report(
-    code: CodeView,
-    eps: RationalLike,
-    mode: str = "exhaustive",
-    samples: int = 0,
-    fail_prob: float = 1e-6,
-    stream: Optional[Random] = None,
-) -> BalanceReport:
-    """Fraction of nonzero codewords outside the eps-balance window.
+def balancedness_report(code: CodeView, eps: RationalLike) -> BalanceReport:
+    """Exact fraction of nonzero codewords outside the eps-balance window.
 
-    Exhaustive mode enumerates the distinct codewords and returns an exact
-    rational; sampled mode draws uniform messages, conditions on a nonzero
-    codeword, and attaches the concentration halfwidth for the effective
-    sample count.  The zero codeword never enters the statistics.  The worst
-    codeword maximizes |2 wt - T|.
+    Enumerates the distinct codewords; the zero codeword never enters the
+    statistics.  The worst codeword maximizes |2 wt - T|.
     """
     epsf = Fraction(eps)
     t = code.block_length
-    lo, hi = _window(epsf, t)
-
-    def deviation(word: int) -> int:
-        return abs(2 * word.bit_count() - t)
-
-    if mode == "exhaustive":
-        nonzero = [w for w in code.distinct_codewords() if w]
-        if not nonzero:
-            return BalanceReport(Fraction(0), None, mode)
-        bad = sum(1 for w in nonzero if not _balanced(w, lo, hi))
-        worst = max(nonzero, key=lambda w: (deviation(w), w))
-        return BalanceReport(Fraction(bad, len(nonzero)), BitVector(t, worst), mode)
-    if mode != "sampled":
-        raise PreconditionError(f"unknown mode {mode!r}")
-    if stream is None or samples < 1:
-        raise PreconditionError("sampled mode needs a stream and samples >= 1")
-    bad = 0
-    kept = 0
-    worst_word: Optional[int] = None
-    for _ in range(samples):
-        word = code.codeword(stream.getrandbits(code.dim))
-        if word == 0:
-            continue
-        kept += 1
-        if not _balanced(word, lo, hi):
-            bad += 1
-        if worst_word is None or deviation(word) > deviation(worst_word):
-            worst_word = word
-    if kept == 0:
-        return BalanceReport(0.0, None, mode, samples=0, halfwidth=None, fail_prob=fail_prob)
-    # Indicator mean over the kept draws; halfwidth for the effective count.
-    return BalanceReport(
-        bad / kept,
-        BitVector(t, worst_word),
-        mode,
-        samples=kept,
-        halfwidth=mc_halfwidth(kept, fail_prob),
-        fail_prob=fail_prob,
-    )
+    lo, hi = (1 - epsf) * t / 2, (1 + epsf) * t / 2
+    nonzero = [w for w in code.distinct_codewords() if w]
+    if not nonzero:
+        return BalanceReport(Fraction(0), None)
+    bad = sum(1 for w in nonzero if not lo <= w.bit_count() <= hi)
+    worst = max(nonzero, key=lambda w: (abs(2 * w.bit_count() - t), w))
+    return BalanceReport(Fraction(bad, len(nonzero)), BitVector(t, worst))
 
 
 def measured_imbalance(code: CodeView) -> Fraction:
@@ -203,11 +139,11 @@ def list_size_exhaustive(
     return int(counts[center]), BitVector(t, center)
 
 
-def sqrt_widened(eps: Fraction, frac_bits: int = 80) -> Fraction:
-    """sqrt(eps) rounded down at 2^-frac_bits — widening (1-sqrt)/2 upward."""
+def sqrt_widened(eps: Fraction) -> Fraction:
+    """sqrt(eps) rounded down at 2^-80 — widening (1-sqrt)/2 upward."""
     if eps < 0:
         raise PreconditionError("cannot take the square root of a negative rational")
-    scale = 1 << frac_bits
+    scale = 1 << 80
     return Fraction(math.isqrt(eps.numerator * scale * scale // eps.denominator), scale)
 
 
@@ -231,7 +167,7 @@ def johnson_check(code: CodeView, eps: RationalLike) -> JohnsonVerdict:
     The radius uses the 80-bit square root rounded toward inclusion.
     """
     epsf = Fraction(eps)
-    report = balancedness_report(code, epsf, mode="exhaustive")
+    report = balancedness_report(code, epsf)
     if report.delta != 0:
         raise PreconditionError(
             f"code is not {epsf}-balanced (unbalanced fraction {report.delta})"

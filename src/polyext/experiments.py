@@ -47,7 +47,7 @@ from .oracles import (
 )
 from .ranklab import eval_rank, find_high_rank_subsets, special_sumset_sampler
 from .reports import ExperimentReport
-from .sources import Flat, uniform_flat, variety_reduce
+from .sources import Flat, common_zeros, uniform_flat, variety_reduce
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "run_experiment", "config_from_dict"]
 
@@ -372,18 +372,12 @@ def _variety_trial(params, stream):
     t = stream.randint(1, params["t_max"])
     polys = [sample_poly(n, params["d"], stream) for _ in range(t)]
     reduced, retries = variety_reduce(polys, stream, budget=params["budget"])
-    zero_in = np.ones(1 << n, dtype=bool)
-    for p in polys:
-        zero_in &= truth_table(p) == 0
-    zero_out = np.ones(1 << n, dtype=bool)
-    for p in reduced:
-        zero_out &= truth_table(p) == 0
     return {
         "n": n,
         "system_size": t,
         "reduced_size": len(reduced),
         "retries": retries,
-        "equal": bool(np.array_equal(zero_in, zero_out)),
+        "equal": bool(np.array_equal(common_zeros(polys), common_zeros(reduced))),
     }
 
 

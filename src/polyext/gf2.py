@@ -37,6 +37,9 @@ __all__ = [
     "subset_xors",
 ]
 
+#: Rejections allowed for any one column in :func:`sample_invertible`.
+COLUMN_RETRIES = 10**6
+
 
 class BitVector:
     """Immutable vector over GF(2), packed into a single int.
@@ -211,15 +214,6 @@ class XorBasis:
     def __init__(self) -> None:
         self._pivots: dict[int, int] = {}
 
-    def reduce(self, word: int) -> int:
-        while word:
-            lead = word.bit_length() - 1
-            pivot = self._pivots.get(lead)
-            if pivot is None:
-                break
-            word ^= pivot
-        return word
-
     def add(self, word: int) -> bool:
         pivots = self._pivots
         while word:
@@ -230,9 +224,6 @@ class XorBasis:
                 return True
             word ^= pivot
         return False
-
-    def contains(self, word: int) -> bool:
-        return self.reduce(word) == 0
 
     def __len__(self) -> int:
         return len(self._pivots)
@@ -262,13 +253,13 @@ def sample_uniform_matrix(rows: int, cols: int, stream: Random) -> BitMatrix:
     return BitMatrix(rows, cols, [stream.getrandbits(cols) if cols else 0 for _ in range(rows)])
 
 
-def sample_invertible(m: int, stream: Random, column_retries: int = 10**6) -> BitMatrix:
+def sample_invertible(m: int, stream: Random) -> BitMatrix:
     """Uniformly random invertible m x m matrix over GF(2).
 
     Columns are drawn one at a time, each uniform conditioned on being
     linearly independent of the columns already accepted; this yields the
     uniform distribution on GL(m, 2).  Raises :class:`RetryExhaustedError`
-    if any single column rejects ``column_retries`` times (astronomically
+    if any single column rejects ``COLUMN_RETRIES`` times (astronomically
     unlikely for honest streams).
     """
     if m <= 0:
@@ -276,13 +267,13 @@ def sample_invertible(m: int, stream: Random, column_retries: int = 10**6) -> Bi
     basis = XorBasis()
     columns: list[int] = []
     for i in range(m):
-        for _ in range(column_retries):
+        for _ in range(COLUMN_RETRIES):
             cand = stream.getrandbits(m)
             if basis.add(cand):
                 columns.append(cand)
                 break
         else:
-            raise RetryExhaustedError(f"no independent column {i} after {column_retries} tries")
+            raise RetryExhaustedError(f"no independent column {i} after {COLUMN_RETRIES} tries")
     rows = [0] * m
     for j, col in enumerate(columns):
         while col:

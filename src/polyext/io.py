@@ -10,6 +10,7 @@ byte-for-byte for canonical files.  Parsers validate eagerly and raise
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 from typing import Union
 
@@ -39,6 +40,7 @@ __all__ = [
     "parse_matrix",
     "emit_matrix",
     "parse_polynomial",
+    "parse_family",
     "emit_polynomial",
     "source_to_dict",
     "source_from_dict",
@@ -67,28 +69,73 @@ def emit_matrix(m: BitMatrix) -> str:
     return m.to_string() + "\n"
 
 
+def _name(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _typed(value, kind: type, name: str, of: type | None = None):
+    """``value`` if it has JSON type ``kind`` (of ``of`` items), else ValueError naming it."""
+    if type(value) is not kind or (of is not None and any(type(v) is not of for v in value)):
+        expected = kind.__name__ + (f" of {of.__name__}" if of is not None else "")
+        raise ValueError(f"{name}: expected {expected}, got {value!r}")
+    return value
+
+
+def _field(data, key: str, kind: type, where: str = "", of: type | None = None):
+    """``data[key]`` checked by :func:`_typed`, where ``data`` must be an object."""
+    _typed(data, dict, where or "value")
+    if key not in data:
+        raise ValueError(f"{_name(where, key)}: missing")
+    return _typed(data[key], kind, _name(where, key), of)
+
+
+def _polynomial(data, where: str = "") -> Polynomial:
+    n, d = _field(data, "n", int, where), _field(data, "d", int, where)
+    monomials = _field(data, "monomials", list, where)
+    for k, mon in enumerate(monomials):
+        _typed(mon, list, _name(where, f"monomials[{k}]"), of=int)
+        if any(i < 0 or i >= n for i in mon):
+            raise ValueError(f"monomial {mon} has an index out of range for n={n}")
+        if len(set(mon)) != len(mon):
+            raise ValueError(f"monomial {mon} repeats an index")
+        if len(mon) > d:
+            raise ValueError(f"monomial {mon} exceeds the degree cap {d}")
+    return Polynomial.from_monomials(n, d, monomials)
+
+
 def parse_polynomial(text: str) -> Polynomial:
-    return Polynomial.from_json_dict(_load_obj(text))
+    return _polynomial(_load(text, dict))
+
+
+def parse_family(text: str) -> list[Polynomial]:
+    """A JSON array of polynomial objects."""
+    return [_polynomial(p, f"[{k}]") for k, p in enumerate(_load(text, list))]
 
 
 def emit_polynomial(p: Polynomial) -> str:
     return render_json(p.to_json_dict())
 
 
-def _load_obj(text: str) -> dict:
+def _load(text: str, kind: type):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError("top-level JSON value must be an object")
+    if type(data) is not kind:
+        raise ValueError(f"top-level JSON value must be an {'object' if kind is dict else 'array'}")
     return data
 
 
-def _vec(raw, n: int, where: str) -> BitVector:
+def _vec(raw, where: str, n: int) -> BitVector:
     if not isinstance(raw, str) or len(raw) != n:
         raise ValueError(f"{where}: expected a length-{n} 0/1 string, got {raw!r}")
     return BitVector.from_string(raw)
+
+
+def _items(data, key: str, where: str, parse) -> tuple:
+    """Each entry of the list ``data[key]``, parsed as ``parse(entry, name)``."""
+    raw = _field(data, key, list, where)
+    return tuple(parse(item, _name(where, f"{key}[{i}]")) for i, item in enumerate(raw))
 
 
 def source_to_dict(src: Source) -> dict:
@@ -132,47 +179,42 @@ def source_to_dict(src: Source) -> dict:
     raise ValueError(f"unknown source object {src!r}")
 
 
-def source_from_dict(data: dict) -> Source:
-    kind = data.get("type")
+def source_from_dict(data: dict, where: str = "") -> Source:
+    kind = _field(data, "type", str, where)
     if kind == "flat":
-        n = int(data["n"])
-        return Flat(n, tuple(_vec(s, n, "support") for s in data["support"]))
+        n = _field(data, "n", int, where)
+        return Flat(n, _items(data, "support", where, partial(_vec, n=n)))
     if kind == "affine":
-        n = int(data["n"])
-        return Affine(
-            n,
-            _vec(data["offset"], n, "offset"),
-            tuple(_vec(s, n, "basis") for s in data["basis"]),
-        )
+        n = _field(data, "n", int, where)
+        offset = _vec(_field(data, "offset", str, where), _name(where, "offset"), n)
+        return Affine(n, offset, _items(data, "basis", where, partial(_vec, n=n)))
     if kind == "sumset":
-        x = source_from_dict(data["x"])
-        y = source_from_dict(data["y"])
+        x = source_from_dict(_field(data, "x", dict, where), _name(where, "x"))
+        y = source_from_dict(_field(data, "y", dict, where), _name(where, "y"))
         if not isinstance(x, Flat) or not isinstance(y, Flat):
             raise ValueError("sumset summands must be flat sources")
         return Sumset(x, y)
     if kind == "local":
         bits = []
-        for i, b in enumerate(data["bits"]):
-            table = b["table"]
+        for i, b in enumerate(_field(data, "bits", list, where)):
+            at = _name(where, f"bits[{i}]")
+            table = _field(b, "table", str, at)
             if any(c not in "01" for c in table):
-                raise ValueError(f"bits[{i}].table must be a 0/1 string")
-            bits.append(LocalBit(tuple(int(p) for p in b["inputs"]), tuple(int(c) for c in table)))
-        return Local(int(data["r"]), int(data["m"]), tuple(bits))
+                raise ValueError(f"{at}.table must be a 0/1 string")
+            inputs = _field(b, "inputs", list, at, of=int)
+            bits.append(LocalBit(tuple(inputs), tuple(map(int, table))))
+        return Local(_field(data, "r", int, where), _field(data, "m", int, where), tuple(bits))
     if kind == "polynomial":
-        return PolynomialImage(
-            int(data["m"]),
-            tuple(Polynomial.from_json_dict(p) for p in data["polys"]),
-        )
+        m = _field(data, "m", int, where)
+        return PolynomialImage(m, _items(data, "polys", where, _polynomial))
     if kind == "variety":
-        return Variety(
-            int(data["n"]),
-            tuple(Polynomial.from_json_dict(p) for p in data["polys"]),
-        )
+        n = _field(data, "n", int, where)
+        return Variety(n, _items(data, "polys", where, _polynomial))
     raise ValueError(f"unknown source type {kind!r}")
 
 
 def parse_source(text: str) -> Source:
-    return source_from_dict(_load_obj(text))
+    return source_from_dict(_load(text, dict))
 
 
 def emit_source(src: Source) -> str:
@@ -192,15 +234,16 @@ def descriptor_to_dict(desc: Descriptor) -> dict:
 def descriptor_from_dict(data: dict) -> Descriptor:
     """Rebuild a construction from its parameters; builders are deterministic
     in the recorded seed, so this reproduces the original object exactly."""
-    kind = data.get("kind")
+    kind = _field(data, "kind", str)
+    num = partial(_field, data, kind=int)
     if kind == "two-source":
-        return build_two_source(int(data["n"]), int(data["seed"]), r=int(data["r"]))
+        return build_two_source(num("n"), num("seed"), r=num("r"))
     if kind == "seeded":
-        return build_seeded(int(data["n"]), int(data["t"]), int(data["d"]), int(data["seed"]))
+        return build_seeded(num("n"), num("t"), num("d"), num("seed"))
     if kind == "evasive":
-        return build_evasive_h(int(data["k"]), int(data["d"]), int(data["seed"]), r=int(data["r"]))
+        return build_evasive_h(num("k"), num("d"), num("seed"), r=num("r"))
     raise ValueError(f"unknown descriptor kind {kind!r}")
 
 
 def load_json(path: Union[str, Path]) -> dict:
-    return _load_obj(Path(path).read_text())
+    return _load(Path(path).read_text(), dict)

@@ -196,14 +196,12 @@ def find_high_rank_subsets(
     m: int,
     trials: int,
     stream: Random,
-    fixed_map: Optional[BitMatrix] = None,
 ) -> HighRankSelection:
     """Select A' and B' of size binom_sum(m, d/2) whose sumset has rank >= binom_sum(m, d).
 
     Samples uniform linear maps to F_2^m until the images of both A and B
     cover the radius-d/2 Hamming ball — the only fibers the selection draws
-    from, so this acceptance test is exactly what the rank argument needs (a
-    supplied ``fixed_map`` is used instead and must cover the ball on both).
+    from, so this acceptance test is exactly what the rank argument needs.
     A' collects, for every ball point, the canonically-first preimage in A;
     likewise B'.  The rank guarantee on A' + B' is certified by elimination,
     not assumed.
@@ -225,20 +223,8 @@ def find_high_rank_subsets(
     key = _key_of_word(n)
     a = sorted(a, key=lambda p: key(p.bits))
     b = sorted(b, key=lambda p: key(p.bits))
-    attempts = 0
-    candidates = [fixed_map] if fixed_map is not None else None
-    while True:
-        attempts += 1
-        if candidates is not None:
-            if not candidates:
-                raise RetryExhaustedError(
-                    "the fixed map does not cover the radius-d/2 ball on both sets"
-                )
-            matrix = candidates.pop()
-        else:
-            if attempts > trials:
-                raise RetryExhaustedError(f"no ball-covering map within {trials} samples")
-            matrix = sample_uniform_matrix(m, n, stream)
+    for attempts in range(1, trials + 1):
+        matrix = sample_uniform_matrix(m, n, stream)
         fibers_a = _image_index(a, matrix)
         if any(z.bits not in fibers_a for z in ball_half):
             continue
@@ -253,6 +239,7 @@ def find_high_rank_subsets(
                 "sumset rank fell below the guaranteed floor; this is a bug"
             )
         return HighRankSelection(a_sel, b_sel, matrix, cert, attempts)
+    raise RetryExhaustedError(f"no ball-covering map within {trials} samples")
 
 
 @dataclass(frozen=True)
@@ -345,18 +332,16 @@ def special_sumset_sampler(
     m: int,
     trials: int,
     stream: Random,
-    fixed_map: Optional[BitMatrix] = None,
 ) -> SpecialSumsetDraw:
     """Draw the special pair (X*, Y*) whose sumset always has full eval-rank.
 
-    A uniform map E onto F_2^m is rejected until surjective on both supports
-    (or ``fixed_map`` is used, once).  The two slices of the weight-floor(d/2)
-    sphere — supports confined to the first and to the last floor(m/3)
-    coordinates — are pushed through a fresh uniform invertible mixer L, and
-    one uniform conditional preimage is drawn over each resulting fiber.  The
-    full-rank property of X* + Y* is then re-verified by elimination; it holds
-    on every draw by construction, so a False verdict would expose a bug
-    rather than bad luck.
+    A uniform map E onto F_2^m is rejected until surjective on both supports.
+    The two slices of the weight-floor(d/2) sphere — supports confined to the
+    first and to the last floor(m/3) coordinates — are pushed through a fresh
+    uniform invertible mixer L, and one uniform conditional preimage is drawn
+    over each resulting fiber.  The full-rank property of X* + Y* is then
+    re-verified by elimination; it holds on every draw by construction, so a
+    False verdict would expose a bug rather than bad luck.
     """
     if d < 1:
         raise PreconditionError("degree must be at least 1")
@@ -376,15 +361,8 @@ def special_sumset_sampler(
     shared = y_source is x_source or (xs_bits is None and ys_bits is None)
 
     surjection = None
-    for attempt in range(trials):
-        if fixed_map is not None:
-            if attempt > 0:
-                raise RetryExhaustedError("the fixed map is not surjective on both supports")
-            cand = fixed_map
-            if cand.rows != m or cand.cols != n:
-                raise PreconditionError("fixed map has the wrong shape")
-        else:
-            cand = sample_uniform_matrix(m, n, stream)
+    for _ in range(trials):
+        cand = sample_uniform_matrix(m, n, stream)
         fibers_x = _onto_fibers(xs_bits, n, cand)
         if fibers_x is None:
             continue

@@ -5,7 +5,7 @@ subspaces, sumsets of two flats, r-local functions of uniform bits, images of
 bounded-degree polynomial maps, and varieties (common zero sets).  Exact
 enumeration with :class:`fractions.Fraction` probabilities is the ground truth
 everything else (sampling, bias estimates, audits) is judged against, so
-:func:`support_of` refuses to run past an explicit budget rather than degrade.
+:func:`_support_counts` refuses to run past an explicit budget rather than degrade.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "Variety",
     "Source",
     "ambient_length",
+    "common_zeros",
     "support_of",
     "sample_source",
     "variety_reduce",
@@ -41,6 +42,9 @@ __all__ = [
 
 #: Hard cap on exact-enumeration work (points visited) in :func:`_support_counts`.
 ENUMERATION_BUDGET = 1 << 22
+
+#: Draws :func:`sample_source` makes on a variety too large to enumerate.
+REJECTION_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -195,6 +199,17 @@ def _check_budget(cost: int, what: str) -> None:
         )
 
 
+def common_zeros(polys: Sequence[Polynomial]) -> np.ndarray:
+    """Boolean mask over F_2^n of the points where every polynomial vanishes.
+
+    One truth table per polynomial; ``polys`` is nonempty and shares one n.
+    """
+    member = np.ones(1 << polys[0].order.n, dtype=bool)
+    for p in polys:
+        member &= anf.truth_table(p) == 0
+    return member
+
+
 @lru_cache(maxsize=4)
 def _variety_points(source: Variety) -> np.ndarray:
     """The variety's member points in ascending order, as a read-only array.
@@ -204,10 +219,7 @@ def _variety_points(source: Variety) -> np.ndarray:
     check the enumeration budget first; n <= 22 makes uint32 wide enough, and
     the four cached arrays hold at most 4 x 16 MiB.
     """
-    member = np.ones(1 << source.n, dtype=bool)
-    for p in source.polys:
-        member &= anf.truth_table(p) == 0
-    pts = np.flatnonzero(member).astype(np.uint32)
+    pts = np.flatnonzero(common_zeros(source.polys)).astype(np.uint32)
     pts.setflags(write=False)
     return pts
 
@@ -260,13 +272,13 @@ def support_of(source: Source) -> list[tuple[BitVector, Fraction]]:
     return out
 
 
-def sample_source(source: Source, stream: Random, rejection_budget: int = 10**6) -> BitVector:
+def sample_source(source: Source, stream: Random) -> BitVector:
     """One draw from the source.
 
     A variety within the enumeration budget draws uniformly from its member
     points, which are enumerated once and cached for up to four distinct
-    varieties; larger varieties fall back to rejection sampling with the
-    given budget.  Everything else samples directly.
+    varieties; larger varieties fall back to at most ``REJECTION_BUDGET``
+    rejection draws.  Everything else samples directly.
     """
     if isinstance(source, Flat):
         return source.support[stream.randrange(len(source.support))]
@@ -291,12 +303,12 @@ def sample_source(source: Source, stream: Random, rejection_budget: int = 10**6)
             if pts.size == 0:
                 raise PreconditionError("variety is empty")
             return BitVector(source.n, int(pts[stream.randrange(int(pts.size))]))
-        for _ in range(rejection_budget):
+        for _ in range(REJECTION_BUDGET):
             xb = stream.getrandbits(source.n)
             if not eval_polys(source.polys, xb):
                 return BitVector(source.n, xb)
         raise RetryExhaustedError(
-            f"no variety point after {rejection_budget} rejection draws"
+            f"no variety point after {REJECTION_BUDGET} rejection draws"
         )
     raise TypeError(f"not a source: {source!r}")
 

@@ -226,6 +226,24 @@ def test_cli_bias_exact(tmp_path, capsys, uniform_source):
     assert data == {"bias": "0", "mode": "exact"}
 
 
+@pytest.mark.parametrize(
+    "poly, source",
+    [
+        (
+            '{"d":1,"monomials":[[0]],"n":1}',
+            '{"type":"local","r":1,"m":1,"bits":[{"inputs":[0],"table":[0,1]}]}',
+        ),
+        ('{"d":1,"monomials":[0],"n":1}', '{"type":"flat","n":1,"support":["0","1"]}'),
+    ],
+    ids=["local-table-as-list", "monomial-as-int"],
+)
+def test_cli_wrong_typed_field_is_bad_input(tmp_path, capsys, poly, source):
+    poly_path = write(tmp_path / "f.json", poly)
+    source_path = write(tmp_path / "s.json", source)
+    assert cli.main(["bias", "--poly", poly_path, "--source", source_path]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_bias_monte_carlo(tmp_path, capsys, uniform_source):
     poly = write(tmp_path / "f.json", '{"d":1,"monomials":[[0]],"n":2}')
     rc = cli.main(

@@ -3,13 +3,14 @@
 import hashlib
 import math
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyext import rng
-from polyext.errors import PreconditionError
+from polyext import gf2, rng
+from polyext.errors import PreconditionError, RetryExhaustedError
 from polyext.gf2 import (
     AffineSolver,
     BitMatrix,
@@ -240,6 +241,16 @@ def test_sample_invertible_rejects_nonpositive():
         sample_invertible(0, rng.derive(MASTER, "gf2", "bad"))
 
 
+def test_sample_invertible_gives_up_on_a_stuck_stream(monkeypatch):
+    class ZeroStream(Random):
+        def getrandbits(self, k):
+            return 0  # never an independent column
+
+    monkeypatch.setattr(gf2, "COLUMN_RETRIES", 3)
+    with pytest.raises(RetryExhaustedError):
+        sample_invertible(2, ZeroStream())
+
+
 # ---------------------------------------------------------------------------
 # hamming_ball / weight_slice / binom_sum
 
@@ -398,10 +409,11 @@ def test_xor_basis_tracks_span():
     assert basis.add(0b011)
     assert basis.add(0b110)
     assert not basis.add(0b101)  # dependent: sum of the first two
-    assert basis.contains(0b000)
-    assert basis.contains(0b110)
-    assert not basis.contains(0b001)
+    assert not basis.add(0b000)  # add reports membership: False for span elements
+    assert not basis.add(0b110)
     assert len(basis) == 2
+    assert basis.add(0b001)  # outside the span, so it enlarges it
+    assert len(basis) == 3
 
 
 @settings(max_examples=60)

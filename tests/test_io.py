@@ -1,5 +1,7 @@
 """On-disk formats: byte-exact round trips and eager validation."""
 
+import re
+
 import pytest
 
 from polyext import rng
@@ -13,6 +15,7 @@ from polyext.io import (
     emit_polynomial,
     emit_source,
     load_json,
+    parse_family,
     parse_matrix,
     parse_polynomial,
     parse_source,
@@ -139,6 +142,36 @@ def test_source_rejects_wrong_length_offset():
         parse_source('{"type":"affine","n":3,"offset":"10","basis":[]}')
 
 
+@pytest.mark.parametrize(
+    "parse, text, field",
+    [
+        (parse_source, '{"type":"local","r":1,"m":1,"bits":[{"inputs":[0],"table":[0,1]}]}',
+         "bits[0].table"),
+        (parse_source, '{"type":"local","r":1,"m":1,"bits":[[0]]}', "bits[0]"),
+        (parse_source, '{"type":"local","r":1,"m":1,"bits":[{"inputs":["0"],"table":"01"}]}',
+         "bits[0].inputs"),
+        (parse_source, '{"type":"flat","n":"2","support":["00"]}', "n"),
+        (parse_source, '{"type":"sumset","x":[],"y":{}}', "x"),
+        (parse_source, '{"type":"sumset","x":{"type":"flat","n":1,"support":[0]},"y":{}}',
+         "x.support[0]"),
+        (parse_source, '{"type":"variety","n":1,"polys":[{"n":1,"d":1,"monomials":{}}]}',
+         "polys[0].monomials"),
+        (parse_source, '{"type":"affine","n":1,"basis":[]}', "offset"),
+        (parse_polynomial, '{"d":1,"monomials":[0],"n":1}', "monomials[0]"),
+        (parse_polynomial, '{"d":null,"monomials":[],"n":1}', "d"),
+        (parse_family, '[{"d":1,"monomials":[],"n":1}, 3]', "[1]"),
+    ],
+)
+def test_wrong_typed_field_is_named(parse, text, field):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)}: "):
+        parse(text)
+
+
+def test_family_must_be_an_array():
+    with pytest.raises(ValueError, match="array"):
+        parse_family('{"d":1,"monomials":[],"n":1}')
+
+
 # ---------------------------------------------------------------------------
 # descriptors
 
@@ -157,6 +190,11 @@ def test_descriptor_rejects_unknown_kind():
         descriptor_from_dict({"kind": "mystery"})
 
 
+def test_descriptor_rejects_wrong_typed_field():
+    with pytest.raises(ValueError, match="^seed: "):
+        descriptor_from_dict({"kind": "seeded", "n": 6, "t": 3, "d": 2, "seed": [7]})
+
+
 # ---------------------------------------------------------------------------
 # files
 
@@ -165,4 +203,5 @@ def test_save_and_load_json(tmp_path):
     path = tmp_path / "poly.json"
     p = Polynomial.from_monomials(3, 2, [[0], [1, 2]])
     path.write_text(emit_polynomial(p))
-    assert Polynomial.from_json_dict(load_json(path)) == p
+    assert load_json(path) == p.to_json_dict()
+    assert parse_polynomial(path.read_text()) == p

@@ -171,31 +171,25 @@ def test_full_rank_on_disjoint_weight_slices():
 # find_high_rank_subsets
 
 
-def test_high_rank_identity_map_on_full_space():
+def _always_map(monkeypatch, matrix: BitMatrix) -> None:
+    """Make every map the search samples equal to ``matrix``."""
+    monkeypatch.setattr(ranklab, "sample_uniform_matrix", lambda rows, cols, stream: matrix)
+
+
+def test_high_rank_identity_map_on_full_space(monkeypatch):
+    _always_map(monkeypatch, BitMatrix.identity(4))
     sel = find_high_rank_subsets(
-        full_space(4),
-        full_space(4),
-        2,
-        4,
-        1,
-        rng.derive(MASTER, "ranklab", "identity"),
-        fixed_map=BitMatrix.identity(4),
+        full_space(4), full_space(4), 2, 4, 1, rng.derive(MASTER, "ranklab", "identity")
     )
     assert sel.a_points == tuple(hamming_ball(4, 1))
     assert sel.b_points == tuple(hamming_ball(4, 1))
     assert sel.certificate.rank >= binom_sum(4, 2)
 
 
-def test_high_rank_with_coordinate_projection():
-    proj = BitMatrix(4, 8, [1 << i for i in range(4)])
+def test_high_rank_with_coordinate_projection(monkeypatch):
+    _always_map(monkeypatch, BitMatrix(4, 8, [1 << i for i in range(4)]))
     sel = find_high_rank_subsets(
-        full_space(8),
-        full_space(8),
-        2,
-        4,
-        1,
-        rng.derive(MASTER, "ranklab", "projection"),
-        fixed_map=proj,
+        full_space(8), full_space(8), 2, 4, 1, rng.derive(MASTER, "ranklab", "projection")
     )
     assert len(sel.a_points) == len(sel.b_points) == 5 == binom_sum(4, 1)
     assert sel.certificate.rank >= 11 == binom_sum(4, 2)
@@ -224,12 +218,12 @@ def test_high_rank_rejects_tiny_sets():
         find_high_rank_subsets(pts, pts, 2, 4, 5, rng.derive(MASTER, "y"))
 
 
-def test_high_rank_fixed_map_must_cover():
+def test_high_rank_gives_up_when_no_map_covers_the_ball(monkeypatch):
     # the zero map sends everything to 0, never covering the ball
-    zero = BitMatrix.zero(3, 4)
+    _always_map(monkeypatch, BitMatrix.zero(3, 4))
     pts = full_space(4)
-    with pytest.raises(RetryExhaustedError):
-        find_high_rank_subsets(pts, pts, 2, 3, 5, rng.derive(MASTER, "z"), fixed_map=zero)
+    with pytest.raises(RetryExhaustedError, match="within 5 samples"):
+        find_high_rank_subsets(pts, pts, 2, 3, 5, rng.derive(MASTER, "z"))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from polyext.bias import (
     moment_by_eval_collision,
     moment_by_poly_enumeration,
 )
-from polyext.errors import BudgetExceededError, PreconditionError
+from polyext.errors import BudgetExceededError, PreconditionError, RetryExhaustedError
 from polyext.gf2 import BitVector, sample_uniform_matrix, span_rank
 from polyext.sources import (
     Affine,
@@ -429,6 +429,14 @@ def test_one_enumeration_budget_for_every_branch(monkeypatch):
     stream = rng.derive(MASTER, "sources", "budget-rejection")
     assert all(sample_source(src, stream).bits & 0b11 != 0b11 for _ in range(50))
     assert calls[0] == 0
+
+
+def test_rejection_draw_gives_up_on_an_empty_variety(monkeypatch):
+    monkeypatch.setattr(sources, "ENUMERATION_BUDGET", 1 << 4)
+    monkeypatch.setattr(sources, "REJECTION_BUDGET", 10)
+    one = Polynomial.from_monomials(5, 2, [[]])
+    with pytest.raises(RetryExhaustedError):
+        sample_source(Variety(5, (one,)), rng.derive(MASTER, "sources", "empty-rejection"))
 
 
 def test_empty_variety_draw_rejected():
