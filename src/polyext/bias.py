@@ -26,7 +26,7 @@ from . import anf, sources
 from .anf import Polynomial, eval_bits, eval_polys, eval_words, monomial_order
 from .errors import BudgetExceededError, PreconditionError
 from .reports import AuditReport
-from .sources import Source, _support_counts, ambient_length, sample_source
+from .sources import Source, _support_counts, ambient_length, sample_words
 
 __all__ = [
     "BiasReport",
@@ -90,10 +90,11 @@ def bias_mc(
 ) -> BiasReport:
     """Estimate the bias from independent draws.
 
-    Draws come from the stream in order and are evaluated in blocks, one
-    :func:`anf.eval_words` call per chunk of at most ``MC_CHUNK`` draws, so
-    memory stays bounded for any sample count.  The estimate is
-    (samples - 2 * ones) / samples, where ones counts the draws with f = 1.
+    Draws come from the stream in order, one :func:`sources.sample_words`
+    call and one :func:`anf.eval_words` call per chunk of at most
+    ``MC_CHUNK`` draws, so memory stays bounded for any sample count.  The
+    estimate is (samples - 2 * ones) / samples, where ones counts the draws
+    with f = 1.
 
     The reported halfwidth bounds |estimate - bias| except with probability
     at most ``fail_prob``; it comes from the two-sided exponential tail for
@@ -103,7 +104,7 @@ def bias_mc(
     _check_length(f, source)
     ones = 0
     for start in range(0, samples, MC_CHUNK):
-        chunk = [sample_source(source, stream).bits for _ in range(min(MC_CHUNK, samples - start))]
+        chunk = sample_words(source, min(MC_CHUNK, samples - start), stream)
         ones += int(np.count_nonzero(eval_words((f,), chunk)))
     return BiasReport((samples - 2 * ones) / samples, samples, hw, fail_prob)
 

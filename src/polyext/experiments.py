@@ -37,6 +37,7 @@ from .gf2 import (
     sample_uniform_matrix,
     subset_xors,
 )
+from .io import _field, _typed
 from .oracles import (
     cw_shift_count,
     dichotomy_check,
@@ -479,6 +480,13 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """A validated config from its JSON object.
+
+    Every field must have its JSON type, and every param the JSON type of its
+    registry default (a float default also takes an int, and no number is a
+    bool); a wrong type raises ``ValueError`` naming the field.  An optional
+    field that is absent or null takes its default.
+    """
     extra = set(data) - {"experiment", "seed", "trials", "params", "out", "format"}
     if extra:
         raise PreconditionError(f"unknown config fields: {sorted(extra)}")
@@ -486,14 +494,24 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise PreconditionError("config needs an 'experiment' field")
     if "seed" not in data:
         raise PreconditionError("config needs a 'seed' field (no wall-clock default)")
-    return ExperimentConfig(
-        experiment=str(data["experiment"]),
-        seed=data["seed"],
-        trials=int(data.get("trials", 100)),
-        params=dict(data.get("params", {})),
-        out=data.get("out"),
-        format=str(data.get("format", "json")),
+
+    def optional(key: str, kind: type, default):
+        return default if data.get(key) is None else _field(data, key, kind)
+
+    config = ExperimentConfig(
+        experiment=_field(data, "experiment", str),
+        seed=_field(data, "seed", int),
+        trials=optional("trials", int, 100),
+        params=dict(optional("params", dict, {})),
+        out=optional("out", str, None),
+        format=optional("format", str, "json"),
     )
+    defaults = EXPERIMENTS[config.experiment].defaults
+    for key, value in config.params.items():
+        kind = type(defaults[key])
+        if not (kind is float and type(value) is int):
+            _typed(value, kind, f"params.{key}")
+    return config
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -23,7 +23,8 @@ from .constructions import (
     build_seeded,
     build_two_source,
 )
-from .gf2 import BitMatrix, BitVector
+from .errors import BudgetExceededError
+from .gf2 import BitMatrix, BitVector, binom_sum
 from .reports import render_json
 from .sources import (
     Affine,
@@ -52,6 +53,10 @@ __all__ = [
 ]
 
 Descriptor = Union[TwoSourceDescriptor, SeededDescriptor, EvasiveDescriptor]
+
+#: Most monomials a polynomial read from a file may range over, binom_sum(n, d);
+#: n = 80, d = 3 (85,401 monomials) builds its order in about 0.1 s.
+MONOMIAL_BUDGET = 1 << 17
 
 
 def parse_matrix(text: str) -> BitMatrix:
@@ -91,6 +96,14 @@ def _field(data, key: str, kind: type, where: str = "", of: type | None = None):
 
 def _polynomial(data, where: str = "") -> Polynomial:
     n, d = _field(data, "n", int, where), _field(data, "d", int, where)
+    # binom_sum(n, d) grows with d; at d = b = MONOMIAL_BUDGET.bit_length() it
+    # is already over the budget unless n <= b, where a larger d adds nothing.
+    # Capping d at b keeps the check exact and costs at most b + 1 binomials.
+    if binom_sum(n, min(d, MONOMIAL_BUDGET.bit_length())) > MONOMIAL_BUDGET:
+        raise BudgetExceededError(
+            f"{where or 'polynomial'}: n={n}, d={d} ranges over more than "
+            f"{MONOMIAL_BUDGET} monomials"
+        )
     monomials = _field(data, "monomials", list, where)
     for k, mon in enumerate(monomials):
         _typed(mon, list, _name(where, f"monomials[{k}]"), of=int)

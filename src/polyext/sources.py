@@ -36,6 +36,7 @@ __all__ = [
     "common_zeros",
     "support_of",
     "sample_source",
+    "sample_words",
     "variety_reduce",
     "uniform_flat",
 ]
@@ -252,7 +253,7 @@ def _support_counts(source: Source) -> tuple[np.ndarray, np.ndarray, int]:
         raw = np.bitwise_xor.outer(xs, ys).ravel()
     elif isinstance(source, (Local, PolynomialImage)):
         _check_budget(1 << source.m, "input enumeration")
-        raw = np.fromiter(map(source.value, range(1 << source.m)), dtype=dtype, count=1 << source.m)
+        raw = _image_words(source, np.arange(1 << source.m, dtype=np.uint64))
     else:
         raise TypeError(f"not a source: {source!r}")
     words, counts = np.unique(raw, return_counts=True)
@@ -272,31 +273,112 @@ def support_of(source: Source) -> list[tuple[BitVector, Fraction]]:
     return out
 
 
+def sample_words(source: Source, count: int, stream: Random) -> np.ndarray:
+    """``count`` packed draws from the source, in the dtype of :func:`_support_counts`.
+
+    Reads the stream exactly as ``count`` calls of :func:`sample_source`
+    would, so entry k equals the k-th of those draws.  Each kind draws its
+    random words in order and then forms the outputs in one batch: support
+    words are gathered without a :class:`BitVector` per draw, a small affine
+    span is read from its subset-XOR table, and local and polynomial-image
+    inputs go through :func:`_image_words`.  A variety draws one point at a
+    time through :func:`sample_source`, whose rejection path tests each draw.
+    """
+    dtype = np.uint64 if ambient_length(source) <= 64 else object
+    if isinstance(source, Flat):
+        sup, size = source.support, len(source.support)
+        words = [sup[stream.randrange(size)].bits for _ in range(count)]
+    elif isinstance(source, Affine):
+        k, offset = len(source.basis), source.offset.bits
+        basis = [b.bits for b in source.basis]
+        if not basis:
+            words = [offset] * count
+        elif 1 << k <= count * k:
+            # the 2^k-entry table costs less than k XORs per draw
+            table = subset_xors(basis, offset)
+            words = [table[stream.getrandbits(k)] for _ in range(count)]
+        else:
+            words = [_subset_xor(basis, stream.getrandbits(k), offset) for _ in range(count)]
+    elif isinstance(source, Sumset):
+        xs, ys = source.x.support, source.y.support
+        nx, ny = len(xs), len(ys)
+        words = [xs[stream.randrange(nx)].bits ^ ys[stream.randrange(ny)].bits for _ in range(count)]
+    elif isinstance(source, (Local, PolynomialImage)):
+        m = source.m
+        inputs = np.fromiter(
+            (stream.getrandbits(m) for _ in range(count)),
+            dtype=np.uint64 if m <= 64 else object,
+            count=count,
+        )
+        return _image_words(source, inputs)
+    else:
+        words = [sample_source(source, stream).bits for _ in range(count)]
+    return np.fromiter(words, dtype=dtype, count=count)
+
+
+def _subset_xor(words: Sequence[int], r: int, offset: int) -> int:
+    """offset XOR the words at the set bits of r."""
+    for k, w in enumerate(words):
+        if (r >> k) & 1:
+            offset ^= w
+    return offset
+
+
+def _image_words(source: Union[Local, PolynomialImage], inputs: np.ndarray) -> np.ndarray:
+    """``source.value`` at each input word, in the dtype of :func:`_support_counts`.
+
+    Up to 64 input and output bits this is one :func:`anf.eval_words` call for
+    a polynomial image and a blocked numpy gather for a local source.  Wider
+    sources go through ``source.value`` point by point, and so does a single
+    point (one :func:`sample_source` draw), which costs less that way than
+    the fixed overhead of a numpy batch.
+    """
+    width = ambient_length(source)
+    if width > 64 or source.m > 64 or inputs.size == 1:
+        dtype = np.uint64 if width <= 64 else object
+        return np.fromiter(map(source.value, inputs.tolist()), dtype=dtype, count=inputs.size)
+    if isinstance(source, PolynomialImage):
+        return anf.eval_words(source.polys, inputs)
+    columns, table, base = _local_layout(source)
+    places = np.arange(width, dtype=np.uint64)
+    out = np.empty(inputs.size, dtype=np.uint64)
+    step = max(1, anf.EVAL_BLOCK // width)
+    for lo in range(0, inputs.size, step):
+        u = inputs[lo : lo + step, None]
+        idx = base
+        for k, (pos, mask) in enumerate(columns):
+            idx = idx + (((u >> pos) << np.uint64(k)) & mask)
+        out[lo : lo + step] = (table[idx] << places).sum(axis=1, dtype=np.uint64)
+    return out
+
+
+@lru_cache(maxsize=4)
+def _local_layout(source: Local) -> tuple:
+    """A local source's lookup tables as arrays for :func:`_image_words`.
+
+    Column k holds, for every output bit, the position of its k-th input and
+    the mask ``1 << k``; a bit that reads fewer than k + 1 inputs gets
+    position 0 and mask 0 there, so the padding adds nothing to its table
+    index.  All tables sit end to end in ``table``, bit i's from ``base[i]``.
+    """
+    columns = []
+    for k in range(max(len(b.inputs) for b in source.bits)):
+        reads = [k < len(b.inputs) for b in source.bits]
+        pos = np.array([b.inputs[k] if r else 0 for b, r in zip(source.bits, reads)], dtype=np.uint64)
+        columns.append((pos, np.array(reads, dtype=np.uint64) << np.uint64(k)))
+    table = np.array([t for b in source.bits for t in b.table], dtype=np.uint64)
+    base = np.cumsum([0] + [len(b.table) for b in source.bits[:-1]]).astype(np.uint64)
+    return tuple(columns), table, base
+
+
 def sample_source(source: Source, stream: Random) -> BitVector:
     """One draw from the source.
 
     A variety within the enumeration budget draws uniformly from its member
     points, which are enumerated once and cached for up to four distinct
     varieties; larger varieties fall back to at most ``REJECTION_BUDGET``
-    rejection draws.  Everything else samples directly.
+    rejection draws.  Every other kind is a one-draw :func:`sample_words`.
     """
-    if isinstance(source, Flat):
-        return source.support[stream.randrange(len(source.support))]
-    if isinstance(source, Affine):
-        x = source.offset.bits
-        if source.basis:
-            r = stream.getrandbits(len(source.basis))
-            for k, b in enumerate(source.basis):
-                if (r >> k) & 1:
-                    x ^= b.bits
-        return BitVector(source.n, x)
-    if isinstance(source, Sumset):
-        xv = source.x.support[stream.randrange(len(source.x.support))]
-        yv = source.y.support[stream.randrange(len(source.y.support))]
-        return xv ^ yv
-    if isinstance(source, (Local, PolynomialImage)):
-        u = stream.getrandbits(source.m)
-        return BitVector(ambient_length(source), source.value(u))
     if isinstance(source, Variety):
         if 1 << source.n <= ENUMERATION_BUDGET:
             pts = _variety_points(source)
@@ -310,7 +392,7 @@ def sample_source(source: Source, stream: Random) -> BitVector:
         raise RetryExhaustedError(
             f"no variety point after {REJECTION_BUDGET} rejection draws"
         )
-    raise TypeError(f"not a source: {source!r}")
+    return BitVector(ambient_length(source), int(sample_words(source, 1, stream)[0]))
 
 
 def variety_reduce(

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,45 @@ def test_cli_wrong_typed_field_is_bad_input(tmp_path, capsys, poly, source):
     source_path = write(tmp_path / "s.json", source)
     assert cli.main(["bias", "--poly", poly_path, "--source", source_path]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"trials": [5]}, "trials"),
+        ({"trials": 2.0}, "trials"),
+        ({"params": [1]}, "params"),
+        ({"params": {"n_max": "x"}}, "params.n_max"),
+        ({"params": {"n_max": 4.0}}, "params.n_max"),
+        ({"params": {"d": True}}, "params.d"),
+        ({"params": {"mean_retry_bound": False}}, "params.mean_retry_bound"),
+        ({"format": 3}, "format"),
+        ({"out": 7}, "out"),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
+)
+def test_cli_wrong_typed_config_is_bad_input(tmp_path, capsys, config, field):
+    path = write(tmp_path / "c.json", json.dumps({"experiment": "variety-reduction", "seed": 1, **config}))
+    assert cli.main(["experiment", "variety-reduction", "--seed", "1", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: expected ")
+
+
+def test_config_float_param_takes_an_int():
+    cfg = config_from_dict(
+        {"experiment": "variety-reduction", "seed": 1, "trials": 2, "params": {"mean_retry_bound": 3}}
+    )
+    assert run_experiment(cfg).params["mean_retry_bound"] == 3
+
+
+def test_cli_polynomial_past_the_monomial_budget_is_bad_input(tmp_path, capsys, uniform_source):
+    """n = 10^5 would ask for about 1.7e14 monomials; it is refused before any is built."""
+    poly = write(tmp_path / "f.json", '{"d":3,"monomials":[],"n":100000}')
+    start = time.perf_counter()
+    assert cli.main(["bias", "--poly", poly, "--source", uniform_source]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "monomials" in err
 
 
 def test_cli_bias_monte_carlo(tmp_path, capsys, uniform_source):

@@ -1,13 +1,15 @@
 """On-disk formats: byte-exact round trips and eager validation."""
 
+import json
 import re
 
 import pytest
 
-from polyext import rng
+from polyext import io, rng
 from polyext.anf import Polynomial
 from polyext.constructions import build_evasive_h, build_seeded, build_two_source
-from polyext.gf2 import BitVector
+from polyext.errors import BudgetExceededError
+from polyext.gf2 import BitVector, binom_sum
 from polyext.io import (
     descriptor_from_dict,
     descriptor_to_dict,
@@ -88,6 +90,28 @@ def test_polynomial_rejects_out_of_range_index():
 def test_polynomial_rejects_overweight_monomial():
     with pytest.raises(ValueError, match="degree cap"):
         parse_polynomial('{"d":1,"monomials":[[0,1]],"n":2}')
+
+
+def test_polynomial_past_the_monomial_budget_is_refused_before_its_order():
+    with pytest.raises(BudgetExceededError, match="monomials"):
+        parse_polynomial('{"d":3,"monomials":[],"n":120}')
+    # a degree cap far past n costs no more than a small one to refuse
+    with pytest.raises(BudgetExceededError):
+        parse_family('[{"d":100000,"monomials":[],"n":100000}]')
+    with pytest.raises(ValueError, match="nonnegative"):
+        parse_polynomial('{"d":1,"monomials":[],"n":-1}')
+
+
+def test_monomial_budget_check_is_exact(monkeypatch):
+    monkeypatch.setattr(io, "MONOMIAL_BUDGET", 1 << 4)
+    for n in range(13):
+        for d in range(13):
+            text = json.dumps({"n": n, "d": d, "monomials": []})
+            if binom_sum(n, d) > 1 << 4:
+                with pytest.raises(BudgetExceededError):
+                    parse_polynomial(text)
+            else:
+                assert parse_polynomial(text).order.size == binom_sum(n, d)
 
 
 def test_polynomial_rejects_malformed_json():

@@ -29,6 +29,7 @@ from polyext.sources import (
     Variety,
     ambient_length,
     sample_source,
+    sample_words,
     support_of,
     uniform_flat,
     variety_reduce,
@@ -443,6 +444,91 @@ def test_empty_variety_draw_rejected():
     one = Polynomial.from_monomials(3, 2, [[]])
     with pytest.raises(PreconditionError):
         sample_source(Variety(3, (one,)), rng.derive(MASTER, "sources", "empty-draw"))
+
+
+# ---------------------------------------------------------------------------
+# sample_words: one batch reads the stream as that many sample_source calls
+
+
+def _batch_sources() -> dict:
+    """Sources whose batch path differs from the pinned ones in some corner."""
+    s = rng.derive(MASTER, "sources", "batch-sources")
+    sparse_bits = (
+        LocalBit((5,), (1, 0)),
+        LocalBit((), (1,)),  # reads no input: a constant bit
+        LocalBit((2, 7, 0), tuple(s.getrandbits(1) for _ in range(8))),
+        LocalBit((6, 1), (0, 1, 1, 1)),
+    )
+    wide_bits = tuple(
+        LocalBit(tuple(s.sample(range(9), 2)), tuple(s.getrandbits(1) for _ in range(4)))
+        for _ in range(70)
+    )
+    basis: list[BitVector] = []
+    while len(basis) < 12:
+        v = BitVector(20, s.getrandbits(20))
+        if span_rank([b.bits for b in basis] + [v.bits]) > len(basis):
+            basis.append(v)
+    return {
+        "local-sparse": Local(3, 8, sparse_bits),
+        "local-wide": Local(2, 9, wide_bits),
+        "polyimage-wide": PolynomialImage(5, tuple(sample_poly(5, 2, s) for _ in range(70))),
+        "flat-wide": Flat(100, tuple(dict.fromkeys(BitVector(100, s.getrandbits(100)) for _ in range(9)))),
+        "affine-empty": Affine(12, BitVector(12, s.getrandbits(12)), ()),
+        # 2^12 table entries cost more than 12 XORs for each of 50 draws
+        "affine-untabled": Affine(20, BitVector(20, s.getrandbits(20)), tuple(basis)),
+    }
+
+
+def _assert_batch_matches_draws(src, count: int, label: str) -> None:
+    batch = rng.derive(MASTER, "sources", "batch", label)
+    twin = rng.derive(MASTER, "sources", "batch", label)
+    words = sample_words(src, count, batch)
+    assert words.shape == (count,)
+    assert words.dtype == (np.uint64 if ambient_length(src) <= 64 else object)
+    assert words.tolist() == [sample_source(src, twin).bits for _ in range(count)]
+    assert batch.getrandbits(64) == twin.getrandbits(64)
+
+
+@pytest.mark.parametrize("count", [0, 1, 50])
+@pytest.mark.parametrize("kind", sorted(PINNED_DRAWS) + sorted(_batch_sources()))
+def test_sample_words_reads_the_stream_as_single_draws(kind, count):
+    src = {**_pinned_sources(), **_batch_sources()}[kind]
+    _assert_batch_matches_draws(src, count, kind)
+
+
+def test_sample_words_takes_the_affine_table_path():
+    """200 draws of a 5-dimensional span read the 32-entry subset-XOR table."""
+    _assert_batch_matches_draws(_pinned_sources()["affine"], 200, "affine-table")
+
+
+def test_sample_words_on_a_variety_drawn_by_rejection(monkeypatch):
+    monkeypatch.setattr(sources, "ENUMERATION_BUDGET", 1 << 4)
+    src = Variety(6, (Polynomial.from_monomials(6, 2, [[0, 1], [2]]),))
+    _assert_batch_matches_draws(src, 60, "variety-budget-rejection")
+
+
+def test_sample_words_gathers_local_bits_across_blocks(monkeypatch):
+    """A block of a single point, or of a few, gives the same words as one block."""
+    src = _pinned_sources()["local"]
+    whole = sample_words(src, 300, rng.derive(MASTER, "sources", "local-blocks"))
+    for block in (1, 7, 64):
+        monkeypatch.setattr(anf, "EVAL_BLOCK", block)
+        again = sample_words(src, 300, rng.derive(MASTER, "sources", "local-blocks"))
+        assert again.tolist() == whole.tolist()
+
+
+@pytest.mark.parametrize("kind", ["local", "polyimage", "local-sparse", "local-wide", "polyimage-wide"])
+def test_batch_support_counts_match_per_point_enumeration(kind):
+    src = {**_pinned_sources(), **_batch_sources()}[kind]
+    size = 1 << src.m
+    dtype = np.uint64 if ambient_length(src) <= 64 else object
+    reference = np.fromiter(map(src.value, range(size)), dtype=dtype, count=size)
+    ref_words, ref_counts = np.unique(reference, return_counts=True)
+    words, counts, total = sources._support_counts(src)
+    assert words.dtype == dtype
+    assert words.tolist() == ref_words.tolist()
+    assert counts.tolist() == ref_counts.tolist()
+    assert total == size
 
 
 # ---------------------------------------------------------------------------
