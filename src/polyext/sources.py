@@ -291,9 +291,7 @@ def sample_words(source: Source, count: int, stream: Random) -> np.ndarray:
     elif isinstance(source, Affine):
         k, offset = len(source.basis), source.offset.bits
         basis = [b.bits for b in source.basis]
-        if not basis:
-            words = [offset] * count
-        elif 1 << k <= count * k:
+        if 1 << k <= count * k:
             # the 2^k-entry table costs less than k XORs per draw
             table = subset_xors(basis, offset)
             words = [table[stream.getrandbits(k)] for _ in range(count)]
@@ -329,12 +327,10 @@ def _image_words(source: Union[Local, PolynomialImage], inputs: np.ndarray) -> n
 
     Up to 64 input and output bits this is one :func:`anf.eval_words` call for
     a polynomial image and a blocked numpy gather for a local source.  Wider
-    sources go through ``source.value`` point by point, and so does a single
-    point (one :func:`sample_source` draw), which costs less that way than
-    the fixed overhead of a numpy batch.
+    sources go through ``source.value`` point by point.
     """
     width = ambient_length(source)
-    if width > 64 or source.m > 64 or inputs.size == 1:
+    if width > 64 or source.m > 64:
         dtype = np.uint64 if width <= 64 else object
         return np.fromiter(map(source.value, inputs.tolist()), dtype=dtype, count=inputs.size)
     if isinstance(source, PolynomialImage):
@@ -345,7 +341,8 @@ def _image_words(source: Union[Local, PolynomialImage], inputs: np.ndarray) -> n
     step = max(1, anf.EVAL_BLOCK // width)
     for lo in range(0, inputs.size, step):
         u = inputs[lo : lo + step, None]
-        idx = base
+        # broadcast, so a source whose bits read no input still indexes a 2-D block
+        idx = np.broadcast_to(base, (u.shape[0], width))
         for k, (pos, mask) in enumerate(columns):
             idx = idx + (((u >> pos) << np.uint64(k)) & mask)
         out[lo : lo + step] = (table[idx] << places).sum(axis=1, dtype=np.uint64)

@@ -471,6 +471,7 @@ def _batch_sources() -> dict:
     return {
         "local-sparse": Local(3, 8, sparse_bits),
         "local-wide": Local(2, 9, wide_bits),
+        "local-constant": Local(1, 3, (LocalBit((), (1,)), LocalBit((), (0,)), LocalBit((), (1,)))),
         "polyimage-wide": PolynomialImage(5, tuple(sample_poly(5, 2, s) for _ in range(70))),
         "flat-wide": Flat(100, tuple(dict.fromkeys(BitVector(100, s.getrandbits(100)) for _ in range(9)))),
         "affine-empty": Affine(12, BitVector(12, s.getrandbits(12)), ()),
@@ -517,7 +518,9 @@ def test_sample_words_gathers_local_bits_across_blocks(monkeypatch):
         assert again.tolist() == whole.tolist()
 
 
-@pytest.mark.parametrize("kind", ["local", "polyimage", "local-sparse", "local-wide", "polyimage-wide"])
+@pytest.mark.parametrize(
+    "kind", ["local", "polyimage", "local-sparse", "local-constant", "local-wide", "polyimage-wide"]
+)
 def test_batch_support_counts_match_per_point_enumeration(kind):
     src = {**_pinned_sources(), **_batch_sources()}[kind]
     size = 1 << src.m
