@@ -205,8 +205,9 @@ class BitMatrix:
 class XorBasis:
     """Incremental row basis for GF(2) spans, keyed by leading bit.
 
-    ``add`` returns True exactly when the word enlarged the span, which is how
-    rank certificates track their witness rows.
+    ``add`` returns True exactly when the word enlarged the span.  The hot
+    loops (``span_rank``, ``sample_invertible``, ranklab's full-rank core)
+    inline the same elimination instead of calling it per word.
     """
 
     __slots__ = ("_pivots",)
@@ -244,13 +245,31 @@ def rank(matrix: BitMatrix) -> int:
 
 
 def span_rank(words: Iterable[int]) -> int:
-    """Rank of a collection of packed row words."""
-    return sum(map(XorBasis().add, words))
+    """Rank of a collection of packed row words.
+
+    The elimination is :meth:`XorBasis.add` inlined on a local pivot list
+    indexed by bit length, which saves a method call per word on the hot
+    paths.
+    """
+    words = list(words)
+    pivots = [0] * (max(words, default=0).bit_length() + 1)
+    rank = 0
+    for word in words:
+        while word:
+            lead = word.bit_length()
+            pivot = pivots[lead]
+            if not pivot:
+                pivots[lead] = word
+                rank += 1
+                break
+            word ^= pivot
+    return rank
 
 
 def sample_uniform_matrix(rows: int, cols: int, stream: Random) -> BitMatrix:
     """Uniformly random rows x cols matrix over GF(2)."""
-    return BitMatrix(rows, cols, [stream.getrandbits(cols) if cols else 0 for _ in range(rows)])
+    getrandbits = stream.getrandbits
+    return BitMatrix(rows, cols, [getrandbits(cols) for _ in range(rows)])
 
 
 def sample_invertible(m: int, stream: Random) -> BitMatrix:
@@ -264,22 +283,28 @@ def sample_invertible(m: int, stream: Random) -> BitMatrix:
     """
     if m <= 0:
         raise PreconditionError("matrix dimension must be positive")
-    basis = XorBasis()
-    columns: list[int] = []
-    for i in range(m):
+    getrandbits = stream.getrandbits
+    pivots = [0] * (m + 1)  # XorBasis.add inlined, as in span_rank
+    rows = [0] * m
+    for j in range(m):
         for _ in range(COLUMN_RETRIES):
-            cand = stream.getrandbits(m)
-            if basis.add(cand):
-                columns.append(cand)
+            cand = word = getrandbits(m)
+            while word:
+                lead = word.bit_length()
+                pivot = pivots[lead]
+                if not pivot:
+                    break
+                word ^= pivot
+            if word:
+                pivots[lead] = word
                 break
         else:
-            raise RetryExhaustedError(f"no independent column {i} after {COLUMN_RETRIES} tries")
-    rows = [0] * m
-    for j, col in enumerate(columns):
-        while col:
-            low = col & -col
-            rows[low.bit_length() - 1] |= 1 << j
-            col ^= low
+            raise RetryExhaustedError(f"no independent column {j} after {COLUMN_RETRIES} tries")
+        bit = 1 << j  # column j is cand: set bit j of each row it has a one in
+        while cand:
+            low = cand & -cand
+            rows[low.bit_length() - 1] |= bit
+            cand ^= low
     return BitMatrix(m, m, rows)
 
 
@@ -376,38 +401,41 @@ class AffineSolver:
     __slots__ = ("ncols", "_pivots", "_checks", "_free_cols")
 
     def __init__(self, row_words: Sequence[int], ncols: int):
-        m = len(row_words)
-        work = list(row_words)
-        combo = [1 << i for i in range(m)]  # combo[i] tracks work[i] as a mix of inputs
-        next_row = 0
-        for col in range(ncols):
-            if next_row == m:
-                break  # every row holds a pivot; the remaining columns are free
-            bit = 1 << col
-            for sel in range(next_row, m):
-                if work[sel] & bit:
+        mask = (1 << ncols) - 1
+        # Each row carries, above bit ncols, the mix of input rows it holds.
+        pivots = [0] * ncols  # pivots[c]: the row whose lowest bit is column c, or 0
+        checks: list[int] = []
+        for i, word in enumerate(row_words):
+            row = word & mask | 1 << (ncols + i)
+            while True:
+                low = row & mask
+                if not low:  # eliminated to zero: a consistency condition <combo, z> = 0
+                    checks.append(row >> ncols)
                     break
-            else:
-                continue
-            row, mix = work[sel], combo[sel]
-            work[sel], combo[sel] = work[next_row], combo[next_row]
-            work[next_row], combo[next_row] = row, mix
-            for i in range(m):
-                if i != next_row and work[i] & bit:
-                    work[i] ^= row
-                    combo[i] ^= mix
-            next_row += 1
+                col = (low & -low).bit_length() - 1
+                pivot = pivots[col]
+                if not pivot:
+                    pivots[col] = row
+                    break
+                row ^= pivot
+        # Back-substitute from the highest pivot down, giving the reduced
+        # echelon form: each row keeps only its own pivot column.
+        cols = [c for c in range(ncols) if pivots[c]]
+        pivot_mask = 0
+        for col in reversed(cols):
+            row = pivots[col]
+            above = row & pivot_mask
+            while above:
+                low = above & -above
+                row ^= pivots[low.bit_length() - 1]
+                above ^= low
+            pivots[col] = row
+            pivot_mask |= 1 << col
         self.ncols = ncols
-        # After full RREF each surviving row's pivot is its lowest set bit.
-        pivots: list[tuple[int, int, int]] = []  # (column, row without its pivot, combo)
-        for i in range(next_row):
-            low = work[i] & -work[i]
-            pivots.append((low.bit_length() - 1, work[i] ^ low, combo[i]))
-        self._pivots = tuple(pivots)
-        # Rows eliminated to zero give the consistency conditions <combo, z> = 0.
-        self._checks = tuple(combo[i] for i in range(next_row, m))
-        pivot_set = {c for c, _, _ in self._pivots}
-        self._free_cols = tuple(c for c in range(ncols) if c not in pivot_set)
+        # (column, row without its pivot, combo)
+        self._pivots = tuple([(c, pivots[c] & mask ^ 1 << c, pivots[c] >> ncols) for c in cols])
+        self._checks = tuple(checks)
+        self._free_cols = tuple([c for c in range(ncols) if not pivots[c]])
 
     def solvable(self, z_bits: int) -> bool:
         for c in self._checks:
@@ -425,5 +453,5 @@ class AffineSolver:
             for k, col in enumerate(self._free_cols):
                 x |= ((r >> k) & 1) << col
         for col, rest, combo in self._pivots:
-            x |= (((combo & z_bits).bit_count() ^ (rest & x).bit_count()) & 1) << col
+            x |= (((combo & z_bits) ^ (rest & x)).bit_count() & 1) << col
         return x

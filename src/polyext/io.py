@@ -94,16 +94,20 @@ def _field(data, key: str, kind: type, where: str = "", of: type | None = None):
     return _typed(data[key], kind, _name(where, key), of)
 
 
-def _polynomial(data, where: str = "") -> Polynomial:
-    n, d = _field(data, "n", int, where), _field(data, "d", int, where)
+def _check_monomials(n: int, d: int, what: str) -> None:
+    """Refuse a monomial order of more than MONOMIAL_BUDGET monomials before it is built."""
     # binom_sum(n, d) grows with d; at d = b = MONOMIAL_BUDGET.bit_length() it
     # is already over the budget unless n <= b, where a larger d adds nothing.
     # Capping d at b keeps the check exact and costs at most b + 1 binomials.
     if binom_sum(n, min(d, MONOMIAL_BUDGET.bit_length())) > MONOMIAL_BUDGET:
         raise BudgetExceededError(
-            f"{where or 'polynomial'}: n={n}, d={d} ranges over more than "
-            f"{MONOMIAL_BUDGET} monomials"
+            f"{what} ranges over more than {MONOMIAL_BUDGET} monomials"
         )
+
+
+def _polynomial(data, where: str = "") -> Polynomial:
+    n, d = _field(data, "n", int, where), _field(data, "d", int, where)
+    _check_monomials(n, d, f"{where or 'polynomial'}: n={n}, d={d}")
     monomials = _field(data, "monomials", list, where)
     for k, mon in enumerate(monomials):
         _typed(mon, list, _name(where, f"monomials[{k}]"), of=int)
@@ -249,12 +253,20 @@ def descriptor_from_dict(data: dict) -> Descriptor:
     in the recorded seed, so this reproduces the original object exactly."""
     kind = _field(data, "kind", str)
     num = partial(_field, data, kind=int)
+    # Each builder draws polynomials over (or evaluates) one monomial order,
+    # which is budgeted like a polynomial file's before the builder runs.
     if kind == "two-source":
-        return build_two_source(num("n"), num("seed"), r=num("r"))
+        n = num("n")
+        _check_monomials(n, 2, f"two-source descriptor: n={n}, degree 2")
+        return build_two_source(n, num("seed"), r=num("r"))
     if kind == "seeded":
-        return build_seeded(num("n"), num("t"), num("d"), num("seed"))
+        t, d = num("t"), num("d")
+        _check_monomials(t, d, f"seeded descriptor: t={t}, d={d}")
+        return build_seeded(num("n"), t, d, num("seed"))
     if kind == "evasive":
-        return build_evasive_h(num("k"), num("d"), num("seed"), r=num("r"))
+        k, d = num("k"), num("d")
+        _check_monomials(k, d, f"evasive descriptor: k={k}, d={d}")
+        return build_evasive_h(k, d, num("seed"), r=num("r"))
     raise ValueError(f"unknown descriptor kind {kind!r}")
 
 

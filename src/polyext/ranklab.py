@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from random import Random
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .anf import eval_bits, monomial_order
 from .errors import PreconditionError, RetryExhaustedError
@@ -24,12 +24,13 @@ from .gf2 import (
     AffineSolver,
     BitMatrix,
     BitVector,
-    XorBasis,
     binom_sum,
     hamming_ball,
+    rank,
     sample_invertible,
     sample_uniform_matrix,
     span_rank,
+    subset_xors,
     weight_slice,
 )
 from .sources import Flat
@@ -99,12 +100,57 @@ class SumsetResult:
     collisions: bool
 
 
+def _canonical_sums(xs: Sequence[int], ys: Sequence[int], n: int) -> list[int]:
+    """The distinct words x ^ y of X + Y, in canonical order."""
+    return sorted({x ^ y for x in xs for y in ys}, key=_key_of_word(n))
+
+
+def _independent_points(points: Sequence[int], n: int, d: int) -> list[int]:
+    """The greedy subset, in the order given, of points with independent eval vectors.
+
+    The elimination keeps each witness's ``eval_bits`` word, and a separate
+    elimination of those stored words re-verifies the witness; a failure
+    raises :class:`AssertionError`, since it can only be a bug.
+    """
+    order = monomial_order(n, d)
+    pivots = [0] * (order.size + 1)  # XorBasis.add inlined, as in gf2.span_rank
+    witness, words = [], []
+    for p in points:
+        word = e = eval_bits(p, order)
+        while word:
+            lead = word.bit_length()
+            pivot = pivots[lead]
+            if not pivot:
+                pivots[lead] = word
+                witness.append(p)
+                words.append(e)
+                break
+            word ^= pivot
+    if span_rank(words) != len(words):
+        raise AssertionError("witness re-verification failed; this is a bug")
+    return witness
+
+
+def _sumset_witness(xs: Sequence[int], ys: Sequence[int], n: int, d: int) -> tuple[list[int], list[int]]:
+    """The packed full-rank core: the canonical sums of X + Y and their eval-rank witness.
+
+    X + Y has full eval-rank exactly when the witness has |X| * |Y| points;
+    a collision leaves fewer distinct sums than that, so it fails too.
+    """
+    sums = _canonical_sums(xs, ys, n)
+    return sums, _independent_points(sums, n, d)
+
+
+def _certificate(n: int, d: int, point_count: int, witness: list[int]) -> RankCertificate:
+    return RankCertificate(n, d, point_count, len(witness), tuple(BitVector(n, w) for w in witness))
+
+
 def eval_rank(points: Sequence[BitVector], d: int) -> RankCertificate:
     """Rank of the degree-<=d evaluation vectors of the given points.
 
     Duplicates are ignored.  The witness is the greedy independent subset in
-    input order, re-checked by a separate elimination of its stored
-    evaluation words before the certificate is returned.
+    input order, found by the packed core's elimination and re-checked by a
+    separate elimination of its stored evaluation words.
     """
     pts = list(dict.fromkeys(points))
     if not pts:
@@ -112,46 +158,28 @@ def eval_rank(points: Sequence[BitVector], d: int) -> RankCertificate:
     n = pts[0].n
     if any(p.n != n for p in pts):
         raise PreconditionError("points must share one ambient length")
-    order = monomial_order(n, d)
-    basis = XorBasis()
-    witness, words = [], []
-    for p in pts:
-        e = eval_bits(p.bits, order)
-        if basis.add(e):
-            witness.append(p)
-            words.append(e)
-    check = XorBasis()
-    if not all(check.add(e) for e in words):
-        raise AssertionError("witness re-verification failed; this is a bug")
-    return RankCertificate(
-        n=n,
-        degree=d,
-        point_count=len(pts),
-        rank=len(witness),
-        witness=tuple(witness),
-    )
+    return _certificate(n, d, len(pts), _independent_points([p.bits for p in pts], n, d))
 
 
-def sumset_of(a: Sequence[BitVector], b: Sequence[BitVector]) -> SumsetResult:
-    """All pairwise sums of two point sets, with the collision flag."""
+def _common_length(a: Sequence[BitVector], b: Sequence[BitVector]) -> int:
     if not a or not b:
         raise PreconditionError("both sets must be nonempty")
     n = a[0].n
     if any(v.n != n for v in a) or any(v.n != n for v in b):
         raise PreconditionError("sets must share one ambient length")
-    bbits = [v.bits for v in b]
-    seen: set[int] = set()
-    for av in a:
-        ab = av.bits
-        for yb in bbits:
-            seen.add(ab ^ yb)
-    ordered = sorted(seen, key=_key_of_word(n))
+    return n
+
+
+def sumset_of(a: Sequence[BitVector], b: Sequence[BitVector]) -> SumsetResult:
+    """All pairwise sums of two point sets, with the collision flag."""
+    n = _common_length(a, b)
+    sums = _canonical_sums([v.bits for v in a], [v.bits for v in b], n)
     pair_count = len(a) * len(b)
     return SumsetResult(
-        sums=tuple(BitVector(n, s) for s in ordered),
+        sums=tuple(BitVector(n, s) for s in sums),
         pair_count=pair_count,
-        distinct_count=len(seen),
-        collisions=len(seen) != pair_count,
+        distinct_count=len(sums),
+        collisions=len(sums) != pair_count,
     )
 
 
@@ -160,12 +188,14 @@ def full_rank_check(
 ) -> tuple[bool, RankCertificate]:
     """Does eval-rank of A+B equal |A| * |B|?  Collisions alone already fail.
 
-    Returns the verdict together with the rank certificate of the (distinct)
-    sums, so a failure is inspectable.
+    The packed core forms the sums as ints, sorts them canonically,
+    eliminates their evaluation words and re-verifies the witness; this
+    wrapper returns the verdict together with the rank certificate of the
+    (distinct) sums, so a failure is inspectable.
     """
-    ss = sumset_of(a, b)
-    cert = eval_rank(ss.sums, d)
-    return (not ss.collisions) and cert.rank == ss.pair_count, cert
+    n = _common_length(a, b)
+    sums, witness = _sumset_witness([v.bits for v in a], [v.bits for v in b], n, d)
+    return len(witness) == len(a) * len(b), _certificate(n, d, len(sums), witness)
 
 
 @dataclass(frozen=True)
@@ -179,13 +209,11 @@ class HighRankSelection:
     attempts: int
 
 
-def _image_index(points: Sequence[BitVector], matrix: BitMatrix) -> dict[int, BitVector]:
+def _image_index(points: Sequence[BitVector], image: Callable[[int], int]) -> dict[int, BitVector]:
     """First preimage, in the order given, for each attained image value."""
     fibers: dict[int, BitVector] = {}
     for p in points:
-        img = matrix.apply_word(p.bits)
-        if img not in fibers:
-            fibers[img] = p
+        fibers.setdefault(image(p.bits), p)
     return fibers
 
 
@@ -223,12 +251,21 @@ def find_high_rank_subsets(
     key = _key_of_word(n)
     a = sorted(a, key=lambda p: key(p.bits))
     b = sorted(b, key=lambda p: key(p.bits))
+    # One entry of a table of all 2^n images costs one XOR in subset_xors,
+    # about an eighth of one apply_word, so the table (built once per map and
+    # shared by A and B) replaces the per-point calls only where
+    # 2^n <= 8 * (|A| + |B|); the registry's n = 8 with 32 + 32 points is one.
+    tabulate = 1 << n <= 8 * (len(a) + len(b))
     for attempts in range(1, trials + 1):
         matrix = sample_uniform_matrix(m, n, stream)
-        fibers_a = _image_index(a, matrix)
+        if tabulate:
+            image = subset_xors([matrix.apply_word(1 << j) for j in range(n)]).__getitem__
+        else:
+            image = matrix.apply_word
+        fibers_a = _image_index(a, image)
         if any(z.bits not in fibers_a for z in ball_half):
             continue
-        fibers_b = _image_index(b, matrix)
+        fibers_b = _image_index(b, image)
         if any(z.bits not in fibers_b for z in ball_half):
             continue
         a_sel = tuple(fibers_a[z.bits] for z in ball_half)
@@ -305,7 +342,7 @@ def _onto_fibers(
     """
     m = matrix.rows
     if support_bits is None:
-        if span_rank(matrix.row_words) != m:
+        if rank(matrix) != m:
             return None
         return AffineSolver(matrix.row_words, n)
     fibers = _FiberSampler(support_bits, matrix)
@@ -340,8 +377,11 @@ def special_sumset_sampler(
     first and to the last floor(m/3) coordinates — are pushed through a fresh
     uniform invertible mixer L, and one uniform conditional preimage is drawn
     over each resulting fiber.  The full-rank property of X* + Y* is then
-    re-verified by elimination; it holds on every draw by construction, so a
-    False verdict would expose a bug rather than bad luck.
+    re-verified on every draw by the packed core, on the int words of X* and
+    Y*: it sorts their sums canonically, eliminates the sums' evaluation
+    words and re-checks the witness by a separate elimination.  Full rank
+    holds on every draw by construction, so a failure would expose a bug
+    rather than bad luck.  BitVectors are built only for the returned draw.
     """
     if d < 1:
         raise PreconditionError("degree must be at least 1")
@@ -390,10 +430,8 @@ def special_sumset_sampler(
                     break
                 y_star_bits.append(yb)
             else:
-                x_star = tuple(BitVector(n, xb) for xb in x_star_bits)
-                y_star = tuple(BitVector(n, yb) for yb in y_star_bits)
-                ok, _cert = full_rank_check(x_star, y_star, d)
-                if not ok:
+                _sums, witness = _sumset_witness(x_star_bits, y_star_bits, n, d)
+                if len(witness) != len(x_star_bits) * len(y_star_bits):
                     raise AssertionError(
                         "special draw failed the full-rank check; this is a bug"
                     )
@@ -402,8 +440,8 @@ def special_sumset_sampler(
                     mixer=mixer,
                     b_zero=b_zero,
                     b_one=b_one,
-                    x_star=x_star,
-                    y_star=y_star,
+                    x_star=tuple([BitVector(n, xb) for xb in x_star_bits]),
+                    y_star=tuple([BitVector(n, yb) for yb in y_star_bits]),
                     full_rank=True,
                 )
     raise RetryExhaustedError(f"no mixer with nonempty fibers within {trials} draws")

@@ -284,6 +284,30 @@ def test_cli_polynomial_past_the_monomial_budget_is_bad_input(tmp_path, capsys, 
     assert err.startswith("error:") and "monomials" in err
 
 
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {"kind": "two-source", "n": 600, "r": 1, "seed": 1},
+        {"kind": "two-source", "n": 100000, "r": 1, "seed": 1},
+        {"kind": "evasive", "k": 100000, "d": 3, "r": 1, "seed": 1},
+        {"kind": "seeded", "n": 4, "t": 100000, "d": 100000, "seed": 1},
+    ],
+    ids=lambda v: json.dumps(v),
+)
+def test_cli_descriptor_past_the_monomial_budget_is_bad_input(tmp_path, capsys, descriptor):
+    """A descriptor's monomial order is budgeted before its builder runs.
+
+    Two-source n = 600 took over a second and about 100 MiB to build before
+    the check; n = 10^5 would ask for about 5e9 monomials.
+    """
+    path = write(tmp_path / "d.json", json.dumps(descriptor))
+    start = time.perf_counter()
+    assert cli.main(["oracle", "evasive-audit", "subspace", "--descriptor", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "monomials" in err
+
+
 def test_cli_bias_monte_carlo(tmp_path, capsys, uniform_source):
     poly = write(tmp_path / "f.json", '{"d":1,"monomials":[[0]],"n":2}')
     rc = cli.main(

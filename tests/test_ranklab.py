@@ -168,6 +168,53 @@ def test_full_rank_on_disjoint_weight_slices():
 
 
 # ---------------------------------------------------------------------------
+# the packed full-rank core
+
+
+def _reference_core(xs, ys, n, d):
+    """The BitVector path: XorBasis elimination of eval_bits over canonically sorted sums."""
+    sums = sorted({BitVector(n, x ^ y) for x in xs for y in ys}, key=BitVector.canonical_key)
+    order = monomial_order(n, d)
+    basis = XorBasis()
+    witness = [s.bits for s in sums if basis.add(eval_bits(s.bits, order))]
+    full = len(sums) == len(xs) * len(ys) and len(witness) == len(sums)
+    return [s.bits for s in sums], witness, full
+
+
+def test_packed_core_agrees_with_the_bitvector_reference():
+    """Both sides of the n <= 12 key table, every degree to 4, colliding pairs included."""
+    stream = rng.derive(MASTER, "ranklab", "packed-core")
+    collided = 0
+    for n in range(2, 21):
+        for d in range(5):
+            for trial in range(4):
+                xs = [stream.getrandbits(n) for _ in range(stream.randrange(1, 5))]
+                ys = [stream.getrandbits(n) for _ in range(stream.randrange(1, 5))]
+                if trial == 0 and len(xs) >= 2:
+                    ys.append(ys[0] ^ xs[0] ^ xs[1])  # x0 + that = x1 + y0
+                elif trial == 1:
+                    xs.append(xs[0])
+                sums, witness = ranklab._sumset_witness(xs, ys, n, d)
+                ref_sums, ref_witness, ref_full = _reference_core(xs, ys, n, d)
+                assert sums == ref_sums
+                assert witness == ref_witness
+                assert (len(witness) == len(xs) * len(ys)) == ref_full
+                if len(sums) < len(xs) * len(ys):
+                    collided += 1
+                    assert not ref_full
+    assert collided >= 19 * 5
+
+
+def test_special_draw_raises_when_the_witness_recheck_fails(monkeypatch):
+    """The separate re-elimination of the witness words is what the sampler trusts."""
+    monkeypatch.setattr(ranklab, "span_rank", lambda words: len(words) - 1)
+    with pytest.raises(AssertionError, match="re-verification"):
+        special_sumset_sampler(
+            uniform_flat(6), uniform_flat(6), 2, 6, 100, rng.derive(MASTER, "ranklab", "recheck")
+        )
+
+
+# ---------------------------------------------------------------------------
 # find_high_rank_subsets
 
 
