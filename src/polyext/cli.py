@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import io, rng
 from .anf import Polynomial, sample_poly
 from .bias import bias_exact, bias_mc, extractor_audit, disperser_audit
-from .constructions import build_evasive_h, build_seeded, build_two_source
+from .constructions import EvasiveDescriptor, build_evasive_h, build_seeded, build_two_source
 from .errors import PolyextError
 from .experiments import EXPERIMENTS, config_from_dict, run_experiment
 from .gf2 import BitVector
@@ -195,8 +195,10 @@ def _cmd_oracle_sumset_search(args) -> int:
 
 def _cmd_oracle_evasive_audit(args) -> int:
     if args.descriptor:
-        loaded = io.descriptor_from_dict(io.load_json(args.descriptor))
-        subject = loaded
+        subject = io.descriptor_from_dict(io.load_json(args.descriptor))
+        if not isinstance(subject, EvasiveDescriptor):
+            kind = type(subject).__name__
+            raise PolyextError(f"evasive-audit needs an evasive descriptor, not {kind}")
     else:
         if not args.points:
             raise PolyextError("pass --descriptor or --points")
@@ -230,11 +232,9 @@ def _cmd_experiment(args) -> int:
         data["format"] = args.format
     config = config_from_dict(data)
     report = run_experiment(config)
-    text = report.to_csv() if config.format == "csv" else report.to_json()
-    if config.out:
-        Path(config.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    # the config's fields, with any flags merged in above, decide the output
+    args.out, args.format = config.out, config.format
+    _emit(args, _report_text(args, report))
     return 0 if report.verdict else 1
 
 

@@ -25,8 +25,6 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     binom_sum,
-    canonical_index,
-    hamming_ball,
     rank,
     sample_uniform_matrix,
 )
@@ -68,9 +66,9 @@ class TwoSourceDescriptor:
 class SeededDescriptor:
     """Linear seeded extractor built from a random subcode of the degree-d code.
 
-    ``generator`` has one row per seed point of F_2^t in canonical order and
-    one column per monomial of the t-variable degree-<=d order; ``compressor``
-    is the uniform binom_sum(t, d) x n matrix H.
+    ``generator`` has one row per seed point of F_2^t, row y at the packed
+    index y, and one column per monomial of the t-variable degree-<=d order;
+    ``compressor`` is the uniform binom_sum(t, d) x n matrix H.
     """
 
     n: int
@@ -132,9 +130,9 @@ def eval_two_source(desc: TwoSourceDescriptor, x: BitVector, y: BitVector) -> in
 def build_seeded(n: int, t: int, d: int, seed: int) -> SeededDescriptor:
     """Build the generator/compressor pair for the linear seeded extractor.
 
-    G is materialized exactly — row y is the degree-<=d evaluation vector of
-    the seed point y — and its full column rank is asserted (distinct
-    monomials have distinct truth tables).  H is uniform.
+    G is materialized exactly — row y, at packed index y, is the degree-<=d
+    evaluation vector of the seed point y — and its full column rank is
+    asserted (distinct monomials have distinct truth tables).  H is uniform.
     """
     if not 1 <= d <= t:
         raise PreconditionError("need 1 <= d <= t")
@@ -144,8 +142,7 @@ def build_seeded(n: int, t: int, d: int, seed: int) -> SeededDescriptor:
     if (1 << t) * cols + cols * n > SEEDED_BUILD_BUDGET:
         raise BudgetExceededError("generator material exceeds the build budget")
     order = monomial_order(t, d)
-    seed_points = hamming_ball(t, t)
-    g = BitMatrix(1 << t, cols, [eval_bits(y.bits, order) for y in seed_points])
+    g = BitMatrix(1 << t, cols, [eval_bits(y, order) for y in range(1 << t)])
     if rank(g) != cols:
         raise AssertionError("degree-d generator lost column rank; this is a bug")
     stream = rng.derive(seed, "seeded", n, t, d)
@@ -164,7 +161,7 @@ def eval_seeded(desc: SeededDescriptor, x: BitVector, y: BitVector) -> int:
     if y.n != desc.t:
         raise PreconditionError("seed must have length t")
     w = desc.compressor.apply_word(x.bits)
-    row = desc.generator.row_words[canonical_index(y)]
+    row = desc.generator.row_words[y.bits]
     return (row & w).bit_count() & 1
 
 
@@ -174,10 +171,9 @@ def seeded_table(desc: SeededDescriptor) -> np.ndarray:
     Entry ``[yb, xb]`` equals ``eval_seeded(desc, BitVector(n, xb),
     BitVector(t, yb))`` and is computed by the same steps for all points
     together: W = H·x as the parity of ``xs & row`` for each compressor row,
-    the generator row of each packed y by :func:`canonical_index`, and the
-    parity of ``row & W``.  Words wider than 64 bits are split into 64-bit
-    limbs whose ANDs are XORed before the one parity.  Raises
-    :class:`BudgetExceededError` when 2^(n+t) exceeds
+    generator row yb, and the parity of ``row & W``.  Words wider than 64
+    bits are split into 64-bit limbs whose ANDs are XORed before the one
+    parity.  Raises :class:`BudgetExceededError` when 2^(n+t) exceeds
     ``sources.ENUMERATION_BUDGET``.
     """
     n, t = desc.n, desc.t
@@ -185,7 +181,7 @@ def seeded_table(desc: SeededDescriptor) -> np.ndarray:
         raise BudgetExceededError(f"2^{n + t} seeded outputs exceed the enumeration budget")
     xs = np.arange(1 << n, dtype=np.uint64)
     h_rows = desc.compressor.row_words
-    g_rows = [desc.generator.row_words[canonical_index(BitVector(t, yb))] for yb in range(1 << t)]
+    g_rows = desc.generator.row_words
     acc = np.zeros((1 << t, 1 << n), dtype=np.uint64)
     for lo in range(0, len(h_rows), 64):
         w = np.zeros(xs.size, dtype=np.uint64)

@@ -4,18 +4,19 @@ Vectors live in packed machine words: a length-``n`` vector is a Python int
 whose bit ``i`` (LSB first) holds coordinate ``i + 1``.  All linear algebra is
 word-level — row operations are single int XORs, never per-coordinate loops.
 
-The canonical ordering used everywhere vectors of F_2^n are enumerated is
-weight ascending, ties broken lexicographically on the sorted 0-based support
-list.  ``hamming_ball(n, n)`` therefore enumerates all of F_2^n in canonical
-order, and ``canonical_index`` inverts that enumeration.
+This module owns the canonical order of F_2^n: weight ascending, ties
+broken lexicographically on the sorted 0-based support list.
+``hamming_ball(n, n)`` enumerates all of F_2^n in that order, and
+``canonical_key(n)`` is the sort key that puts packed n-bit words into it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache, partial
 from itertools import combinations
 from random import Random
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError, RetryExhaustedError
 
@@ -30,10 +31,11 @@ __all__ = [
     "sample_invertible",
     "hamming_ball",
     "weight_slice",
-    "canonical_index",
+    "canonical_key",
     "enumerate_span",
     "nullspace_basis",
     "span_rank",
+    "subset_xor",
     "subset_xors",
 ]
 
@@ -93,10 +95,6 @@ class BitVector:
             out.append(low.bit_length() - 1)
             bits ^= low
         return tuple(out)
-
-    def canonical_key(self) -> tuple[int, tuple[int, ...]]:
-        """Sort key realizing the weight-then-lex canonical order."""
-        return (self.bits.bit_count(), self.support())
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
@@ -332,23 +330,34 @@ def weight_slice(n: int, w: int, lo: int, hi: int) -> list[BitVector]:
     return [BitVector.from_support(n, supp) for supp in combinations(range(lo - 1, hi), w)]
 
 
-def _combination_rank(support: Sequence[int], n: int) -> int:
-    """Lexicographic rank of a sorted w-subset of range(n) among all w-subsets."""
-    r = 0
-    prev = -1
-    w = len(support)
-    for i, s in enumerate(support):
-        for j in range(prev + 1, s):
-            r += math.comb(n - 1 - j, w - 1 - i)
-        prev = s
-    return r
+def _key_int(n: int, s: int) -> int:
+    """Weight above n bits, then the complement of the bit-reversed word: the
+    lowest coordinate where two equal-weight supports differ decides lex order."""
+    return s.bit_count() << n | ((1 << n) - 1) ^ int(f"{s:0{n}b}"[::-1], 2)
 
 
-def canonical_index(v: BitVector) -> int:
-    """Position of v in the canonical enumeration of F_2^n."""
-    supp = v.support()
-    w = len(supp)
-    return sum(math.comb(v.n, j) for j in range(w)) + _combination_rank(supp, v.n)
+@lru_cache(maxsize=None)
+def canonical_key(n: int) -> Callable[[int], int]:
+    """Sort key that puts packed n-bit words in canonical order.
+
+    ``sorted(range(1 << n), key=canonical_key(n))`` lists the words of
+    ``hamming_ball(n, n)``.  For n <= 12 the key is a read of a table built
+    once per n; past that it computes the int key per word.
+    """
+    key = partial(_key_int, n)
+    return tuple(map(key, range(1 << n))).__getitem__ if n <= 12 else key
+
+
+def subset_xor(words: Sequence, r: int, offset=0):
+    """offset XOR the words at the set bits of r.
+
+    Works on ints and on numpy arrays alike; every XOR builds a new object,
+    so neither ``offset`` nor a word is ever changed in place.
+    """
+    for k, w in enumerate(words):
+        if (r >> k) & 1:
+            offset = offset ^ w
+    return offset
 
 
 def subset_xors(words: Sequence[int], offset: int = 0) -> list[int]:

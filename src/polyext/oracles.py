@@ -10,6 +10,7 @@ has been re-verified exhaustively before the verified flag is set.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from random import Random
@@ -21,7 +22,7 @@ from . import anf
 from .anf import Polynomial, eval_bits, monomial_order
 from .constructions import EvasiveDescriptor, lift_point
 from .errors import BudgetExceededError, PreconditionError, RetryExhaustedError
-from .gf2 import BitVector, XorBasis, enumerate_span, nullspace_basis, span_rank
+from .gf2 import BitVector, XorBasis, enumerate_span, nullspace_basis, span_rank, subset_xor
 from .reports import AuditReport
 
 __all__ = [
@@ -177,12 +178,9 @@ class EnergyPartition:
         The largest fiber is recounted from the parts; the stored
         ``max_fiber`` must equal it and both must respect ``ell``.
         """
-        flat_x = [v for part in self.x_parts for v in part]
-        flat_y = [v for part in self.y_parts for v in part]
-        if sorted(flat_x, key=BitVector.canonical_key) != sorted(x, key=BitVector.canonical_key):
-            return False
-        if sorted(flat_y, key=BitVector.canonical_key) != sorted(y, key=BitVector.canonical_key):
-            return False
+        for parts, points in ((self.x_parts, x), (self.y_parts, y)):
+            if Counter(v for part in parts for v in part) != Counter(points):
+                return False
         sizes = {len(p) for p in self.x_parts} | {len(p) for p in self.y_parts}
         if sizes != {len(x) >> self.t}:
             return False
@@ -292,12 +290,7 @@ def sample_vanishing_poly(
     span = enumerate_span(v.bits for v in v_basis)
     rows = [eval_bits(p, order) for p in span]
     basis = nullspace_basis(rows, order.size)
-    coeffs = 0
-    if basis:
-        r = stream.getrandbits(len(basis))
-        for i, b in enumerate(basis):
-            if (r >> i) & 1:
-                coeffs ^= b
+    coeffs = subset_xor(basis, stream.getrandbits(len(basis)))
     return Polynomial(order, BitVector(order.size, coeffs))
 
 
@@ -418,6 +411,51 @@ def disperser_attack(
     )
 
 
+def _grow_sumset(
+    draw: Callable[[], int],
+    inside_for: Callable[[int], Callable[[int], bool]],
+    target: int,
+    budget: int,
+) -> tuple[Optional[tuple[list[int], list[int]]], int]:
+    """Greedy alternating growth of A and B with every sum a + b inside a set.
+
+    A restart draws a seed pair, dropped unless ``inside_for(a0 ^ b0)``, the
+    membership test for that seed, holds on a0 ^ b0.  The sides then take
+    turns absorbing a fresh draw whose cross sums all pass; anything else is
+    a stall, and max(64, 16 * target) stalls in a row restart.  ``budget``
+    counts evaluations, one per candidate and one per seed pair, over all
+    restarts.  A + B is re-tested once both sides reach ``target``.  Returns
+    the sorted sides, or None, and the evaluations spent.
+    """
+    spent = 0
+    stall_limit = max(64, 16 * target)
+    while spent < budget:
+        a0, b0 = draw(), draw()
+        spent += 1
+        inside = inside_for(a0 ^ b0)
+        if not inside(a0 ^ b0):
+            continue
+        set_a, set_b = {a0}, {b0}
+        stalls = 0
+        grow_a = True
+        while spent < budget and stalls < stall_limit:
+            cand = draw()
+            spent += 1
+            mine, other = (set_a, set_b) if grow_a else (set_b, set_a)
+            if cand not in mine and all(inside(cand ^ o) for o in other):
+                mine.add(cand)
+                stalls = 0
+            else:
+                stalls += 1
+            grow_a = not grow_a
+            if len(set_a) >= target and len(set_b) >= target:
+                xs, ys = sorted(set_a), sorted(set_b)
+                if not all(inside(x ^ y) for x in xs for y in ys):
+                    raise AssertionError("greedy sumset growth broke its invariant; this is a bug")
+                return (xs, ys), spent
+    return None, spent
+
+
 def monochromatic_sumset_search(
     f: Polynomial,
     s: int,
@@ -426,10 +464,11 @@ def monochromatic_sumset_search(
 ) -> Optional[AttackWitness]:
     """Greedy alternating search for A, B of size >= s with f constant on A + B.
 
-    From a random seed pair the A side and B side take turns absorbing random
-    candidates that keep every cross sum on the seed color; stalls trigger a
-    restart.  ``budget`` counts candidate evaluations across all restarts.
-    Returns a verified witness or None — absence is an ordinary outcome.
+    A random seed pair fixes the color f(a0 + b0); the A side and B side
+    then take turns absorbing random candidates that keep every cross sum on
+    that color, and stalls trigger a restart (see ``_grow_sumset``).
+    ``budget`` counts candidate evaluations across all restarts.  Returns a
+    verified witness or None — absence is an ordinary outcome.
     """
     if s < 1:
         raise PreconditionError("target size must be positive")
@@ -440,45 +479,21 @@ def monochromatic_sumset_search(
     def val(xb: int) -> int:
         return (coeffs & eval_bits(xb, order)).bit_count() & 1
 
-    spent = 0
-    stall_limit = max(64, 16 * s)
-    while spent < budget:
-        a0 = stream.getrandbits(n)
-        b0 = stream.getrandbits(n)
-        spent += 1
-        color = val(a0 ^ b0)
-        set_a = {a0}
-        set_b = {b0}
-        stalls = 0
-        grow_a = True
-        while spent < budget and stalls < stall_limit:
-            cand = stream.getrandbits(n)
-            spent += 1
-            other = set_b if grow_a else set_a
-            mine = set_a if grow_a else set_b
-            if cand in mine:
-                stalls += 1
-                grow_a = not grow_a
-                continue
-            if all(val(cand ^ o) == color for o in other):
-                mine.add(cand)
-                stalls = 0
-            else:
-                stalls += 1
-            grow_a = not grow_a
-            if len(set_a) >= s and len(set_b) >= s:
-                xs = tuple(BitVector(n, x) for x in sorted(set_a))
-                ys = tuple(BitVector(n, x) for x in sorted(set_b))
-                if all(val(x.bits ^ y.bits) == color for x in xs for y in ys):
-                    return AttackWitness(
-                        set_a=xs,
-                        set_b=ys,
-                        value=color,
-                        verified=True,
-                        params={"target": s, "n": n, "evaluations": spent},
-                    )
-                raise AssertionError("greedy growth broke the color invariant; bug")
-    return None
+    def inside_for(seed_sum: int) -> Callable[[int], bool]:
+        color = val(seed_sum)
+        return lambda xb: val(xb) == color
+
+    found, spent = _grow_sumset(lambda: stream.getrandbits(n), inside_for, s, budget)
+    if found is None:
+        return None
+    xs, ys = found
+    return AttackWitness(
+        set_a=tuple(BitVector(n, x) for x in xs),
+        set_b=tuple(BitVector(n, y) for y in ys),
+        value=val(xs[0] ^ ys[0]),
+        verified=True,
+        params={"target": s, "n": n, "evaluations": spent},
+    )
 
 
 def subspace_count(ambient: int, ell: int) -> int:
@@ -656,58 +671,24 @@ def sumset_evasive_audit(
     """
     if t < 0:
         raise PreconditionError("t must be nonnegative")
-    target = 1 << t
-    graph = isinstance(subject, EvasiveDescriptor)
     points, amb = _evasive_point_set(subject)
-    pts_list = sorted(points)
-
-    if graph:
-        def random_point(rs: Random) -> int:
-            return lift_point(subject.polys, BitVector(subject.k, rs.getrandbits(subject.k)))
+    if isinstance(subject, EvasiveDescriptor):
+        k, polys = subject.k, subject.polys
+        draw = lambda: lift_point(polys, BitVector(k, stream.getrandbits(k)))
     else:
-        def random_point(rs: Random) -> int:
-            return pts_list[rs.randrange(len(pts_list))]
-
-    spent = 0
-    witness: Optional[AttackWitness] = None
-    stall_limit = max(64, 16 * target)
-    while spent < budget and witness is None:
-        a0 = random_point(stream)
-        b0 = random_point(stream)
-        spent += 1
-        if a0 ^ b0 not in points:
-            continue
-        set_a = {a0}
-        set_b = {b0}
-        stalls = 0
-        grow_a = True
-        while spent < budget and stalls < stall_limit:
-            cand = random_point(stream)
-            spent += 1
-            mine = set_a if grow_a else set_b
-            other = set_b if grow_a else set_a
-            if cand not in mine and all(cand ^ o in points for o in other):
-                mine.add(cand)
-                stalls = 0
-            else:
-                stalls += 1
-            grow_a = not grow_a
-            if len(set_a) >= target and len(set_b) >= target:
-                xs = tuple(BitVector(amb, x) for x in sorted(set_a))
-                ys = tuple(BitVector(amb, x) for x in sorted(set_b))
-                if not all(x.bits ^ y.bits in points for x in xs for y in ys):
-                    raise AssertionError("sumset growth broke membership; bug")
-                witness = AttackWitness(
-                    set_a=xs,
-                    set_b=ys,
-                    value=0,
-                    verified=True,
-                    params={"t": t, "evaluations": spent},
-                )
-                break
+        pts_list = sorted(points)
+        draw = lambda: pts_list[stream.randrange(len(pts_list))]
+    found, spent = _grow_sumset(draw, lambda _seed_sum: points.__contains__, 1 << t, budget)
+    witness = None if found is None else AttackWitness(
+        set_a=tuple(BitVector(amb, x) for x in found[0]),
+        set_b=tuple(BitVector(amb, y) for y in found[1]),
+        value=0,
+        verified=True,
+        params={"t": t, "evaluations": spent},
+    )
     extra = {
         "t": t,
-        "target": target,
+        "target": 1 << t,
         "evaluations": spent,
         "witness": witness.to_json_dict() if witness else None,
     }

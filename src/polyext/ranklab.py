@@ -14,7 +14,7 @@ evaluation matrix has full rank |A'| * |B'|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -25,6 +25,7 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     binom_sum,
+    canonical_key,
     hamming_ball,
     rank,
     sample_invertible,
@@ -46,23 +47,6 @@ __all__ = [
     "find_high_rank_subsets",
     "special_sumset_sampler",
 ]
-
-
-def _canonical_key(n: int, s: int) -> int:
-    """Int sort key of the canonical order: weight first, then the bit-reversed
-    word descending, since the lowest differing coordinate decides lex order."""
-    return s.bit_count() << n | ((1 << n) - 1) ^ int(f"{s:0{n}b}"[::-1], 2)
-
-
-@lru_cache(maxsize=None)
-def _canonical_keys(n: int) -> tuple[int, ...]:
-    """The keys of all 2^n words, built once per n <= 12."""
-    return tuple(_canonical_key(n, s) for s in range(1 << n))
-
-
-def _key_of_word(n: int):
-    """The int canonical key of an n-bit word: a table read for n <= 12."""
-    return _canonical_keys(n).__getitem__ if n <= 12 else partial(_canonical_key, n)
 
 
 @dataclass(frozen=True)
@@ -100,9 +84,9 @@ class SumsetResult:
     collisions: bool
 
 
-def _canonical_sums(xs: Sequence[int], ys: Sequence[int], n: int) -> list[int]:
+def _sorted_sums(xs: Sequence[int], ys: Sequence[int], n: int) -> list[int]:
     """The distinct words x ^ y of X + Y, in canonical order."""
-    return sorted({x ^ y for x in xs for y in ys}, key=_key_of_word(n))
+    return sorted({x ^ y for x in xs for y in ys}, key=canonical_key(n))
 
 
 def _independent_points(points: Sequence[int], n: int, d: int) -> list[int]:
@@ -137,7 +121,7 @@ def _sumset_witness(xs: Sequence[int], ys: Sequence[int], n: int, d: int) -> tup
     X + Y has full eval-rank exactly when the witness has |X| * |Y| points;
     a collision leaves fewer distinct sums than that, so it fails too.
     """
-    sums = _canonical_sums(xs, ys, n)
+    sums = _sorted_sums(xs, ys, n)
     return sums, _independent_points(sums, n, d)
 
 
@@ -173,7 +157,7 @@ def _common_length(a: Sequence[BitVector], b: Sequence[BitVector]) -> int:
 def sumset_of(a: Sequence[BitVector], b: Sequence[BitVector]) -> SumsetResult:
     """All pairwise sums of two point sets, with the collision flag."""
     n = _common_length(a, b)
-    sums = _canonical_sums([v.bits for v in a], [v.bits for v in b], n)
+    sums = _sorted_sums([v.bits for v in a], [v.bits for v in b], n)
     pair_count = len(a) * len(b)
     return SumsetResult(
         sums=tuple(BitVector(n, s) for s in sums),
@@ -248,7 +232,7 @@ def find_high_rank_subsets(
     if len(a) < need or len(b) < need:
         raise PreconditionError(f"sets must have at least binom_sum(m, d/2) = {need} points")
     ball_half = hamming_ball(m, d // 2)
-    key = _key_of_word(n)
+    key = canonical_key(n)
     a = sorted(a, key=lambda p: key(p.bits))
     b = sorted(b, key=lambda p: key(p.bits))
     # One entry of a table of all 2^n images costs one XOR in subset_xors,

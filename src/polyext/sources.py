@@ -21,7 +21,7 @@ import numpy as np
 from . import anf
 from .anf import Polynomial, eval_polys
 from .errors import BudgetExceededError, PreconditionError, RetryExhaustedError
-from .gf2 import BitVector, span_rank, subset_xors
+from .gf2 import BitVector, canonical_key, span_rank, subset_xor, subset_xors
 
 __all__ = [
     "Flat",
@@ -268,9 +268,9 @@ def support_of(source: Source) -> list[tuple[BitVector, Fraction]]:
     """
     n = ambient_length(source)
     words, counts, total = _support_counts(source)
-    out = [(BitVector(n, w), Fraction(c, total)) for w, c in zip(words.tolist(), counts.tolist())]
-    out.sort(key=lambda pair: pair[0].canonical_key())
-    return out
+    key = canonical_key(n)
+    pairs = sorted(zip(words.tolist(), counts.tolist()), key=lambda pair: key(pair[0]))
+    return [(BitVector(n, w), Fraction(c, total)) for w, c in pairs]
 
 
 def sample_words(source: Source, count: int, stream: Random) -> np.ndarray:
@@ -296,7 +296,7 @@ def sample_words(source: Source, count: int, stream: Random) -> np.ndarray:
             table = subset_xors(basis, offset)
             words = [table[stream.getrandbits(k)] for _ in range(count)]
         else:
-            words = [_subset_xor(basis, stream.getrandbits(k), offset) for _ in range(count)]
+            words = [subset_xor(basis, stream.getrandbits(k), offset) for _ in range(count)]
     elif isinstance(source, Sumset):
         xs, ys = source.x.support, source.y.support
         nx, ny = len(xs), len(ys)
@@ -312,14 +312,6 @@ def sample_words(source: Source, count: int, stream: Random) -> np.ndarray:
     else:
         words = [sample_source(source, stream).bits for _ in range(count)]
     return np.fromiter(words, dtype=dtype, count=count)
-
-
-def _subset_xor(words: Sequence[int], r: int, offset: int) -> int:
-    """offset XOR the words at the set bits of r."""
-    for k, w in enumerate(words):
-        if (r >> k) & 1:
-            offset ^= w
-    return offset
 
 
 def _image_words(source: Union[Local, PolynomialImage], inputs: np.ndarray) -> np.ndarray:
@@ -421,18 +413,9 @@ def variety_reduce(
         rows = [stream.getrandbits(t) for _ in range(ell)]
         combined = np.ones(1 << n, dtype=bool)
         for row in rows:
-            mix = np.zeros(1 << n, dtype=np.uint8)
-            for j in range(t):
-                if (row >> j) & 1:
-                    mix ^= tables[j]
-            combined &= mix == 0
+            combined &= subset_xor(tables, row) == 0
         if np.array_equal(combined, target):
-            out = []
-            for row in rows:
-                bits = 0
-                for j in range(t):
-                    if (row >> j) & 1:
-                        bits ^= polys[j].coeffs.bits
-                out.append(Polynomial(order, BitVector(order.size, bits)))
+            coeffs = [p.coeffs.bits for p in polys]
+            out = [Polynomial(order, BitVector(order.size, subset_xor(coeffs, row))) for row in rows]
             return out, attempt
     raise RetryExhaustedError(f"no exact reduction in {budget} rounds")

@@ -430,6 +430,23 @@ def test_cli_oracle_evasive_audit_both_verdicts(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("audit", ["subspace", "sumset"])
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {"kind": "two-source", "n": 4, "r": 1, "seed": 1},
+        {"kind": "seeded", "n": 4, "t": 2, "d": 1, "seed": 1},
+    ],
+    ids=lambda v: v["kind"],
+)
+def test_cli_evasive_audit_refuses_a_non_evasive_descriptor(tmp_path, capsys, audit, descriptor):
+    path = write(tmp_path / "d.json", json.dumps(descriptor))
+    argv = ["oracle", "evasive-audit", audit, "--descriptor", path, "--seed", "1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "evasive descriptor" in err
+
+
 def test_cli_oracle_sumset_audit_needs_seed(tmp_path, capsys):
     pts = write(tmp_path / "p.txt", "01\n10\n")
     assert cli.main(["oracle", "evasive-audit", "sumset", "--points", pts, "--t", "1"]) == 2
@@ -463,6 +480,23 @@ def test_cli_experiment_config_file(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["experiment", "moment-identity", "--config", cfg]) == 2
     assert "config names" in capsys.readouterr().err
+
+
+def test_cli_experiment_output_fields_come_from_the_config_unless_flagged(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    cfg = write(
+        tmp_path / "cfg.json",
+        json.dumps({"experiment": "dichotomy", "seed": 5, "trials": 3, "out": str(out), "format": "csv"}),
+    )
+    assert cli.main(["experiment", "dichotomy", "--config", cfg]) == 0
+    assert capsys.readouterr().out == ""
+    header = out.read_text().splitlines()[0]
+    assert header.startswith("trial,")
+    assert cli.main(["experiment", "dichotomy", "--config", cfg, "--format", "json"]) == 0
+    assert json.loads(out.read_text())["verdict"] is True
+    flagged = tmp_path / "flagged.csv"
+    assert cli.main(["experiment", "dichotomy", "--config", cfg, "--out", str(flagged)]) == 0
+    assert flagged.read_text().splitlines()[0] == header
 
 
 def test_cli_experiment_failing_verdict(tmp_path, capsys):

@@ -99,6 +99,13 @@ def test_seeded_generator_rows_linear_case():
     assert desc.generator.to_string() == "100\n110\n101\n111"
 
 
+def test_seeded_generator_row_y_is_the_evaluation_vector_of_packed_y():
+    """At t = 3 the packed order and the canonical order differ (3 and 4 swap)."""
+    desc = build_seeded(n=4, t=3, d=2, seed=0)
+    order = monomial_order(3, 2)
+    assert list(desc.generator.row_words) == [eval_bits(y, order) for y in range(8)]
+
+
 def test_seeded_generator_square_full_rank():
     for t in (1, 2, 3):
         desc = build_seeded(n=4, t=t, d=t, seed=0)

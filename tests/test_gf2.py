@@ -5,6 +5,7 @@ import math
 from itertools import combinations
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from polyext.gf2 import (
     BitVector,
     XorBasis,
     binom_sum,
-    canonical_index,
+    canonical_key,
     enumerate_span,
     hamming_ball,
     nullspace_basis,
@@ -25,6 +26,7 @@ from polyext.gf2 import (
     sample_invertible,
     sample_uniform_matrix,
     span_rank,
+    subset_xor,
     weight_slice,
 )
 
@@ -274,19 +276,26 @@ def test_ball_size_matches_binom_sum():
             assert len(hamming_ball(n, r)) == binom_sum(n, r)
 
 
+def reference_key(v: BitVector) -> tuple[int, tuple[int, ...]]:
+    """The canonical order by its definition: weight, then the sorted support."""
+    return (v.weight(), v.support())
+
+
 def test_ball_sorted_by_canonical_key():
     ball = hamming_ball(6, 6)
-    keys = [v.canonical_key() for v in ball]
+    keys = [reference_key(v) for v in ball]
     assert keys == sorted(keys)
 
 
 def test_support_and_canonical_key_match_the_coordinate_definition():
     for n in range(9):
+        by_coords = {}
         for bits in range(1 << n):
             v = BitVector(n, bits)
             coords = tuple(i for i in range(n) if v[i])
             assert v.support() == coords
-            assert v.canonical_key() == (v.weight(), coords)
+            by_coords[bits] = (len(coords), coords)
+        assert sorted(range(1 << n), key=canonical_key(n)) == sorted(range(1 << n), key=by_coords.get)
 
 
 def test_weight_slice_first_window():
@@ -328,13 +337,32 @@ def test_binom_sum_large_values_exact():
 
 
 # ---------------------------------------------------------------------------
-# canonical_index / enumerate_span / nullspace / solver
+# canonical_key / subset_xor / enumerate_span / nullspace / solver
 
 
-def test_canonical_index_inverts_enumeration():
-    for n in range(1, 9):
-        for idx, v in enumerate(hamming_ball(n, n)):
-            assert canonical_index(v) == idx
+def test_canonical_key_sorts_into_the_ball_order():
+    """Through the table (n <= 12) and past it (n = 13)."""
+    for n in [*range(1, 9), 13]:
+        assert sorted(range(1 << n), key=canonical_key(n)) == [v.bits for v in hamming_ball(n, n)]
+
+
+def test_subset_xor_on_ints_and_arrays():
+    words = [0b0011, 0b0101, 0b1000]
+    for r in range(8):
+        expected = 0b1111
+        for k in range(3):
+            if (r >> k) & 1:
+                expected ^= words[k]
+        assert subset_xor(words, r, 0b1111) == expected
+    assert subset_xor(words, 0) == 0
+    tables = [np.array([1, 0, 1], dtype=np.uint8), np.array([1, 1, 0], dtype=np.uint8)]
+    offset = np.zeros(3, dtype=np.uint8)
+    snapshot = [t.copy() for t in tables]
+    assert subset_xor(tables, 0b11, offset).tolist() == [0, 1, 1]
+    assert subset_xor(tables, 0b01, offset).tolist() == [1, 0, 1]
+    # the caller's arrays are never XORed in place
+    assert offset.tolist() == [0, 0, 0]
+    assert all(np.array_equal(t, u) for t, u in zip(tables, snapshot))
 
 
 def test_enumerate_span_counts():

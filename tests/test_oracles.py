@@ -1,6 +1,7 @@
 """Energy partitions, shift-orbit counts, structure attacks, and evasiveness audits."""
 
 import dataclasses
+import hashlib
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +13,7 @@ from polyext.anf import Polynomial, eval_bits, sample_poly, truth_table
 from polyext.constructions import EvasiveDescriptor, build_evasive_h, lift_point
 from polyext.errors import BudgetExceededError, PreconditionError, RetryExhaustedError
 from polyext.gf2 import BitVector, enumerate_span, span_rank
+from polyext.reports import render_json
 from polyext.oracles import (
     additive_energy,
     cw_shift_count,
@@ -595,6 +597,46 @@ def test_sumset_audit_rejects_negative_t():
     stream = rng.derive(MASTER, "oracles", "sumset-pre")
     with pytest.raises(PreconditionError):
         sumset_evasive_audit(vecs(2, [0]), t=-1, budget=1, stream=stream)
+
+
+# sha256 of the witness (or null) and the stream's next getrandbits(64):
+# case -> (n, degree of f, target size, budget)
+PINNED_SEARCHES = {
+    "deg1": ((8, 1, 6, 5000), "e9b0ad262f030aba0729863825734ea36f751a2706f5bf529ff3369d2f06964d"),
+    "deg2": ((8, 2, 4, 5000), "3e52732591f1475e94cc68e6704f074000b8351a5d1b716ca8170296d3651225"),
+    "deg3": ((8, 3, 3, 5000), "2630d662695624067ef10f3a9075eff0054348287cc4ddb6dd7ed8290ae2a1c5"),
+    "deg3-none": ((10, 3, 32, 20000), "dd4fd0f4e29640390890ec79ce80148f111f63f026b9709d13cbb174789b44da"),
+}
+
+# sha256 of the audit report JSON and the stream's next getrandbits(64)
+PINNED_AUDITS = {
+    "r2": "e233580daf286a73f4fd3db6953f1f443af2ca43cfbf745d541784f0bc1c1bc5",
+    "r3": "d6421b5594166f1fb20219a06d681b93cfd0355cddfe389e5bdb3c99a45a61fe",
+    "r8": "1dce5a8bca39282ece4af308b3bb6b8aceda4e55f38c3279804a14248c376e42",
+    "points": "5838122cb8b0f982c66a77f4b2fd3bd1aff180777a0c19e0da3630d4a1714a47",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SEARCHES))
+def test_monochromatic_search_is_pinned(case):
+    (n, d, size, budget), digest = PINNED_SEARCHES[case]
+    s = rng.derive(MASTER, "oracles", "pinned-search", case)
+    w = monochromatic_sumset_search(sample_poly(n, d, s), size, budget, s)
+    text = render_json({"witness": w.to_json_dict() if w else None, "next": s.getrandbits(64)})
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_AUDITS))
+def test_sumset_audit_is_pinned(case):
+    """Evasive graphs with r = 2 (breakable), r = 3 (holds after many stall
+    restarts) and r = 8 (holds), and a 40-point set."""
+    s = rng.derive(MASTER, "oracles", "pinned-audit", case)
+    if case == "points":
+        subject, t = vecs(6, s.sample(range(64), 40)), 1
+    else:
+        subject, t = build_evasive_h(6, 2, seed=17, r=int(case[1:])), 2
+    text = sumset_evasive_audit(subject, t, 5000, s).to_json() + str(s.getrandbits(64))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_AUDITS[case]
 
 
 # ---------------------------------------------------------------------------
