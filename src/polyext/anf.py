@@ -105,11 +105,6 @@ class Polynomial:
             bits |= 1 << order.index_of(mon)
         return cls(order, BitVector(order.size, bits))
 
-    @classmethod
-    def zero(cls, n: int, d: int) -> "Polynomial":
-        order = monomial_order(n, d)
-        return cls(order, BitVector(order.size, 0))
-
     def active_monomials(self) -> tuple[tuple[int, ...], ...]:
         c = self.coeffs.bits
         return tuple(

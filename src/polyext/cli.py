@@ -200,8 +200,6 @@ def _cmd_oracle_evasive_audit(args) -> int:
             kind = type(subject).__name__
             raise PolyextError(f"evasive-audit needs an evasive descriptor, not {kind}")
     else:
-        if not args.points:
-            raise PolyextError("pass --descriptor or --points")
         subject = _read_vectors(args.points)
     if args.kind == "subspace":
         stream = rng.derive(args.seed, "cli", "evasive") if args.seed is not None else None
@@ -329,8 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser(oracle, "evasive-audit", help="subspace- or sumset-evasiveness audit")
     p.add_argument("kind", choices=["subspace", "sumset"])
-    p.add_argument("--descriptor", default=None, help="evasive descriptor JSON")
-    p.add_argument("--points", default=None, help="explicit point set (one vector per line)")
+    subject = p.add_mutually_exclusive_group(required=True)
+    subject.add_argument("--descriptor", help="evasive descriptor JSON")
+    subject.add_argument("--points", help="explicit point set (one vector per line)")
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--threshold", type=int, default=2)
     p.add_argument("--mode", choices=["exhaustive", "randomized"], default="exhaustive")

@@ -26,6 +26,7 @@ __all__ = [
     "XorBasis",
     "AffineSolver",
     "binom_sum",
+    "common_length",
     "rank",
     "sample_uniform_matrix",
     "sample_invertible",
@@ -82,19 +83,6 @@ class BitVector:
 
     def to_string(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        """Sorted 0-based indices of the nonzero coordinates."""
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
@@ -158,25 +146,11 @@ class BitMatrix:
         lines = [ln for ln in text.strip().splitlines() if ln]
         return cls.from_rows([BitVector.from_string(ln) for ln in lines])
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, [0] * rows)
-
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.row_words[i])
 
-    def mul_vec(self, v: BitVector) -> BitVector:
-        """Matrix-vector product; v has length ``cols``, result length ``rows``."""
-        if v.n != self.cols:
-            raise ValueError("dimension mismatch")
-        return BitVector(self.rows, self.apply_word(v.bits))
-
     def apply_word(self, bits: int) -> int:
-        """Like :meth:`mul_vec` but on raw packed words (hot path)."""
+        """Matrix-vector product on packed words: bit i is the parity of ``row_words[i] & bits``."""
         out = 0
         for i, w in enumerate(self.row_words):
             out |= ((w & bits).bit_count() & 1) << i
@@ -226,6 +200,16 @@ class XorBasis:
 
     def __len__(self) -> int:
         return len(self._pivots)
+
+
+def common_length(a: Sequence[BitVector], b: Sequence[BitVector]) -> int:
+    """The one ambient length of two nonempty vector sets; PreconditionError otherwise."""
+    if not a or not b:
+        raise PreconditionError("both sets must be nonempty")
+    n = a[0].n
+    if any(v.n != n for v in a) or any(v.n != n for v in b):
+        raise PreconditionError("sets must share one ambient length")
+    return n
 
 
 def binom_sum(n: int, d: int) -> int:

@@ -22,7 +22,15 @@ from . import anf
 from .anf import Polynomial, eval_bits, monomial_order
 from .constructions import EvasiveDescriptor, lift_point
 from .errors import BudgetExceededError, PreconditionError, RetryExhaustedError
-from .gf2 import BitVector, XorBasis, enumerate_span, nullspace_basis, span_rank, subset_xor
+from .gf2 import (
+    BitVector,
+    XorBasis,
+    common_length,
+    enumerate_span,
+    nullspace_basis,
+    span_rank,
+    subset_xor,
+)
 from .reports import AuditReport
 
 __all__ = [
@@ -54,6 +62,7 @@ def additive_energy(x: Sequence[BitVector], y: Sequence[BitVector]) -> int:
     """
     if len(x) * len(y) > PAIR_BUDGET:
         raise BudgetExceededError("pair enumeration exceeds the 2^26 budget")
+    common_length(x, y)
     counts: dict[int, int] = {}
     ybits = [v.bits for v in y]
     for xv in x:
@@ -209,6 +218,7 @@ def energy_partition(
     size = len(x)
     if size == 0 or size & (size - 1) or len(y) != size:
         raise PreconditionError("need |X| = |Y| = 2^k")
+    common_length(x, y)
     k = size.bit_length() - 1
     if not 0 <= t <= k:
         raise PreconditionError("need 0 <= t <= k so 2^t parts divide the sets")
@@ -527,21 +537,23 @@ def _rref_subspaces(ambient: int, ell: int):
             yield rows
 
 
-def _evasive_point_set(
-    subject: Union[EvasiveDescriptor, Sequence[BitVector]],
-) -> tuple[set[int], int]:
+def _ambient(subject: Union[EvasiveDescriptor, Sequence[BitVector]]) -> int:
+    """Length of the audited points, read without building them."""
     if isinstance(subject, EvasiveDescriptor):
-        amb = subject.k + subject.r
-        pts = {
+        return subject.k + subject.r
+    if not subject:
+        raise PreconditionError("point set must be nonempty")
+    return subject[0].n
+
+
+def _evasive_point_set(subject: Union[EvasiveDescriptor, Sequence[BitVector]]) -> set[int]:
+    """The audited set as packed words; a descriptor lifts all 2^k domain points."""
+    if isinstance(subject, EvasiveDescriptor):
+        return {
             lift_point(subject.polys, BitVector(subject.k, xb))
             for xb in range(1 << subject.k)
         }
-        return pts, amb
-    pts_list = list(subject)
-    if not pts_list:
-        raise PreconditionError("point set must be nonempty")
-    amb = pts_list[0].n
-    return {v.bits for v in pts_list}, amb
+    return {v.bits for v in subject}
 
 
 def subspace_evasive_audit(
@@ -560,10 +572,14 @@ def subspace_evasive_audit(
     random domain subsets of size ``threshold`` and flags any whose image has
     span dimension <= ell; the flag rate is reported and the verdict is
     "no flags".
+
+    Each mode checks its arguments before it builds the point set, since a
+    descriptor's points cost one lift through all r polynomials each; the
+    randomized mode lifts only the points it samples.
     """
     if threshold < 1:
         raise PreconditionError("threshold must be positive")
-    points, amb = _evasive_point_set(subject)
+    amb = _ambient(subject)
     if mode == "exhaustive":
         if amb > 10 or ell > 3:
             raise PreconditionError("exhaustive mode is limited to ambient <= 10, ell <= 3")
@@ -572,6 +588,7 @@ def subspace_evasive_audit(
             raise BudgetExceededError(
                 f"{total} subspaces exceed the exhaustive budget {budget}"
             )
+        points = _evasive_point_set(subject)
         worst = 0
         witness_rows: Optional[list[int]] = None
         for rows in _rref_subspaces(amb, ell):
@@ -607,25 +624,25 @@ def subspace_evasive_audit(
         raise PreconditionError(f"unknown mode {mode!r}")
     if stream is None:
         raise PreconditionError("randomized mode needs a stream")
-    lift: Optional[Callable[[int], int]] = None
-    domain_bits: Optional[int] = None
     if isinstance(subject, EvasiveDescriptor):
-        if threshold > (1 << subject.k):
+        k, polys = subject.k, subject.polys
+        if threshold > (1 << k):
             raise PreconditionError("threshold exceeds the domain size")
-        domain_bits = subject.k
-        lift = lambda xb: lift_point(subject.polys, BitVector(subject.k, xb))
+
+        def draw_image() -> list[int]:
+            chosen: set[int] = set()
+            while len(chosen) < threshold:
+                chosen.add(stream.getrandbits(k))
+            return [lift_point(polys, BitVector(k, xb)) for xb in chosen]
     else:
-        pts_list = sorted(points)
+        pts_list = sorted(_evasive_point_set(subject))
+        if threshold > len(pts_list):
+            raise PreconditionError("cannot sample more points than the set holds")
+        draw_image = lambda: stream.sample(pts_list, threshold)
     flags = 0
     first_flag: Optional[list[str]] = None
     for _ in range(budget):
-        if domain_bits is not None:
-            chosen: set[int] = set()
-            while len(chosen) < threshold:
-                chosen.add(stream.getrandbits(domain_bits))
-            image = [lift(xb) for xb in chosen]
-        else:
-            image = [pts_list[i] for i in _sample_indices(len(pts_list), threshold, stream)]
+        image = draw_image()
         if span_rank(image) <= ell:
             flags += 1
             if first_flag is None:
@@ -649,12 +666,6 @@ def subspace_evasive_audit(
     )
 
 
-def _sample_indices(n: int, k: int, stream: Random) -> list[int]:
-    if k > n:
-        raise PreconditionError("cannot sample more points than the set holds")
-    return stream.sample(range(n), k)
-
-
 def sumset_evasive_audit(
     subject: Union[EvasiveDescriptor, Sequence[BitVector]],
     t: int,
@@ -671,7 +682,8 @@ def sumset_evasive_audit(
     """
     if t < 0:
         raise PreconditionError("t must be nonnegative")
-    points, amb = _evasive_point_set(subject)
+    amb = _ambient(subject)
+    points = _evasive_point_set(subject)
     if isinstance(subject, EvasiveDescriptor):
         k, polys = subject.k, subject.polys
         draw = lambda: lift_point(polys, BitVector(k, stream.getrandbits(k)))
@@ -706,8 +718,7 @@ def dichotomy_check(
     a: Sequence[BitVector], b: Sequence[BitVector]
 ) -> tuple[int, int, set[int]]:
     """Span dimensions of both sets and the exact set of inner-product values."""
-    if not a or not b:
-        raise PreconditionError("both sets must be nonempty")
+    common_length(a, b)
     if len(a) * len(b) > PAIR_BUDGET:
         raise BudgetExceededError("pair enumeration exceeds the 2^26 budget")
     dim_a = span_rank(v.bits for v in a)

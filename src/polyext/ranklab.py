@@ -26,6 +26,7 @@ from .gf2 import (
     BitVector,
     binom_sum,
     canonical_key,
+    common_length,
     hamming_ball,
     rank,
     sample_invertible,
@@ -38,11 +39,9 @@ from .sources import Flat
 
 __all__ = [
     "RankCertificate",
-    "SumsetResult",
     "HighRankSelection",
     "SpecialSumsetDraw",
     "eval_rank",
-    "sumset_of",
     "full_rank_check",
     "find_high_rank_subsets",
     "special_sumset_sampler",
@@ -72,16 +71,6 @@ class RankCertificate:
             "rank": self.rank,
             "witness": [v.to_string() for v in self.witness],
         }
-
-
-@dataclass(frozen=True)
-class SumsetResult:
-    """A + B with bookkeeping about collisions."""
-
-    sums: tuple[BitVector, ...]
-    pair_count: int
-    distinct_count: int
-    collisions: bool
 
 
 def _sorted_sums(xs: Sequence[int], ys: Sequence[int], n: int) -> list[int]:
@@ -145,28 +134,6 @@ def eval_rank(points: Sequence[BitVector], d: int) -> RankCertificate:
     return _certificate(n, d, len(pts), _independent_points([p.bits for p in pts], n, d))
 
 
-def _common_length(a: Sequence[BitVector], b: Sequence[BitVector]) -> int:
-    if not a or not b:
-        raise PreconditionError("both sets must be nonempty")
-    n = a[0].n
-    if any(v.n != n for v in a) or any(v.n != n for v in b):
-        raise PreconditionError("sets must share one ambient length")
-    return n
-
-
-def sumset_of(a: Sequence[BitVector], b: Sequence[BitVector]) -> SumsetResult:
-    """All pairwise sums of two point sets, with the collision flag."""
-    n = _common_length(a, b)
-    sums = _sorted_sums([v.bits for v in a], [v.bits for v in b], n)
-    pair_count = len(a) * len(b)
-    return SumsetResult(
-        sums=tuple(BitVector(n, s) for s in sums),
-        pair_count=pair_count,
-        distinct_count=len(sums),
-        collisions=len(sums) != pair_count,
-    )
-
-
 def full_rank_check(
     a: Sequence[BitVector], b: Sequence[BitVector], d: int
 ) -> tuple[bool, RankCertificate]:
@@ -177,7 +144,7 @@ def full_rank_check(
     wrapper returns the verdict together with the rank certificate of the
     (distinct) sums, so a failure is inspectable.
     """
-    n = _common_length(a, b)
+    n = common_length(a, b)
     sums, witness = _sumset_witness([v.bits for v in a], [v.bits for v in b], n, d)
     return len(witness) == len(a) * len(b), _certificate(n, d, len(sums), witness)
 
@@ -254,7 +221,7 @@ def find_high_rank_subsets(
             continue
         a_sel = tuple(fibers_a[z.bits] for z in ball_half)
         b_sel = tuple(fibers_b[z.bits] for z in ball_half)
-        cert = eval_rank(sumset_of(a_sel, b_sel).sums, d)
+        _full, cert = full_rank_check(a_sel, b_sel, d)
         if cert.rank < binom_sum(m, d):
             raise AssertionError(
                 "sumset rank fell below the guaranteed floor; this is a bug"
@@ -281,17 +248,6 @@ class SpecialSumsetDraw:
     x_star: tuple[BitVector, ...]
     y_star: tuple[BitVector, ...]
     full_rank: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "surjection": self.surjection.to_string().split("\n"),
-            "mixer": self.mixer.to_string().split("\n"),
-            "b_zero": [v.to_string() for v in self.b_zero],
-            "b_one": [v.to_string() for v in self.b_one],
-            "x_star": [v.to_string() for v in self.x_star],
-            "y_star": [v.to_string() for v in self.y_star],
-            "full_rank": self.full_rank,
-        }
 
 
 class _FiberSampler:

@@ -45,7 +45,7 @@ def all_flat_sources(n):
 
 
 def test_bias_of_constant_zero():
-    assert bias_exact(Polynomial.zero(3, 2), uniform_flat(3)) == 1
+    assert bias_exact(Polynomial.from_monomials(3, 2, []), uniform_flat(3)) == 1
 
 
 def test_bias_of_balanced_linear():
@@ -269,7 +269,8 @@ def test_extractor_audit_perfect_bit():
 
 
 def test_extractor_audit_constant_output():
-    report = extractor_audit([Polynomial.zero(2, 2)], [uniform_flat(2)], Fraction(1, 4))
+    zero = Polynomial.from_monomials(2, 2, [])
+    report = extractor_audit([zero], [uniform_flat(2)], Fraction(1, 4))
     assert not report.verdict
     assert report.max_distance == Fraction(1, 2)
     assert report.witness_source_index == 0

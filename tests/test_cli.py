@@ -447,6 +447,55 @@ def test_cli_evasive_audit_refuses_a_non_evasive_descriptor(tmp_path, capsys, au
     assert err.startswith("error:") and "evasive descriptor" in err
 
 
+@pytest.mark.parametrize(
+    "given", [["--descriptor", "d.json", "--points", "p.txt"], []], ids=["both", "neither"]
+)
+def test_cli_evasive_audit_takes_exactly_one_of_descriptor_and_points(capsys, given):
+    """argparse refuses the pair before any file is read; giving both used to drop --points."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "evasive-audit", "subspace", *given])
+    assert exc.value.code == 2
+    assert "--descriptor" in capsys.readouterr().err
+
+
+def _refusal_files(tmp_path) -> dict[str, str]:
+    return {
+        "x3": write(tmp_path / "x3.txt", "101\n011\n"),
+        "y2": write(tmp_path / "y2.txt", "10\n01\n"),
+        "ragged": write(tmp_path / "ragged.txt", "10\n011\n"),
+        "big-r": write(tmp_path / "ev.json", '{"kind":"evasive","k":8,"d":2,"r":20000,"seed":1}'),
+        "not-json": write(tmp_path / "s.json", "flat 2 00 11"),
+        "poly": write(tmp_path / "f.json", '{"d":1,"monomials":[[0]],"n":2}'),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "energy", "--x", "x3", "--y", "y2"],
+        ["oracle", "partition", "--x", "x3", "--y", "y2", "--t", "0", "--ell", "4", "--seed", "1"],
+        ["oracle", "evasive-audit", "subspace", "--descriptor", "big-r", "--threshold", "2"],
+        ["oracle", "evasive-audit", "subspace", "--descriptor", "big-r", "--points", "x3"],
+        ["rank", "--points", "ragged", "--degree", "1"],
+        ["bias", "--poly", "poly", "--source", "not-json"],
+    ],
+    ids=["energy-mixed-lengths", "partition-mixed-lengths", "evasive-r-20000",
+         "descriptor-and-points", "ragged-matrix", "non-json-source"],
+)
+def test_cli_refuses_bad_input_files_quickly(tmp_path, capsys, argv):
+    """Every refusal of a file-reading verb exits 2 within a second with an error line."""
+    files = _refusal_files(tmp_path)
+    argv = [files.get(a, a) for a in argv]
+    start = time.perf_counter()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses before any handler runs
+        code = exc.code
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert any("error: " in line for line in capsys.readouterr().err.splitlines())
+
+
 def test_cli_oracle_sumset_audit_needs_seed(tmp_path, capsys):
     pts = write(tmp_path / "p.txt", "01\n10\n")
     assert cli.main(["oracle", "evasive-audit", "sumset", "--points", pts, "--t", "1"]) == 2

@@ -46,7 +46,7 @@ def quadratic_functions_code() -> CodeView:
 
 
 def test_zero_code_is_perfectly_balanced():
-    report = balancedness_report(CodeView(BitMatrix.zero(3, 4)), 0)
+    report = balancedness_report(CodeView(BitMatrix(3, 4, [0] * 3)), 0)
     assert report.delta == 0
     assert report.worst_codeword is None
 
@@ -99,7 +99,7 @@ def test_list_size_linear_functions_at_half():
 
 def test_list_size_respects_budget():
     with pytest.raises(BudgetExceededError):
-        list_size_exhaustive(CodeView(BitMatrix.zero(1, 17)), 0)
+        list_size_exhaustive(CodeView(BitMatrix(1, 17, [0])), 0)
 
 
 def test_list_size_brute_force_agreement():
@@ -132,7 +132,7 @@ def test_johnson_passes_on_balanced_code():
 
 
 def test_johnson_single_codeword():
-    verdict = johnson_check(CodeView(BitMatrix.zero(1, 4)), 0)
+    verdict = johnson_check(CodeView(BitMatrix(1, 4, [0])), 0)
     assert verdict.passed
     assert verdict.max_list == 1
 

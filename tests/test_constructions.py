@@ -62,7 +62,7 @@ def test_two_source_self_product_is_weight_parity():
 def test_two_source_zero_lift_kills_output():
     from polyext.constructions import TwoSourceDescriptor
 
-    desc = TwoSourceDescriptor(n=2, r=1, polys=(Polynomial.zero(2, 2),), seed=0)
+    desc = TwoSourceDescriptor(n=2, r=1, polys=(Polynomial.from_monomials(2, 2, []),), seed=0)
     zero = bv("00")
     assert lift_point(desc.polys, zero) == 0
     for yb in range(4):
@@ -126,7 +126,7 @@ def test_seeded_zero_compressor_gives_zero():
         t=2,
         d=1,
         generator=base.generator,
-        compressor=BitMatrix.zero(base.compressor.rows, 4),
+        compressor=BitMatrix(base.compressor.rows, 4, [0] * base.compressor.rows),
         seed=0,
     )
     for xb in range(16):
@@ -191,7 +191,7 @@ def _zero_compressor(desc):
         t=desc.t,
         d=desc.d,
         generator=desc.generator,
-        compressor=BitMatrix.zero(desc.compressor.rows, desc.n),
+        compressor=BitMatrix(desc.compressor.rows, desc.n, [0] * desc.compressor.rows),
         seed=desc.seed,
     )
 
@@ -277,7 +277,7 @@ def test_evasive_build_deterministic():
 def test_evasive_zero_poly_gives_zero_graph():
     from polyext.constructions import EvasiveDescriptor
 
-    desc = EvasiveDescriptor(k=3, d=2, r=1, polys=(Polynomial.zero(3, 2),), seed=0)
+    desc = EvasiveDescriptor(k=3, d=2, r=1, polys=(Polynomial.from_monomials(3, 2, []),), seed=0)
     for xb in range(8):
         lifted = lift_point(desc.polys, BitVector(3, xb))
         assert lifted == xb  # appended coordinate stays zero

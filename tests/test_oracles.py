@@ -112,6 +112,19 @@ def test_energy_pair_budget():
         additive_energy(x, y)
 
 
+def test_pair_oracles_refuse_sets_of_different_lengths():
+    x, y = vecs(3, [5, 6]), vecs(2, [1, 2])
+    stream = rng.derive(MASTER, "oracles", "mixed-lengths")
+    for call in (
+        lambda: additive_energy(x, y),
+        lambda: energy_partition(x, y, t=0, ell=4, stream=stream),
+        lambda: dichotomy_check(x, y),
+        lambda: dichotomy_check(x, x + y),
+    ):
+        with pytest.raises(PreconditionError, match="one ambient length"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # energy partitions
 
@@ -283,7 +296,7 @@ def test_kernels_agree_across_block_sizes(monkeypatch):
 
 
 def test_shift_count_zero_polynomial():
-    f = Polynomial.zero(3, 2)
+    f = Polynomial.from_monomials(3, 2, [])
     count, bound, ok = cw_shift_count(f, [bv("100")])
     assert (count, bound, ok) == (8, 8, True)
 
@@ -311,12 +324,12 @@ def test_shift_count_requires_vanishing():
 
 def test_shift_count_rejects_width_mismatch():
     with pytest.raises(PreconditionError):
-        cw_shift_count(Polynomial.zero(3, 1), [bv("10")])
+        cw_shift_count(Polynomial.from_monomials(3, 1, []), [bv("10")])
 
 
 def test_shift_count_budget():
     with pytest.raises(BudgetExceededError):
-        cw_shift_count(Polynomial.zero(25, 1), [BitVector(25, 1)])
+        cw_shift_count(Polynomial.from_monomials(25, 1, []), [BitVector(25, 1)])
 
 
 def test_shift_count_random_vanishing_trials():
@@ -381,7 +394,7 @@ def _linear_family(n: int) -> list[Polynomial]:
 
 
 def test_disperser_attack_zero_family():
-    family = [Polynomial.zero(3, 2) for _ in range(8)]
+    family = [Polynomial.from_monomials(3, 2, []) for _ in range(8)]
     stream = rng.derive(MASTER, "oracles", "disperser-zero")
     w = disperser_attack(family, t=2, budget=4, stream=stream)
     assert w.verified
@@ -438,7 +451,7 @@ def test_disperser_attack_preconditions():
 
 def test_mono_search_constant_functions():
     stream = rng.derive(MASTER, "oracles", "mono-zero")
-    w = monochromatic_sumset_search(Polynomial.zero(4, 2), 3, 5000, stream)
+    w = monochromatic_sumset_search(Polynomial.from_monomials(4, 2, []), 3, 5000, stream)
     assert w is not None and w.verified and w.value == 0
     w1 = monochromatic_sumset_search(
         Polynomial.from_monomials(4, 2, [[]]), 3, 5000, stream
@@ -467,7 +480,7 @@ def test_mono_search_gives_up_on_random_cubic():
 def test_mono_search_rejects_empty_target():
     stream = rng.derive(MASTER, "oracles", "mono-pre")
     with pytest.raises(PreconditionError):
-        monochromatic_sumset_search(Polynomial.zero(2, 1), 0, 10, stream)
+        monochromatic_sumset_search(Polynomial.from_monomials(2, 1, []), 0, 10, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +536,7 @@ def test_subspace_audit_descriptor_consistency():
 
 def test_subspace_audit_randomized_identity_block():
     # graph of the zero map: images of any 4 distinct domain points span <= 3
-    desc = EvasiveDescriptor(k=3, d=1, r=1, polys=(Polynomial.zero(3, 1),), seed=0)
+    desc = EvasiveDescriptor(k=3, d=1, r=1, polys=(Polynomial.from_monomials(3, 1, []),), seed=0)
     stream = rng.derive(MASTER, "oracles", "audit-random")
     report = subspace_evasive_audit(
         desc, ell=3, threshold=4, mode="randomized", budget=20, stream=stream
@@ -544,6 +557,27 @@ def test_subspace_audit_mode_errors():
         subspace_evasive_audit(pts, ell=4, threshold=2)
     with pytest.raises(PreconditionError):
         subspace_evasive_audit(pts, ell=2, threshold=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"ell": 1, "threshold": 2},
+        {"ell": 1, "threshold": 0},
+        {"ell": 1, "threshold": 2, "mode": "guess"},
+        {"ell": 1, "threshold": 2, "mode": "randomized"},
+        {"ell": 1, "threshold": 9, "mode": "randomized", "stream": rng.derive(MASTER, "refuse")},
+    ],
+    ids=["ambient", "threshold", "mode", "stream", "domain"],
+)
+def test_subspace_audit_refuses_before_it_lifts_a_point(monkeypatch, kwargs):
+    """Each refusal comes before the 2^k lifts through all r polynomials."""
+    desc = build_evasive_h(3, 2, seed=1, r=20)
+    lifts = []
+    monkeypatch.setattr(oracles, "lift_point", lambda *args: lifts.append(args))
+    with pytest.raises(PreconditionError):
+        subspace_evasive_audit(desc, **kwargs)
+    assert lifts == []
 
 
 def test_subspace_audit_budget():

@@ -1,33 +1,55 @@
-"""Every name a ``polyext`` module exports, and every defaulted parameter, is
-used outside the tests.
+"""Every name a ``polyext`` module exports, every public method of an
+exported class, and every defaulted parameter, is used outside the tests.
 
-A name counts as used when it appears, as a whole word, in some Python file
-under ``src/``, ``scripts/`` or ``perfbench/`` outside its own definition and
-its module's ``__all__``.  A name that only the tests use belongs in the tests.
-The text is searched, not the syntax tree, because the benchmark tracer names
-the functions it wraps in strings.
+The Python files under ``src/``, ``scripts/`` and ``perfbench/`` are parsed,
+not searched as text: a use is a name, an attribute or an import alias in
+their syntax trees, so strings and docstrings never count.  An exported name
+is used when some such reference to it lies outside its own definition.  A
+public method, classmethod or property of an exported class is reached only
+through an attribute, so an attribute ``.name`` outside its own definition is
+a use of it; any attribute of that name counts, whatever object it is read
+from, so a dead method that shares its name with a live attribute stays
+out of this test's reach.  A name that only the tests use belongs in the
+tests.
 
 A defaulted parameter counts as used when some call in those files, to a
 function or method of the same name, passes it by keyword, by position, or
 through ``*``/``**``.  A knob that no program sets is a constant.
+
+Each allowlist entry says why it stays without a caller.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from collections import defaultdict
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "polyext"
 CALLER_DIRS = ("src", "scripts", "perfbench")
 
+_TRACER_ONLY = (
+    "named only by the perfbench/tracer.py TARGETS strings; it leaves src/ with the "
+    "tracer retarget (ROADMAP items 1 and 4)"
+)
+
 #: Exported names kept without a caller outside the tests, with the reason for each.
 ALLOWED = {
     "anf.evaluate": "the scalar evaluator f(x) that the tests check eval_polys against",
     "io.emit_matrix": "canonical matrix emitter used by the parse/emit round-trip tests",
     "io.emit_source": "canonical source emitter used by the parse/emit round-trip tests",
+    "anf.compose_linear": _TRACER_ONLY,
+    "constructions.eval_seeded": _TRACER_ONLY,
+    "sources.support_of": _TRACER_ONLY,
+}
+
+#: Public methods of exported classes kept without a caller, with the reason for each.
+ALLOWED_METHODS = {
+    "oracles.EnergyPartition.verify": (
+        "the from-scratch re-check that the tests run on energy_partition results"
+    ),
 }
 
 #: Defaulted parameters kept without a caller that passes them, with the reason for each.
@@ -38,50 +60,93 @@ ALLOWED_DEFAULTS = {
 }
 
 
-def _caller_texts() -> dict[Path, str]:
-    return {p: p.read_text() for d in CALLER_DIRS for p in sorted((ROOT / d).rglob("*.py"))}
+@lru_cache(maxsize=None)
+def _caller_trees() -> dict[Path, ast.Module]:
+    return {
+        p: ast.parse(p.read_text(), str(p))
+        for d in CALLER_DIRS
+        for p in sorted((ROOT / d).rglob("*.py"))
+    }
 
 
-def _exports(path: Path) -> dict[str, set[int]]:
-    """Each ``__all__`` name mapped to the lines that do not count as uses:
-    the ``__all__`` assignment and the name's own top-level definition."""
-    spans: dict[str, range] = {}
+@lru_cache(maxsize=None)
+def _references() -> tuple[dict, dict]:
+    """(names, attributes): each identifier mapped to the (file, line) of its uses.
+
+    ``names`` holds bare names and import aliases; ``attributes`` holds the
+    ``.attr`` of every attribute reference.
+    """
+    names: dict[str, list[tuple[Path, int]]] = defaultdict(list)
+    attributes: dict[str, list[tuple[Path, int]]] = defaultdict(list)
+    for path, tree in _caller_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names[node.id].append((path, node.lineno))
+            elif isinstance(node, ast.alias):
+                names[node.name.rpartition(".")[2]].append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                attributes[node.attr].append((path, node.lineno))
+    return names, attributes
+
+
+def _span(node: ast.AST) -> range:
+    return range(node.lineno, node.end_lineno + 1)
+
+
+def _is_used(name: str, module: Path, own: range, *kinds: dict) -> bool:
+    """Does some reference to ``name`` lie outside the lines ``own`` of ``module``?"""
+    return any(
+        path != module or line not in own for refs in kinds for path, line in refs.get(name, ())
+    )
+
+
+def _exports(path: Path) -> dict[str, ast.AST | None]:
+    """Each ``__all__`` name mapped to its top-level definition (None for none)."""
+    defs: dict[str, ast.AST] = {}
     names: list[str] = []
     for node in ast.parse(path.read_text(), str(path)).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            targets = [node.name]
-        elif isinstance(node, ast.Assign):
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for t in targets:
-            spans[t] = range(node.lineno, node.end_lineno + 1)
-        if "__all__" in targets:
-            names = [elt.value for elt in node.value.elts]
-    return {n: set(spans["__all__"]) | set(spans.get(n, ())) for n in names}
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            for t in targets:
+                defs[t] = node
+            if "__all__" in targets:
+                names = [elt.value for elt in node.value.elts]
+    return {n: defs.get(n) for n in names}
 
 
-def _is_used(name: str, module: Path, own_lines: set[int], texts: dict[Path, str]) -> bool:
-    word = re.compile(rf"\b{re.escape(name)}\b")
-    for path, text in texts.items():
-        for match in word.finditer(text):
-            if path != module or text.count("\n", 0, match.start()) + 1 not in own_lines:
-                return True
-    return False
+def _check(unused: set[str], allowed: dict[str, str], problem: str) -> None:
+    missing = sorted(unused - set(allowed))
+    assert not missing, f"{problem}: {missing}"
+    stale = sorted(set(allowed) - unused)
+    assert not stale, f"allowlisted entries that have a caller or are gone: {stale}"
 
 
 def test_every_exported_name_has_a_caller():
-    texts = _caller_texts()
+    names, attributes = _references()
     unused = {
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for name, own_lines in _exports(path).items()
-        if not _is_used(name, path, own_lines, texts)
+        for name, node in _exports(path).items()
+        if not _is_used(name, path, _span(node) if node else range(0), names, attributes)
     }
-    only_tests = sorted(unused - set(ALLOWED))
-    assert not only_tests, f"exported names used only by tests: {only_tests}"
-    stale = sorted(set(ALLOWED) - unused)
-    assert not stale, f"allowlisted names that have a caller or are gone: {stale}"
+    _check(unused, ALLOWED, "exported names used only by tests")
+
+
+def test_every_public_method_of_an_exported_class_has_a_caller():
+    _, attributes = _references()
+    unused = {
+        f"{path.stem}.{cls.name}.{fn.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in _exports(path).values()
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        if not _is_used(fn.name, path, _span(fn), attributes)
+    }
+    _check(unused, ALLOWED_METHODS, "public methods used only by tests")
 
 
 def _defaulted(fn: ast.FunctionDef, skip: int):
@@ -125,8 +190,8 @@ def _passes(call: ast.Call, param: str, pos) -> bool:
 
 def test_every_default_parameter_has_a_caller():
     calls: dict[str, list[ast.Call]] = defaultdict(list)
-    for path, text in _caller_texts().items():
-        for node in ast.walk(ast.parse(text, str(path))):
+    for tree in _caller_trees().values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
@@ -138,7 +203,4 @@ def test_every_default_parameter_has_a_caller():
         for label, call_name, param, pos in _defaulted_params(path)
         if not any(_passes(c, param, pos) for c in calls[call_name])
     }
-    never_passed = sorted(unused - set(ALLOWED_DEFAULTS))
-    assert not never_passed, f"defaulted parameters that no program passes: {never_passed}"
-    stale = sorted(set(ALLOWED_DEFAULTS) - unused)
-    assert not stale, f"allowlisted parameters that have a caller or are gone: {stale}"
+    _check(unused, ALLOWED_DEFAULTS, "defaulted parameters that no program passes")

@@ -21,7 +21,6 @@ from polyext.ranklab import (
     find_high_rank_subsets,
     full_rank_check,
     special_sumset_sampler,
-    sumset_of,
 )
 from polyext.sources import Flat, uniform_flat
 
@@ -36,9 +35,13 @@ def full_space(n):
     return [BitVector(n, b) for b in range(1 << n)]
 
 
+def support(v: BitVector) -> tuple[int, ...]:
+    return tuple(i for i in range(v.n) if v[i])
+
+
 def reference_key(v: BitVector) -> tuple[int, tuple[int, ...]]:
     """The canonical order by its definition: weight, then the sorted support."""
-    return (v.weight(), v.support())
+    return (v.bits.bit_count(), support(v))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +104,7 @@ def test_rank_monotone_under_linear_maps():
         d = stream.randrange(0, 4)
         pts = [BitVector(n, stream.getrandbits(n)) for _ in range(stream.randrange(1, 16))]
         mat = sample_uniform_matrix(m, n, stream)
-        mapped = [mat.mul_vec(p) for p in pts]
+        mapped = [BitVector(mat.rows, mat.apply_word(p.bits)) for p in pts]
         assert eval_rank(pts, d).rank >= eval_rank(mapped, d).rank
 
 
@@ -117,41 +120,38 @@ def test_large_sets_have_high_rank():
 
 
 # ---------------------------------------------------------------------------
-# sumset_of / full_rank_check
+# full_rank_check
 
 
 def test_sumset_with_zero_is_identity():
     b = [bv("011"), bv("101"), bv("110")]
-    result = sumset_of([bv("000")], b)
-    assert set(result.sums) == set(b)
-    assert not result.collisions
+    ok, cert = full_rank_check([bv("000")], b, 3)
+    assert ok
+    assert cert.point_count == 3 and set(cert.witness) == set(b)
 
 
 def test_sums_come_in_canonical_order():
-    """The int sort key agrees with the reference key, through the table (n <= 12) and past it."""
+    """The witness lists the sums in the reference order, in the key table (n <= 12) and past it.
+
+    At d = n every distinct point is independent, so the witness is the whole sumset.
+    """
     for n in range(1, 11):
         space = full_space(n)
-        assert list(sumset_of(space, [BitVector(n, 0)]).sums) == sorted(space, key=reference_key)
+        _, cert = full_rank_check(space, [BitVector(n, 0)], n)
+        assert list(cert.witness) == sorted(space, key=reference_key)
     stream = rng.derive(MASTER, "ranklab", "canonical-order")
     a = [BitVector(20, stream.getrandbits(20)) for _ in range(30)]
     b = [BitVector(20, stream.getrandbits(20)) for _ in range(30)]
-    sums = sumset_of(a, b).sums
-    assert list(sums) == sorted(set(sums), key=reference_key)
+    _, cert = full_rank_check(a, b, 2)
+    assert cert.point_count == len({x ^ y for x in a for y in b})
+    assert cert.rank == binom_sum(20, 2)
+    assert list(cert.witness) == sorted(cert.witness, key=reference_key)
 
 
-def test_sumset_of_subspace_collides():
-    span = [BitVector(4, b) for b in (0, 1, 2, 3)]
-    result = sumset_of(span, span)
-    assert set(result.sums) == set(span)
-    assert result.collisions
-    assert result.pair_count == 16
-    assert result.distinct_count == 4
-
-
-def test_sumset_of_transversal_pair():
-    result = sumset_of([bv("00"), bv("10")], [bv("00"), bv("01")])
-    assert set(result.sums) == set(full_space(2))
-    assert not result.collisions
+def test_full_rank_on_a_transversal_pair():
+    ok, cert = full_rank_check([bv("00"), bv("10")], [bv("00"), bv("01")], 2)
+    assert ok
+    assert set(cert.witness) == set(full_space(2))
 
 
 def test_full_rank_on_unit_vectors():
@@ -162,8 +162,9 @@ def test_full_rank_on_unit_vectors():
 
 def test_full_rank_fails_on_subspace():
     span = [BitVector(3, b) for b in (0, 1, 2, 3)]
-    ok, _ = full_rank_check(span, span, 2)
+    ok, cert = full_rank_check(span, span, 2)
     assert not ok
+    assert cert.point_count == 4  # 16 pairs, 4 distinct sums
 
 
 def test_full_rank_on_disjoint_weight_slices():
@@ -229,7 +230,7 @@ def _always_map(monkeypatch, matrix: BitMatrix) -> None:
 
 
 def test_high_rank_identity_map_on_full_space(monkeypatch):
-    _always_map(monkeypatch, BitMatrix.identity(4))
+    _always_map(monkeypatch, BitMatrix(4, 4, [1 << i for i in range(4)]))
     sel = find_high_rank_subsets(
         full_space(4), full_space(4), 2, 4, 1, rng.derive(MASTER, "ranklab", "identity")
     )
@@ -272,7 +273,7 @@ def test_high_rank_rejects_tiny_sets():
 
 def test_high_rank_gives_up_when_no_map_covers_the_ball(monkeypatch):
     # the zero map sends everything to 0, never covering the ball
-    _always_map(monkeypatch, BitMatrix.zero(3, 4))
+    _always_map(monkeypatch, BitMatrix(3, 4, [0] * 3))
     pts = full_space(4)
     with pytest.raises(RetryExhaustedError, match="within 5 samples"):
         find_high_rank_subsets(pts, pts, 2, 3, 5, rng.derive(MASTER, "z"))
@@ -300,8 +301,8 @@ def test_special_draw_slices_have_disjoint_support():
     )
     assert draw.b_zero == tuple(weight_slice(6, 1, 1, 2))
     assert draw.b_one == tuple(weight_slice(6, 1, 5, 6))
-    lo = set().union(*(v.support() for v in draw.b_zero))
-    hi = set().union(*(v.support() for v in draw.b_one))
+    lo = set().union(*(support(v) for v in draw.b_zero))
+    hi = set().union(*(support(v) for v in draw.b_one))
     assert not lo & hi
 
 
@@ -309,9 +310,9 @@ def test_special_draw_surjection_pairs_preimages():
     stream = rng.derive(MASTER, "ranklab", "pairing")
     draw = special_sumset_sampler(uniform_flat(6), uniform_flat(6), 2, 6, 100, stream)
     for u, x in zip(draw.b_zero, draw.x_star):
-        assert draw.surjection.mul_vec(x) == draw.mixer.mul_vec(u)
+        assert draw.surjection.apply_word(x.bits) == draw.mixer.apply_word(u.bits)
     for v, y in zip(draw.b_one, draw.y_star):
-        assert draw.surjection.mul_vec(y) == draw.mixer.mul_vec(v)
+        assert draw.surjection.apply_word(y.bits) == draw.mixer.apply_word(v.bits)
 
 
 def test_special_draw_on_proper_subsets():
