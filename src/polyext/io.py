@@ -94,12 +94,12 @@ def _field(data, key: str, kind: type, where: str = "", of: type | None = None):
     return _typed(data[key], kind, _name(where, key), of)
 
 
-def _check_monomials(n: int, d: int, what: str) -> None:
-    """Refuse a monomial order of more than MONOMIAL_BUDGET monomials before it is built."""
+def _check_monomials(n: int, d: int, what: str, polys: int = 1) -> None:
+    """Refuse ``polys`` polynomials of over MONOMIAL_BUDGET monomials in all before any is built."""
     # binom_sum(n, d) grows with d; at d = b = MONOMIAL_BUDGET.bit_length() it
     # is already over the budget unless n <= b, where a larger d adds nothing.
     # Capping d at b keeps the check exact and costs at most b + 1 binomials.
-    if binom_sum(n, min(d, MONOMIAL_BUDGET.bit_length())) > MONOMIAL_BUDGET:
+    if polys * binom_sum(n, min(d, MONOMIAL_BUDGET.bit_length())) > MONOMIAL_BUDGET:
         raise BudgetExceededError(
             f"{what} ranges over more than {MONOMIAL_BUDGET} monomials"
         )
@@ -253,20 +253,20 @@ def descriptor_from_dict(data: dict) -> Descriptor:
     in the recorded seed, so this reproduces the original object exactly."""
     kind = _field(data, "kind", str)
     num = partial(_field, data, kind=int)
-    # Each builder draws polynomials over (or evaluates) one monomial order,
-    # which is budgeted like a polynomial file's before the builder runs.
+    # Each builder draws r polynomials over (or evaluates) one monomial order;
+    # all of them are budgeted like a polynomial file's before the builder runs.
     if kind == "two-source":
-        n = num("n")
-        _check_monomials(n, 2, f"two-source descriptor: n={n}, degree 2")
-        return build_two_source(n, num("seed"), r=num("r"))
+        n, r = num("n"), num("r")
+        _check_monomials(n, 2, f"two-source descriptor: n={n}, degree 2, r={r}", r)
+        return build_two_source(n, num("seed"), r=r)
     if kind == "seeded":
         t, d = num("t"), num("d")
         _check_monomials(t, d, f"seeded descriptor: t={t}, d={d}")
         return build_seeded(num("n"), t, d, num("seed"))
     if kind == "evasive":
-        k, d = num("k"), num("d")
-        _check_monomials(k, d, f"evasive descriptor: k={k}, d={d}")
-        return build_evasive_h(k, d, num("seed"), r=num("r"))
+        k, d, r = num("k"), num("d"), num("r")
+        _check_monomials(k, d, f"evasive descriptor: k={k}, d={d}, r={r}", r)
+        return build_evasive_h(k, d, num("seed"), r=r)
     raise ValueError(f"unknown descriptor kind {kind!r}")
 
 

@@ -73,62 +73,69 @@ def additive_energy(x: Sequence[BitVector], y: Sequence[BitVector]) -> int:
     return sum(c * c for c in counts.values())
 
 
-#: Part-pair sums per kernel block (64 KiB of int64 words), unless one pair
-#: alone holds more.  Small blocks keep peak memory flat: on the registry's
-#: energy-partition experiment (x86-64, numpy 2.4), 2^13 sums add under
-#: 1 MiB of peak RSS where 2^16 or more add about 5 MiB, and run no slower.
+#: Sums per sorted block in ``_max_fiber`` (64 KiB of int64 words), unless
+#: one pair alone holds more, as at t = 0 where one part holds every point.
 LIVE_SUMS = 1 << 13
 
 
 def _pack(parts: Sequence[Sequence[BitVector]]) -> np.ndarray:
     """Equal-size parts as a (parts, part_size) array of packed words.
 
-    Words up to 63 bits wide fit int64 without wrapping; wider vectors fall
-    back to an object array of Python ints, on which XOR, sorting and
+    Words below 2^63 fit int64, and so do their XORs; a wider word makes it
+    an object array of Python ints, on which XOR, sorting, searching and
     equality behave the same.
     """
-    width = max(v.n for part in parts for v in part)
-    dtype = np.int64 if width <= 63 else object
-    return np.array([[v.bits for v in part] for part in parts], dtype=dtype)
+    words = [[v.bits for v in part] for part in parts]
+    dtype = np.int64 if max(map(max, words)).bit_length() <= 63 else object
+    return np.array(words, dtype=dtype)
 
 
-def _pair_sums(xs: np.ndarray, ys: np.ndarray):
-    """Yield ``(rows, cols, sums)`` blocks that cover every part pair (i, j).
+def _energies(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """E(X_i, Y_j) for every row pair of two packed part arrays, as int64.
 
-    ``sums[a, b]`` holds all |X_i| * |Y_j| sums x + y of the pair
-    (rows.start + a, cols.start + b), formed by one XOR broadcast of the
-    parts with each word repeated, resp. tiled, to the row width.  A block
-    spans as many pairs as fit in LIVE_SUMS sums, and at least one, so only
-    a pair larger than that, as at t = 0 where one part holds every point,
-    makes a larger block.
+    By the difference identity E(A, B) = sum_d r_A(d) * r_B(d), where r_A(d)
+    counts the ordered pairs of A with a + a' = d (multisets too): one count
+    table per side over the differences that both sides form inside their
+    parts, and one float64 matmul.  That is exact, as no partial sum exceeds
+    E_ij <= (|X_i| * |Y_j|)^2 < 2^53 under PAIR_BUDGET.
     """
-    x_wide = np.repeat(xs, ys.shape[1], axis=1)
-    y_wide = np.tile(ys, (1, xs.shape[1]))
-    width = x_wide.shape[1]
-    y_step = min(len(ys), max(1, LIVE_SUMS // width))
-    x_step = max(1, LIVE_SUMS // (width * y_step))
-    for i in range(0, len(xs), x_step):
-        for j in range(0, len(ys), y_step):
-            rows, cols = slice(i, i + x_step), slice(j, j + y_step)
-            yield rows, cols, x_wide[rows, None, :] ^ y_wide[None, cols, :]
+    dx, dy = ((p[:, :, None] ^ p[:, None, :]).reshape(len(p), -1) for p in (xs, ys))
+    shared = np.intersect1d(dx, dy)  # never empty: every part forms 0
+    tables = []
+    for diffs in (dx, dy):
+        cols = np.searchsorted(shared, diffs).clip(max=len(shared) - 1)
+        cols[shared[cols] != diffs] = len(shared)  # a difference the other side never forms
+        flat = (cols + (len(shared) + 1) * np.arange(len(cols))[:, None]).ravel()
+        counts = np.bincount(flat, minlength=len(cols) * (len(shared) + 1))
+        tables.append(counts.reshape(len(cols), -1)[:, :-1].astype(np.float64))
+    return (tables[0] @ tables[1].T).astype(np.int64)
 
 
 def _max_fiber(xs: np.ndarray, ys: np.ndarray) -> int:
     """Largest sum-fiber |{(x, y) in X_i x Y_j : x + y = w}| over all i, j, w.
 
-    Each pair's sums are sorted, so equal sums sit in runs, and some run is
-    longer than f exactly when a sorted row repeats a value f places on.
-    Growing f from 1 until no row does reads off the longest run.  No fiber
-    exceeds a part, so that is at most part_size whole-block comparisons, and
-    a few for the small fibers of random parts.
+    A pair's fibers add up to |X_i| * |Y_j| and their squares to E(X_i, Y_j),
+    so they are all 1 exactly when the two agree, for multisets too.  Only
+    the other pairs are sorted, LIVE_SUMS sums (or one pair) at a time, and
+    their fibers read off as runs of equal sums; the squared runs must add up
+    to the pair's energy, so every energy above that floor is counted twice.
     """
+    energies = _energies(xs, ys)
+    width = xs.shape[1] * ys.shape[1]
+    live_x, live_y = np.nonzero(energies > width)
+    step = max(1, LIVE_SUMS // width)
     biggest = 1
-    for _, _, sums in _pair_sums(xs, ys):
-        ordered = np.sort(sums, axis=2)
-        while biggest < ordered.shape[2] and (
-            ordered[..., biggest:] == ordered[..., :-biggest]
-        ).any():
-            biggest += 1
+    for at in range(0, len(live_x), step):
+        i, j = live_x[at : at + step], live_y[at : at + step]
+        sums = np.sort((xs[i, :, None] ^ ys[j, None, :]).reshape(len(i), width), axis=1)
+        first = np.ones(sums.shape, dtype=bool)
+        first[:, 1:] = sums[:, 1:] != sums[:, :-1]
+        starts = np.flatnonzero(first)
+        runs = np.diff(starts, append=sums.size)
+        per_pair = np.add.reduceat(runs * runs, np.searchsorted(starts, np.arange(0, sums.size, width)))
+        if (per_pair != energies[i, j]).any():
+            raise AssertionError("sum-fiber runs disagree with the pair energies; this is a bug")
+        biggest = max(biggest, int(runs.max()))
     return biggest
 
 
@@ -137,29 +144,13 @@ def pair_energies(
 ) -> np.ndarray:
     """E(X_i, Y_j) for every part pair, as a (len(x_parts), len(y_parts)) array.
 
-    Batched equivalent of ``additive_energy`` on each pair, LIVE_SUMS sums
-    at a time.  It re-verifies an ``energy_partition`` result, so it counts
-    along a different route from the fiber check, and a fault in one count
-    cannot hide in the other: instead of sorting each pair's sums and
-    reading run lengths, it packs every sum with its pair index into one
-    key, counts the distinct keys with ``np.unique`` and adds the squared
-    counts per pair.  Keys stay int64 while pair index and sum fit in 63
-    bits together and become Python ints beyond that.
+    Batched ``additive_energy`` on each pair (see ``_energies``).  Refuses
+    more than PAIR_BUDGET point pairs before packing, which also keeps the
+    float64 count exact.
     """
-    xs, ys = _pack(x_parts), _pack(y_parts)
-    shift = max(int(xs.max()), int(ys.max())).bit_length()  # every sum is below 2^shift
-    energies = np.zeros((len(xs), len(ys)), dtype=np.int64)
-    for rows, cols, sums in _pair_sums(xs, ys):
-        x_count, y_count, width = sums.shape
-        pairs = x_count * y_count
-        dtype = np.int64 if shift + pairs.bit_length() <= 63 else object
-        pair_of = np.arange(pairs, dtype=dtype).repeat(width)
-        keys = (pair_of << shift) | sums.ravel().astype(dtype, copy=False)
-        distinct, counts = np.unique(keys, return_counts=True)
-        block = np.zeros(pairs, dtype=np.int64)
-        np.add.at(block, (distinct >> shift).astype(np.int64), counts * counts)
-        energies[rows, cols] = block.reshape(x_count, y_count)
-    return energies
+    if sum(map(len, x_parts)) * sum(map(len, y_parts)) > PAIR_BUDGET:
+        raise BudgetExceededError("pair enumeration exceeds the 2^26 budget")
+    return _energies(_pack(x_parts), _pack(y_parts))
 
 
 @dataclass(frozen=True)
@@ -184,7 +175,8 @@ class EnergyPartition:
     def verify(self, x: Sequence[BitVector], y: Sequence[BitVector]) -> bool:
         """Re-check the partition property and the fiber cap from scratch.
 
-        The largest fiber is recounted from the parts; the stored
+        The largest fiber is recounted from the parts by ``_max_fiber``,
+        which checks its sorted runs against the pair energies; the stored
         ``max_fiber`` must equal it and both must respect ``ell``.
         """
         for parts, points in ((self.x_parts, x), (self.y_parts, y)):
@@ -207,17 +199,19 @@ def energy_partition(
 ) -> EnergyPartition:
     """Resample whole uniform partitions until every sum-fiber has <= ell pairs.
 
-    Requires |X| = |Y| = 2^k with t <= k.  The stated sufficient condition
-    ell >= 4, t >= (k/(ell-1)) * (1 + ell/2) is advisory: parameters outside
-    it only trigger a warning, since the resampling loop may still succeed.
+    Requires |X| = |Y| = 2^k <= 2^13 (PAIR_BUDGET) with t <= k.  The stated
+    sufficient condition ell >= 4, t >= (k/(ell-1)) * (1 + ell/2) is advisory:
+    parameters outside it only trigger a warning, since the resampling loop
+    may still succeed.
 
     Each resample shuffles both sets, packs the parts into word arrays and
-    forms every part pair's sums by one XOR broadcast, LIVE_SUMS sums at a
-    time; the largest fiber is read off sorted runs (see ``_max_fiber``).
+    reads the largest fiber off the pairs that can hold one (``_max_fiber``).
     """
     size = len(x)
     if size == 0 or size & (size - 1) or len(y) != size:
         raise PreconditionError("need |X| = |Y| = 2^k")
+    if size * size > PAIR_BUDGET:
+        raise BudgetExceededError("pair enumeration exceeds the 2^26 budget")
     common_length(x, y)
     k = size.bit_length() - 1
     if not 0 <= t <= k:

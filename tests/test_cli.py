@@ -464,6 +464,8 @@ def _refusal_files(tmp_path) -> dict[str, str]:
         "y2": write(tmp_path / "y2.txt", "10\n01\n"),
         "ragged": write(tmp_path / "ragged.txt", "10\n011\n"),
         "big-r": write(tmp_path / "ev.json", '{"kind":"evasive","k":8,"d":2,"r":20000,"seed":1}'),
+        "huge-r": write(tmp_path / "ev2.json", '{"kind":"evasive","k":8,"d":2,"r":200000,"seed":1}'),
+        "2^14": write(tmp_path / "big.txt", "".join(f"{v:015b}\n" for v in range(1 << 14))),
         "not-json": write(tmp_path / "s.json", "flat 2 00 11"),
         "poly": write(tmp_path / "f.json", '{"d":1,"monomials":[[0]],"n":2}'),
     }
@@ -478,9 +480,12 @@ def _refusal_files(tmp_path) -> dict[str, str]:
         ["oracle", "evasive-audit", "subspace", "--descriptor", "big-r", "--points", "x3"],
         ["rank", "--points", "ragged", "--degree", "1"],
         ["bias", "--poly", "poly", "--source", "not-json"],
+        ["oracle", "partition", "--x", "2^14", "--y", "2^14", "--t", "7", "--ell", "5", "--seed", "1"],
+        ["oracle", "evasive-audit", "subspace", "--descriptor", "huge-r", "--threshold", "2"],
     ],
     ids=["energy-mixed-lengths", "partition-mixed-lengths", "evasive-r-20000",
-         "descriptor-and-points", "ragged-matrix", "non-json-source"],
+         "descriptor-and-points", "ragged-matrix", "non-json-source",
+         "partition-past-pair-budget", "evasive-r-200000"],
 )
 def test_cli_refuses_bad_input_files_quickly(tmp_path, capsys, argv):
     """Every refusal of a file-reading verb exits 2 within a second with an error line."""

@@ -6,6 +6,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polyext import oracles, rng
@@ -251,7 +252,12 @@ def _kernel_case(k, t, n, ell, shift):
 @pytest.mark.parametrize("k,t,n,ell,shift", KERNEL_CASES)
 def test_partition_kernel_matches_scalar_reference(k, t, n, ell, shift):
     x, y, expected = _kernel_case(k, t, n, ell, shift)
-    stream = rng.derive(MASTER, n, k, t)
+    _assert_kernel_matches(x, y, t, ell, rng.derive(MASTER, n, k, t), expected)
+
+
+def _assert_kernel_matches(x, y, t, ell, stream, expected):
+    """``energy_partition`` on the stream gives the reference's outcome, and
+    ``pair_energies`` of its parts equals ``additive_energy`` on every pair."""
     if expected is None:
         with pytest.raises(RetryExhaustedError):
             energy_partition(x, y, t, ell, stream, retries=20)
@@ -289,6 +295,68 @@ def test_kernels_agree_across_block_sizes(monkeypatch):
             assert again == part
             assert (pair_energies(part.x_parts, part.y_parts) == whole).all()
             monkeypatch.undo()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_repeated_points_alone_make_a_fiber():
+    # the parts share no nonzero difference, yet 5 + 1 and 5 + 2 are each hit twice
+    x, y = vecs(3, [5, 5]), vecs(3, [1, 2])
+    assert pair_energies([x], [y]).tolist() == [[additive_energy(x, y)]] == [[8]]
+    part = energy_partition(x, y, t=0, ell=4, stream=rng.derive(MASTER, "oracles", "repeats"))
+    assert part.max_fiber == 2
+    assert part.verify(x, y)
+
+
+# (k, t, n, ell) for multisets drawn from 2^(k-1) words: every case repeats
+# points, so fibers above 1 come from repeats as well as from sums.
+MULTISET_CASES = [
+    (2, 0, 3, 8),  # t = 0, one fiber holds every pair
+    (3, 1, 5, 6),  # 12 resamples
+    (4, 2, 6, 3),  # cap exhausts every resample
+    (5, 3, 4, 4),
+    (5, 2, 8, 7),
+    (4, 3, 70, 2),  # 70-bit vectors
+]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("k,t,n,ell", MULTISET_CASES)
+def test_partition_kernel_matches_scalar_reference_on_multisets(k, t, n, ell):
+    stream = rng.derive(MASTER, "oracles", "partition-multiset", k, t, n)
+    pool = [stream.getrandbits(n) for _ in range(1 << (k - 1))]
+    x = vecs(n, (stream.choice(pool) for _ in range(1 << k)))
+    y = vecs(n, (stream.choice(pool) for _ in range(1 << k)))
+    assert len(set(x)) < len(x) and len(set(y)) < len(y)
+    expected = scalar_energy_partition(x, y, t, ell, rng.derive(MASTER, n, k, t), retries=20)
+    _assert_kernel_matches(x, y, t, ell, rng.derive(MASTER, n, k, t), expected)
+
+
+@pytest.mark.parametrize("error", [-1, 1])
+def test_fiber_check_recounts_every_energy_it_sorts(monkeypatch, error):
+    """An energy kernel that is off on one pair fails the fiber check's run count."""
+    stream = rng.derive(MASTER, "oracles", "partition-miscount")
+    x = vecs(10, stream.sample(range(1 << 10), 256))
+    y = vecs(10, stream.sample(range(1 << 10), 256))
+    part = energy_partition(x, y, t=7, ell=5, stream=stream)
+    xs, ys = oracles._pack(part.x_parts), oracles._pack(part.y_parts)
+    energies = oracles._energies(xs, ys)
+    # undercount a pair whose fibers are not all 1, or lift a pair at the floor 4 above it
+    target = tuple(np.argwhere(energies > 4 if error < 0 else energies == 4)[0])
+    miscounted = energies.copy()
+    miscounted[target] += error
+    monkeypatch.setattr(oracles, "_energies", lambda *_: miscounted)
+    with pytest.raises(AssertionError, match="this is a bug"):
+        oracles._max_fiber(xs, ys)
+
+
+def test_partition_oracles_refuse_pairs_past_the_budget(monkeypatch):
+    big = vecs(15, range(1 << 14))
+    monkeypatch.setattr(oracles, "_pack", lambda parts: pytest.fail("packed past the budget"))
+    stream = rng.derive(MASTER, "oracles", "partition-budget")
+    with pytest.raises(BudgetExceededError):
+        energy_partition(big, big, t=7, ell=5, stream=stream, retries=0)
+    with pytest.raises(BudgetExceededError):
+        pair_energies([big[:1 << 13], big[1 << 13 :]], [big])
 
 
 # ---------------------------------------------------------------------------
