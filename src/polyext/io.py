@@ -220,7 +220,9 @@ def source_from_dict(data: dict, where: str = "") -> Source:
                 raise ValueError(f"{at}.table must be a 0/1 string")
             inputs = _field(b, "inputs", list, at, of=int)
             bits.append(LocalBit(tuple(inputs), tuple(map(int, table))))
-        return Local(_field(data, "r", int, where), _field(data, "m", int, where), tuple(bits))
+        r, m = _field(data, "r", int, where), _field(data, "m", int, where)
+        _check_monomials(m, 1, f"{where or 'local source'}: m={m}, degree 1")
+        return Local(r, m, tuple(bits))
     if kind == "polynomial":
         m = _field(data, "m", int, where)
         return PolynomialImage(m, _items(data, "polys", where, _polynomial))

@@ -204,8 +204,8 @@ def energy_partition(
     parameters outside it only trigger a warning, since the resampling loop
     may still succeed.
 
-    Each resample shuffles both sets, packs the parts into word arrays and
-    reads the largest fiber off the pairs that can hold one (``_max_fiber``).
+    Both sets are packed once; each resample shuffles indices, gathers the
+    parts and reads the largest fiber off the pairs that can hold one (``_max_fiber``).
     """
     size = len(x)
     if size == 0 or size & (size - 1) or len(y) != size:
@@ -222,20 +222,24 @@ def energy_partition(
             "t >= (k/(ell-1))(1+ell/2); the partition search may stall",
             stacklevel=2,
         )
-    parts = 1 << t
     part_size = size >> t
+    shape = (1 << t, part_size)
+    x_words, y_words = _pack([x]).reshape(size), _pack([y]).reshape(size)
     for attempt in range(retries):
-        xs = list(x)
-        ys = list(y)
-        stream.shuffle(xs)
-        stream.shuffle(ys)
-        x_parts = [xs[i * part_size : (i + 1) * part_size] for i in range(parts)]
-        y_parts = [ys[i * part_size : (i + 1) * part_size] for i in range(parts)]
-        max_fiber = _max_fiber(_pack(x_parts), _pack(y_parts))
+        # shuffle reads the stream by length only, so shuffling indices draws
+        # the same permutations as shuffling the points themselves
+        ix, iy = list(range(size)), list(range(size))
+        stream.shuffle(ix)
+        stream.shuffle(iy)
+        max_fiber = _max_fiber(x_words[ix].reshape(shape), y_words[iy].reshape(shape))
         if max_fiber <= ell:
+            x_parts, y_parts = (
+                tuple(tuple(points[i : i + part_size]) for i in range(0, size, part_size))
+                for points in ([x[j] for j in ix], [y[j] for j in iy])
+            )
             return EnergyPartition(
-                x_parts=tuple(tuple(p) for p in x_parts),
-                y_parts=tuple(tuple(p) for p in y_parts),
+                x_parts=x_parts,
+                y_parts=y_parts,
                 t=t,
                 ell=ell,
                 max_fiber=max_fiber,
@@ -609,9 +613,6 @@ def subspace_evasive_audit(
         return AuditReport(
             kind="subspace-evasive",
             verdict=verdict,
-            epsilon=None,
-            max_distance=None,
-            witness_source_index=None,
             per_source=[extra],
         )
     if mode != "randomized":
@@ -653,9 +654,6 @@ def subspace_evasive_audit(
     return AuditReport(
         kind="subspace-evasive",
         verdict=flags == 0,
-        epsilon=None,
-        max_distance=None,
-        witness_source_index=None,
         per_source=[extra],
     )
 
@@ -701,9 +699,6 @@ def sumset_evasive_audit(
     return AuditReport(
         kind="sumset-evasive",
         verdict=witness is None,
-        epsilon=None,
-        max_distance=None,
-        witness_source_index=None,
         per_source=[extra],
     )
 

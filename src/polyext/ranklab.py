@@ -155,7 +155,6 @@ class HighRankSelection:
 
     a_points: tuple[BitVector, ...]
     b_points: tuple[BitVector, ...]
-    map_matrix: BitMatrix
     certificate: RankCertificate
     attempts: int
 
@@ -226,7 +225,7 @@ def find_high_rank_subsets(
             raise AssertionError(
                 "sumset rank fell below the guaranteed floor; this is a bug"
             )
-        return HighRankSelection(a_sel, b_sel, matrix, cert, attempts)
+        return HighRankSelection(a_sel, b_sel, cert, attempts)
     raise RetryExhaustedError(f"no ball-covering map within {trials} samples")
 
 

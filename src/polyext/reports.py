@@ -74,9 +74,9 @@ class AuditReport:
 
     kind: str  # "extractor" | "disperser"
     verdict: bool
-    epsilon: Optional[Fraction]
-    max_distance: Optional[Fraction]
-    witness_source_index: Optional[int]
+    epsilon: Optional[Fraction] = None
+    max_distance: Optional[Fraction] = None
+    witness_source_index: Optional[int] = None
     per_source: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:

@@ -177,7 +177,7 @@ Source = Union[Flat, Affine, Sumset, Local, PolynomialImage, Variety]
 
 def uniform_flat(n: int) -> Flat:
     """The uniform distribution over all of F_2^n as an explicit flat source."""
-    _check_budget(1 << n, "uniform flat")
+    _check_budget(f"uniform flat (n={n})", log2=n)
     return Flat(n, tuple(BitVector(n, b) for b in range(1 << n)))
 
 
@@ -192,11 +192,14 @@ def ambient_length(source: Source) -> int:
     raise TypeError(f"not a source: {source!r}")
 
 
-def _check_budget(cost: int, what: str) -> None:
-    if cost > ENUMERATION_BUDGET:
+def _check_budget(what: str, count: int = 0, log2: int = -1) -> None:
+    """Refuse over ``ENUMERATION_BUDGET`` steps: ``count`` of them, or 2^``log2``
+    judged by its exponent (2^x > B exactly when x >= B.bit_length())."""
+    bits = ENUMERATION_BUDGET.bit_length()
+    if count > ENUMERATION_BUDGET or log2 >= bits:
         raise BudgetExceededError(
-            f"{what} needs {cost} enumeration steps, over the "
-            f"2^{ENUMERATION_BUDGET.bit_length() - 1} budget"
+            f"{what} needs {f'2^{log2}' if log2 >= bits else count} enumeration steps, "
+            f"over the 2^{bits - 1} budget"
         )
 
 
@@ -235,24 +238,24 @@ def _support_counts(source: Source) -> tuple[np.ndarray, np.ndarray, int]:
     :class:`PreconditionError` for an empty variety.
     """
     if isinstance(source, Variety):
-        _check_budget(1 << source.n, "variety enumeration")
+        _check_budget(f"variety enumeration (n={source.n})", log2=source.n)
         pts = _variety_points(source)
         if pts.size == 0:
             raise PreconditionError("variety is empty; no distribution to enumerate")
         return pts, np.ones(pts.size, dtype=np.int64), int(pts.size)
     dtype = np.uint64 if ambient_length(source) <= 64 else object
     if isinstance(source, Flat):
-        _check_budget(len(source.support), "flat support")
+        _check_budget("flat support", len(source.support))
         raw = np.array([v.bits for v in source.support], dtype=dtype)
     elif isinstance(source, Affine):
-        _check_budget(1 << len(source.basis), "affine span")
+        _check_budget(f"affine span of {len(source.basis)} basis vectors", log2=len(source.basis))
         raw = np.array(subset_xors([b.bits for b in source.basis], source.offset.bits), dtype=dtype)
     elif isinstance(source, Sumset):
-        _check_budget(len(source.x.support) * len(source.y.support), "sumset pairs")
+        _check_budget("sumset pairs", len(source.x.support) * len(source.y.support))
         xs, ys = (np.array([v.bits for v in f.support], dtype=dtype) for f in (source.x, source.y))
         raw = np.bitwise_xor.outer(xs, ys).ravel()
     elif isinstance(source, (Local, PolynomialImage)):
-        _check_budget(1 << source.m, "input enumeration")
+        _check_budget(f"input enumeration (m={source.m})", log2=source.m)
         raw = _image_words(source, np.arange(1 << source.m, dtype=np.uint64))
     else:
         raise TypeError(f"not a source: {source!r}")

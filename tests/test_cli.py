@@ -468,27 +468,51 @@ def _refusal_files(tmp_path) -> dict[str, str]:
         "2^14": write(tmp_path / "big.txt", "".join(f"{v:015b}\n" for v in range(1 << 14))),
         "not-json": write(tmp_path / "s.json", "flat 2 00 11"),
         "poly": write(tmp_path / "f.json", '{"d":1,"monomials":[[0]],"n":2}'),
+        # 2^m does not fit in memory, and 2^n has more decimal digits than
+        # Python will print; the budget checks must refuse both without
+        # building (or formatting) the power
+        "local-m": write(
+            tmp_path / "local.json",
+            '{"type":"local","r":1,"m":1000000000000,'
+            '"bits":[{"inputs":[0],"table":"01"},{"inputs":[1],"table":"01"}]}',
+        ),
+        "poly-n": write(tmp_path / "fn.json", '{"d":1,"monomials":[[0]],"n":20000}'),
+        "variety-n": write(
+            tmp_path / "var.json",
+            '{"type":"variety","n":20000,"polys":[{"d":1,"monomials":[[0]],"n":20000}]}',
+        ),
     }
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, says",
     [
-        ["oracle", "energy", "--x", "x3", "--y", "y2"],
-        ["oracle", "partition", "--x", "x3", "--y", "y2", "--t", "0", "--ell", "4", "--seed", "1"],
-        ["oracle", "evasive-audit", "subspace", "--descriptor", "big-r", "--threshold", "2"],
-        ["oracle", "evasive-audit", "subspace", "--descriptor", "big-r", "--points", "x3"],
-        ["rank", "--points", "ragged", "--degree", "1"],
-        ["bias", "--poly", "poly", "--source", "not-json"],
-        ["oracle", "partition", "--x", "2^14", "--y", "2^14", "--t", "7", "--ell", "5", "--seed", "1"],
-        ["oracle", "evasive-audit", "subspace", "--descriptor", "huge-r", "--threshold", "2"],
+        (["oracle", "energy", "--x", "x3", "--y", "y2"], "ambient length"),
+        (["oracle", "partition", "--x", "x3", "--y", "y2", "--t", "0", "--ell", "4", "--seed", "1"],
+         "ambient length"),
+        (["oracle", "evasive-audit", "subspace", "--descriptor", "big-r", "--threshold", "2"],
+         "r=20000"),
+        (["oracle", "evasive-audit", "subspace", "--descriptor", "big-r", "--points", "x3"],
+         "--descriptor"),
+        (["rank", "--points", "ragged", "--degree", "1"], "row 1"),
+        (["bias", "--poly", "poly", "--source", "not-json"], "not valid JSON"),
+        (["oracle", "partition", "--x", "2^14", "--y", "2^14", "--t", "7", "--ell", "5", "--seed",
+          "1"], "2^26"),
+        (["oracle", "evasive-audit", "subspace", "--descriptor", "huge-r", "--threshold", "2"],
+         "r=200000"),
+        (["bias", "--poly", "poly", "--source", "local-m"], "m=1000000000000"),
+        (["bias", "--poly", "poly", "--source", "local-m", "--samples", "100", "--seed", "1"],
+         "m=1000000000000"),
+        (["bias", "--poly", "poly-n", "--source", "variety-n"], "n=20000"),
     ],
     ids=["energy-mixed-lengths", "partition-mixed-lengths", "evasive-r-20000",
          "descriptor-and-points", "ragged-matrix", "non-json-source",
-         "partition-past-pair-budget", "evasive-r-200000"],
+         "partition-past-pair-budget", "evasive-r-200000", "local-m-10^12",
+         "local-m-10^12-sampled", "variety-n-20000"],
 )
-def test_cli_refuses_bad_input_files_quickly(tmp_path, capsys, argv):
-    """Every refusal of a file-reading verb exits 2 within a second with an error line."""
+def test_cli_refuses_bad_input_files_quickly(tmp_path, capsys, argv, says):
+    """Every refusal of a file-reading verb exits 2 within a second with an
+    error line that names what it refuses."""
     files = _refusal_files(tmp_path)
     argv = [files.get(a, a) for a in argv]
     start = time.perf_counter()
@@ -498,7 +522,7 @@ def test_cli_refuses_bad_input_files_quickly(tmp_path, capsys, argv):
         code = exc.code
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert any("error: " in line for line in capsys.readouterr().err.splitlines())
+    assert any("error: " in line and says in line for line in capsys.readouterr().err.splitlines())
 
 
 def test_cli_oracle_sumset_audit_needs_seed(tmp_path, capsys):

@@ -17,6 +17,12 @@ function or method of the same name, passes it by keyword, by position, or
 through ``*``/``**``.  A knob that no program sets is a constant.
 
 Each allowlist entry says why it stays without a caller.
+
+Some conventions have one owner module in ``src/polyext`` (``OWNERS``).  No
+other file under those directories may use an owned identifier (as a name,
+an attribute, an import or its alias, or a definition) or define a function
+whose name contains an owned fragment.  The same parsed trees decide this, so
+a comment, a docstring or a string that names a rule never breaks it.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ import ast
 from collections import defaultdict
 from functools import lru_cache
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "polyext"
@@ -58,6 +66,36 @@ ALLOWED_DEFAULTS = {
         "criterion 14 compares payloads without wall time, and the criteria are fixed"
     ),
 }
+
+
+#: One owner per convention: (identifiers, function-name fragment or None,
+#: owner module, why), read by :func:`_ownership_breaches`.
+OWNERS = (
+    ({"_active_masks"}, None, "anf", "use anf.eval_polys instead of reading _active_masks"),
+    (
+        {"support_of"}, None, "sources",
+        "read sources._support_counts instead of the per-point support_of view",
+    ),
+    (
+        {"sample_source"}, None, "sources",
+        "draw a batch with sources.sample_words instead of one sample_source call per point",
+    ),
+    (
+        {"full_rank_check"}, None, "ranklab",
+        "full_rank_check wraps ranklab's packed core in BitVectors; "
+        "check sumset rank inside ranklab",
+    ),
+    (
+        {"canonical_index"}, "canonical", "gf2",
+        "sort with gf2.canonical_key or enumerate with gf2.hamming_ball "
+        "instead of encoding the canonical order again",
+    ),
+    (
+        set(), "subset_xor", "gf2",
+        "XOR subsets of words with gf2.subset_xor or gf2.subset_xors "
+        "instead of encoding subset-XOR again",
+    ),
+)
 
 
 @lru_cache(maxsize=None)
@@ -204,3 +242,86 @@ def test_every_default_parameter_has_a_caller():
         if not any(_passes(c, param, pos) for c in calls[call_name])
     }
     _check(unused, ALLOWED_DEFAULTS, "defaulted parameters that no program passes")
+
+
+def _identifiers(tree: ast.AST):
+    """(identifier, line, names a function definition) for each identifier in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno, False
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno, False
+            if node.asname:
+                yield node.asname, node.lineno, False
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, not isinstance(node, ast.ClassDef)
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            yield node.arg, node.lineno, False
+
+
+def _ownership_breaches(path: Path, tree: ast.AST) -> list[str]:
+    """'line: identifier: why' for each use in ``tree``, the file ``path``, of
+    a convention that another module owns."""
+    return [
+        f"{line}: {ident}: {why}"
+        for ident, line, defines in _identifiers(tree)
+        for names, fragment, owner, why in OWNERS
+        if path != PACKAGE / f"{owner}.py"
+        if ident in names or (defines and fragment is not None and fragment in ident)
+    ]
+
+
+def test_each_convention_is_used_only_by_its_owner():
+    breaches = [
+        f"{path.relative_to(ROOT)}:{breach}"
+        for path, tree in _caller_trees().items()
+        for breach in _ownership_breaches(path, tree)
+    ]
+    assert not breaches, "\n".join(breaches)
+
+
+#: How each kind of use reads, with the owned identifier for ``{}``.
+_USES = {
+    "call": "x = {}(a, b)\n",
+    "attribute": "from . import m\ny = m.{}\n",
+    "import": "from .m import {}\n",
+    "aliased import": "from .m import {} as renamed\n",
+}
+#: Definitions whose name contains the owned fragment ``{}``.
+_DEFINITIONS = {
+    "function": "def _by_{}_order(n):\n    return n\n",
+    "method": "class C:\n    def {}s(self):\n        return self\n",
+}
+#: Text that names a rule without using it.
+_MENTIONS = {
+    "comment": "# never call {}(x) here\nx = 1\n",
+    "docstring": '"""Never call {}(x) here."""\n',
+    "string": 'TARGET = ("m", "{}")\n',
+}
+
+
+def _row_id(row) -> str:
+    names, fragment = row[0], row[1]
+    return "/".join(sorted(names) + ([f"def-{fragment}"] if fragment else []))
+
+
+@pytest.mark.parametrize("row", OWNERS, ids=_row_id)
+def test_the_ownership_guard_flags_uses_and_passes_mentions(row):
+    names, fragment, owner, _ = row
+    owned, other = PACKAGE / f"{owner}.py", PACKAGE / "bias.py"
+    uses = {f"{kind} of {name}": t.format(name) for name in names for kind, t in _USES.items()}
+    if fragment:
+        uses.update({f"{kind} {fragment}": t.format(fragment) for kind, t in _DEFINITIONS.items()})
+    for label, text in uses.items():
+        tree = ast.parse(text)
+        assert _ownership_breaches(other, tree), f"{label} in {other.name} is not flagged"
+        assert not _ownership_breaches(owned, tree), f"{label} in the owner {owned.name} is flagged"
+    words = sorted(names) + ([fragment] if fragment else [])
+    for word in words:
+        for kind, text in _MENTIONS.items():
+            assert not _ownership_breaches(other, ast.parse(text.format(word))), f"{kind} of {word}"
+    if fragment:  # a fragment row owns definitions; using the owner's functions is the point
+        for kind, text in _USES.items():
+            assert not _ownership_breaches(other, ast.parse(text.format(fragment))), kind
