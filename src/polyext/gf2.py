@@ -371,80 +371,70 @@ def enumerate_span(basis_words: Iterable[int]) -> list[int]:
 def nullspace_basis(row_words: Sequence[int], ncols: int) -> list[int]:
     """Basis (packed words) of {x : row . x = 0 for every row}.
 
-    One vector per free column f of the reduced echelon form, ascending: bit
-    f, plus each pivot column whose reduced row has bit f.
+    The rows are first cut to an independent subset, which spans the same
+    space.  One vector per free column f of the echelon form, ascending: bit
+    f, completed to a solution by the pivot columns from the highest down.
     """
-    solver = AffineSolver(row_words, ncols)
-    return [
-        (1 << f) | sum(1 << c for c, rest, _ in solver._pivots if (rest >> f) & 1)
-        for f in solver._free_cols
-    ]
+    basis = XorBasis()
+    mask = (1 << ncols) - 1
+    solver = AffineSolver.onto([w for w in row_words if basis.add(w & mask)], ncols)
+    return [solver._complete(1 << f, 0) for f in solver._free_cols]
 
 
 class AffineSolver:
-    """Preprocessed solver for E x = z with uniform sampling over each fiber.
+    """Uniform sampler over the fibers of an onto map x -> E x over GF(2).
 
-    Rows of E are packed words over ``ncols`` variables.  After one Gaussian
-    elimination pass (tracking the row transform), every right-hand side can
-    be answered in O(m) word operations: consistency check, then a particular
-    solution with uniformly random free coordinates — i.e. a uniform point of
-    the solution fiber.
+    Rows of E are packed words over ``ncols`` variables, and E must have full
+    row rank: build the solver with :meth:`onto`, whose one elimination both
+    decides that and yields the echelon form.  Each fiber is then nonempty,
+    and a sample costs O(m) word operations: uniformly random free
+    coordinates, then the pivot coordinates solved from the highest down.
     """
 
-    __slots__ = ("ncols", "_pivots", "_checks", "_free_cols")
+    __slots__ = ("_pivots", "_free_cols")
 
-    def __init__(self, row_words: Sequence[int], ncols: int):
+    def __init__(self, pivots: tuple[tuple[int, int, int], ...], free_cols: tuple[int, ...]):
+        # (column, row without its pivot, combo), highest column first; each
+        # row holds only columns above its pivot, and combo is the mix of
+        # input rows it came from.
+        self._pivots = pivots
+        self._free_cols = free_cols
+
+    @classmethod
+    def onto(cls, row_words: Sequence[int], ncols: int) -> AffineSolver | None:
+        """The solver for E, or None when E lacks full row rank (the map is not onto).
+
+        The forward elimination keys each row by its lowest column and stops
+        at the first row that eliminates to zero.
+        """
         mask = (1 << ncols) - 1
         # Each row carries, above bit ncols, the mix of input rows it holds.
         pivots = [0] * ncols  # pivots[c]: the row whose lowest bit is column c, or 0
-        checks: list[int] = []
         for i, word in enumerate(row_words):
             row = word & mask | 1 << (ncols + i)
             while True:
                 low = row & mask
-                if not low:  # eliminated to zero: a consistency condition <combo, z> = 0
-                    checks.append(row >> ncols)
-                    break
+                if not low:
+                    return None
                 col = (low & -low).bit_length() - 1
                 pivot = pivots[col]
                 if not pivot:
                     pivots[col] = row
                     break
                 row ^= pivot
-        # Back-substitute from the highest pivot down, giving the reduced
-        # echelon form: each row keeps only its own pivot column.
-        cols = [c for c in range(ncols) if pivots[c]]
-        pivot_mask = 0
-        for col in reversed(cols):
-            row = pivots[col]
-            above = row & pivot_mask
-            while above:
-                low = above & -above
-                row ^= pivots[low.bit_length() - 1]
-                above ^= low
-            pivots[col] = row
-            pivot_mask |= 1 << col
-        self.ncols = ncols
-        # (column, row without its pivot, combo)
-        self._pivots = tuple([(c, pivots[c] & mask ^ 1 << c, pivots[c] >> ncols) for c in cols])
-        self._checks = tuple(checks)
-        self._free_cols = tuple([c for c in range(ncols) if not pivots[c]])
+        rows = [(c, row & mask ^ 1 << c, row >> ncols) for c, row in enumerate(pivots) if row]
+        return cls(tuple(rows[::-1]), tuple([c for c, row in enumerate(pivots) if not row]))
 
-    def solvable(self, z_bits: int) -> bool:
-        for c in self._checks:
-            if (c & z_bits).bit_count() & 1:
-                return False
-        return True
-
-    def sample(self, z_bits: int, stream: Random) -> int | None:
-        """Uniform solution of E x = z, or None when the fiber is empty."""
-        if self._checks and not self.solvable(z_bits):
-            return None
+    def sample(self, z_bits: int, stream: Random) -> int:
+        """Uniform solution of E x = z."""
         x = 0
-        if self._free_cols:
-            r = stream.getrandbits(len(self._free_cols))
-            for k, col in enumerate(self._free_cols):
-                x |= ((r >> k) & 1) << col
+        r = stream.getrandbits(len(self._free_cols))  # 0 bits read nothing from the stream
+        for k, col in enumerate(self._free_cols):
+            x |= ((r >> k) & 1) << col
+        return self._complete(x, z_bits)
+
+    def _complete(self, x: int, z_bits: int) -> int:
+        """The solution of E x = z that agrees with ``x`` on the free columns."""
         for col, rest, combo in self._pivots:
             x |= (((combo & z_bits) ^ (rest & x)).bit_count() & 1) << col
         return x

@@ -94,15 +94,20 @@ def _field(data, key: str, kind: type, where: str = "", of: type | None = None):
     return _typed(data[key], kind, _name(where, key), of)
 
 
-def _check_monomials(n: int, d: int, what: str, polys: int = 1) -> None:
-    """Refuse ``polys`` polynomials of over MONOMIAL_BUDGET monomials in all before any is built."""
+def _check_monomials(n: int, d: int, what: str, polys: int = 1, order: bool = True) -> None:
+    """Refuse ``polys`` polynomials of over MONOMIAL_BUDGET monomials in all before any is built.
+
+    With ``order``, also refuse an order whose n-bit monomial masks would hold
+    over 64 * MONOMIAL_BUDGET bits: at d = 1 they grow as n^2.
+    """
     # binom_sum(n, d) grows with d; at d = b = MONOMIAL_BUDGET.bit_length() it
     # is already over the budget unless n <= b, where a larger d adds nothing.
     # Capping d at b keeps the check exact and costs at most b + 1 binomials.
-    if polys * binom_sum(n, min(d, MONOMIAL_BUDGET.bit_length())) > MONOMIAL_BUDGET:
-        raise BudgetExceededError(
-            f"{what} ranges over more than {MONOMIAL_BUDGET} monomials"
-        )
+    size = binom_sum(n, min(d, MONOMIAL_BUDGET.bit_length()))
+    if polys * size > MONOMIAL_BUDGET:
+        raise BudgetExceededError(f"{what} ranges over more than {MONOMIAL_BUDGET} monomials")
+    if order and size * n > 64 * MONOMIAL_BUDGET:
+        raise BudgetExceededError(f"{what}: its monomial masks exceed {64 * MONOMIAL_BUDGET} bits")
 
 
 def _polynomial(data, where: str = "") -> Polynomial:
@@ -221,7 +226,8 @@ def source_from_dict(data: dict, where: str = "") -> Source:
             inputs = _field(b, "inputs", list, at, of=int)
             bits.append(LocalBit(tuple(inputs), tuple(map(int, table))))
         r, m = _field(data, "r", int, where), _field(data, "m", int, where)
-        _check_monomials(m, 1, f"{where or 'local source'}: m={m}, degree 1")
+        # a local source builds no monomial order, so only its count is budgeted
+        _check_monomials(m, 1, f"{where or 'local source'}: m={m}, degree 1", order=False)
         return Local(r, m, tuple(bits))
     if kind == "polynomial":
         m = _field(data, "m", int, where)

@@ -28,7 +28,6 @@ from .gf2 import (
     canonical_key,
     common_length,
     hamming_ball,
-    rank,
     sample_invertible,
     sample_uniform_matrix,
     span_rank,
@@ -263,10 +262,8 @@ class _FiberSampler:
     def covers(self, m: int) -> bool:
         return len(self._buckets) == 1 << m
 
-    def sample(self, z_bits: int, stream: Random) -> Optional[int]:
-        bucket = self._buckets.get(z_bits)
-        if not bucket:
-            return None
+    def sample(self, z_bits: int, stream: Random) -> int:
+        bucket = self._buckets[z_bits]
         return bucket[stream.randrange(len(bucket))]
 
 
@@ -276,16 +273,13 @@ def _onto_fibers(
     """Fiber sampler of ``matrix`` over a support, or None unless it maps onto F_2^m.
 
     ``support_bits`` None stands for all of F_2^n: the map is then onto exactly
-    when it has rank m, and each fiber is an affine solution set, so the
-    rank test comes first and the elimination runs only for an accepted map.
+    when it has rank m, and each fiber is an affine solution set, so one
+    elimination of the map both decides that and yields the fiber solver.
     """
-    m = matrix.rows
     if support_bits is None:
-        if rank(matrix) != m:
-            return None
-        return AffineSolver(matrix.row_words, n)
+        return AffineSolver.onto(matrix.row_words, n)
     fibers = _FiberSampler(support_bits, matrix)
-    return fibers if fibers.covers(m) else None
+    return fibers if fibers.covers(matrix.rows) else None
 
 
 def _support_bits(source: Flat) -> Optional[list[int]]:
@@ -311,16 +305,19 @@ def special_sumset_sampler(
 ) -> SpecialSumsetDraw:
     """Draw the special pair (X*, Y*) whose sumset always has full eval-rank.
 
-    A uniform map E onto F_2^m is rejected until surjective on both supports.
-    The two slices of the weight-floor(d/2) sphere — supports confined to the
-    first and to the last floor(m/3) coordinates — are pushed through a fresh
-    uniform invertible mixer L, and one uniform conditional preimage is drawn
-    over each resulting fiber.  The full-rank property of X* + Y* is then
-    re-verified on every draw by the packed core, on the int words of X* and
-    Y*: it sorts their sums canonically, eliminates the sums' evaluation
-    words and re-checks the witness by a separate elimination.  Full rank
-    holds on every draw by construction, so a failure would expose a bug
-    rather than bad luck.  BitVectors are built only for the returned draw.
+    A uniform map E onto F_2^m is rejected until surjective on both supports;
+    over a full support one elimination of E decides that and yields its
+    fiber solver.  The two slices of the weight-floor(d/2) sphere — supports
+    confined to the first and to the last floor(m/3) coordinates — are pushed
+    through one uniform invertible mixer L, and one uniform conditional
+    preimage is drawn over each resulting fiber; E is onto both supports, so
+    no fiber is empty and one mixer always serves.  The full-rank property
+    of X* + Y* is then re-verified on every draw by the packed core, on the
+    int words of X* and Y*: it sorts their sums canonically, eliminates the
+    sums' evaluation words and re-checks the witness by a separate
+    elimination.  Full rank holds on every draw by construction, so a failure
+    would expose a bug rather than bad luck.  BitVectors are built only for
+    the returned draw.
     """
     if d < 1:
         raise PreconditionError("degree must be at least 1")
@@ -339,48 +336,29 @@ def special_sumset_sampler(
     # Over one support (or two full ones) the fibers depend only on the map.
     shared = y_source is x_source or (xs_bits is None and ys_bits is None)
 
-    surjection = None
     for _ in range(trials):
-        cand = sample_uniform_matrix(m, n, stream)
-        fibers_x = _onto_fibers(xs_bits, n, cand)
-        if fibers_x is None:
-            continue
-        fibers_y = fibers_x if shared else _onto_fibers(ys_bits, n, cand)
-        if fibers_y is None:
-            continue
-        surjection = cand
-        break
-    if surjection is None:
+        surjection = sample_uniform_matrix(m, n, stream)
+        fibers_x = _onto_fibers(xs_bits, n, surjection)
+        if fibers_x is not None:
+            fibers_y = fibers_x if shared else _onto_fibers(ys_bits, n, surjection)
+            if fibers_y is not None:
+                break
+    else:
         raise RetryExhaustedError(f"no surjective map within {trials} samples")
 
-    for _ in range(trials):
-        mixer = sample_invertible(m, stream)
-        x_star_bits = []
-        for u in b_zero:
-            xb = fibers_x.sample(mixer.apply_word(u.bits), stream)
-            if xb is None:
-                break
-            x_star_bits.append(xb)
-        else:
-            y_star_bits = []
-            for v in b_one:
-                yb = fibers_y.sample(mixer.apply_word(v.bits), stream)
-                if yb is None:
-                    break
-                y_star_bits.append(yb)
-            else:
-                _sums, witness = _sumset_witness(x_star_bits, y_star_bits, n, d)
-                if len(witness) != len(x_star_bits) * len(y_star_bits):
-                    raise AssertionError(
-                        "special draw failed the full-rank check; this is a bug"
-                    )
-                return SpecialSumsetDraw(
-                    surjection=surjection,
-                    mixer=mixer,
-                    b_zero=b_zero,
-                    b_one=b_one,
-                    x_star=tuple([BitVector(n, xb) for xb in x_star_bits]),
-                    y_star=tuple([BitVector(n, yb) for yb in y_star_bits]),
-                    full_rank=True,
-                )
-    raise RetryExhaustedError(f"no mixer with nonempty fibers within {trials} draws")
+    # Both samplers cover all of F_2^m, so every fiber the mixer asks for is nonempty.
+    mixer = sample_invertible(m, stream)
+    x_star_bits = [fibers_x.sample(mixer.apply_word(u.bits), stream) for u in b_zero]
+    y_star_bits = [fibers_y.sample(mixer.apply_word(v.bits), stream) for v in b_one]
+    _sums, witness = _sumset_witness(x_star_bits, y_star_bits, n, d)
+    if len(witness) != len(x_star_bits) * len(y_star_bits):
+        raise AssertionError("special draw failed the full-rank check; this is a bug")
+    return SpecialSumsetDraw(
+        surjection=surjection,
+        mixer=mixer,
+        b_zero=b_zero,
+        b_one=b_one,
+        x_star=tuple([BitVector(n, xb) for xb in x_star_bits]),
+        y_star=tuple([BitVector(n, yb) for yb in y_star_bits]),
+        full_rank=True,
+    )

@@ -405,28 +405,33 @@ def test_nullspace_dimension_and_orthogonality():
 
 
 def test_affine_solver_fiber_membership():
+    """onto refuses exactly the maps without full row rank; every sample lies in its fiber."""
     stream = rng.derive(MASTER, "gf2", "solver")
-    for _ in range(60):
+    refused = 0
+    for _ in range(200):
         cols = stream.randrange(1, 10)
         m = stream.randrange(1, 7)
         rows = [stream.getrandbits(cols) for _ in range(m)]
-        solver = AffineSolver(rows, cols)
+        solver = AffineSolver.onto(rows, cols)
+        if span_rank(rows) < m:
+            assert solver is None
+            refused += 1
+            continue
+        assert solver is not None
         z = stream.getrandbits(m)
-        sol = solver.sample(z, stream)
         brute = [
             x
             for x in range(1 << cols)
             if all(((rows[i] & x).bit_count() & 1) == ((z >> i) & 1) for i in range(m))
         ]
-        if sol is None:
-            assert brute == []
-        else:
-            assert sol in brute
+        for _ in range(4):
+            assert solver.sample(z, stream) in brute
+    assert 0 < refused < 200  # both branches ran
 
 
 def test_affine_solver_samples_fiber_uniformly():
     # one equation over 3 variables: fiber of size 4, frequencies near 1/4
-    solver = AffineSolver([0b101], 3)
+    solver = AffineSolver.onto([0b101], 3)
     stream = rng.derive(MASTER, "gf2", "solver-uniform")
     counts: dict[int, int] = {}
     for _ in range(8000):

@@ -98,6 +98,9 @@ def test_polynomial_past_the_monomial_budget_is_refused_before_its_order():
     # a degree cap far past n costs no more than a small one to refuse
     with pytest.raises(BudgetExceededError):
         parse_family('[{"d":100000,"monomials":[],"n":100000}]')
+    # n + 1 monomials pass the count, but their n-bit masks would take about n^2/16 bytes
+    with pytest.raises(BudgetExceededError, match="masks"):
+        parse_polynomial('{"n":100000,"d":1,"monomials":[]}')
     with pytest.raises(ValueError, match="nonnegative"):
         parse_polynomial('{"d":1,"monomials":[],"n":-1}')
 

@@ -352,8 +352,9 @@ def test_special_draws_are_pinned():
     """Every draw, and so the stream it consumes, matches the elimination-per-map sampler.
 
     The digests were taken with the sampler that built a fresh fiber solver
-    for each support and candidate map; the full-support rank test and the
-    shared solver must reproduce them draw for draw.
+    for each support and candidate map; the one elimination that decides a
+    full-support map is onto and builds its solver, and the shared solver,
+    must reproduce them draw for draw.
     """
     u6 = uniform_flat(6)
     assert _special_draws_digest(u6, u6, 2, 6, 2000, "full") == (
