@@ -82,9 +82,14 @@ def monomial_order(n: int, d: int) -> MonomialOrder:
 
 
 class Polynomial:
-    """GF(2) polynomial as a coefficient vector against a monomial order."""
+    """GF(2) polynomial as a coefficient vector against a monomial order.
 
-    __slots__ = ("order", "coeffs", "_active_masks", "_mask_array")
+    The active monomials are kept packed as ints.  :func:`eval_words` fills
+    two more slots on first use and keeps them for f's lifetime: the masks as
+    an array, and for n <= 16 the read-only truth table.
+    """
+
+    __slots__ = ("order", "coeffs", "_active_masks", "_mask_array", "_table")
 
     def __init__(self, order: MonomialOrder, coeffs: BitVector):
         if coeffs.n != order.size:
@@ -96,6 +101,7 @@ class Polynomial:
             order.masks[j] for j in range(order.size) if (c >> j) & 1
         )
         self._mask_array: np.ndarray | None = None
+        self._table: np.ndarray | None = None
 
     @classmethod
     def from_monomials(cls, n: int, d: int, monomials: Sequence[Sequence[int]]) -> "Polynomial":
@@ -174,27 +180,42 @@ def eval_polys(polys: Sequence[Polynomial], x_bits: int) -> int:
 def eval_words(polys: Sequence[Polynomial], words: Sequence[int] | np.ndarray) -> np.ndarray:
     """Packed values of a polynomial tuple at many packed points, as uint64.
 
-    Entry k equals ``eval_polys(polys, words[k])``.  Each block of points is
-    ANDed against every active mask of every polynomial at once, and bit i of
-    an entry is the parity of the masks of ``polys[i]`` its point contains.
-    Points are uint64 words for n <= 64 and Python ints (object dtype) past
-    that; a block holds at most ``EVAL_BLOCK`` point-mask pairs, and at least
-    one point.
+    Entry k equals ``eval_polys(polys, words[k])``.  Points are uint64 words
+    for n <= 64 and Python ints (object dtype) past that.  On uint64 points a
+    polynomial f on n variables is read from its truth table, built once and
+    kept on f, when that table exists or when 2^n is at most both
+    ``EVAL_BLOCK`` and the point-mask pairs this call would compare; only the
+    low n bits of each point index it.  Every other polynomial is evaluated
+    by blocks of points, each ANDed against all its active masks at once, and
+    bit i of an entry is the parity of the masks of ``polys[i]`` its point
+    contains.  A block holds at most ``EVAL_BLOCK`` point-mask pairs, and at
+    least one point.
     """
     if len(polys) > 64:
         raise ValueError("at most 64 polynomial values pack into one word")
     dtype = np.uint64 if all(f.order.n <= 64 for f in polys) else object
     points = np.asarray(words, dtype=dtype)
     out = np.zeros(points.size, dtype=np.uint64)
-    if not polys:
+    masked = []
+    for i, f in enumerate(polys):
+        size = 1 << f.order.n
+        if dtype is object or (
+            f._table is None and size > min(EVAL_BLOCK, points.size * len(f._active_masks))
+        ):
+            masked.append((i, f))
+            continue
+        # take on an int64 view gathers directly; a uint64 index is first copied to intp
+        low = (points & np.uint64(size - 1)).view(np.int64)
+        out |= _table(f).take(low).astype(np.uint64) << np.uint64(i)
+    if not masked:
         return out
-    masks = np.concatenate([_mask_array(f) for f in polys])
-    ends = np.cumsum([len(f._active_masks) for f in polys]).tolist()
+    masks = np.concatenate([_mask_array(f) for _, f in masked])
+    ends = np.cumsum([len(f._active_masks) for _, f in masked]).tolist()
     step = max(1, EVAL_BLOCK // max(1, masks.size))
     for lo in range(0, points.size, step):
         hits = ((points[lo : lo + step, None] & masks) == masks).view(np.uint8)
         start = 0
-        for i, end in enumerate(ends):
+        for (i, _), end in zip(masked, ends):
             odd = np.bitwise_xor.reduce(hits[:, start:end], axis=1).astype(np.uint64)
             out[lo : lo + step] |= odd << np.uint64(i)
             start = end
@@ -206,6 +227,14 @@ def _mask_array(f: Polynomial) -> np.ndarray:
     if f._mask_array is None:
         f._mask_array = np.array(f._active_masks, dtype=np.uint64 if f.order.n <= 64 else object)
     return f._mask_array
+
+
+def _table(f: Polynomial) -> np.ndarray:
+    """f's truth table for :func:`eval_words`, built once per f and read-only."""
+    if f._table is None:
+        f._table = truth_table(f)
+        f._table.setflags(write=False)
+    return f._table
 
 
 def evaluate(f: Polynomial, x: BitVector) -> int:

@@ -92,9 +92,11 @@ def bias_mc(
 
     Draws come from the stream in order, one :func:`sources.sample_words`
     call and one :func:`anf.eval_words` call per chunk of at most
-    ``MC_CHUNK`` draws, so memory stays bounded for any sample count.  The
-    estimate is (samples - 2 * ones) / samples, where ones counts the draws
-    with f = 1.
+    ``MC_CHUNK`` draws, so memory stays bounded for any sample count.  Where
+    its truth table is cheaper than comparing each draw with every active
+    monomial, f is read from that table, which :func:`anf.eval_words` builds
+    once and keeps on f for later calls.  The estimate is
+    (samples - 2 * ones) / samples, where ones counts the draws with f = 1.
 
     The reported halfwidth bounds |estimate - bias| except with probability
     at most ``fail_prob``; it comes from the two-sided exponential tail for

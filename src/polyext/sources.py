@@ -369,7 +369,9 @@ def sample_source(source: Source, stream: Random) -> BitVector:
     A variety within the enumeration budget draws uniformly from its member
     points, which are enumerated once and cached for up to four distinct
     varieties; larger varieties fall back to at most ``REJECTION_BUDGET``
-    rejection draws.  Every other kind is a one-draw :func:`sample_words`.
+    rejection draws.  A local or polynomial-image draw is ``source.value`` at
+    one input word, read from the stream as :func:`sample_words` reads it;
+    every other kind is a one-draw :func:`sample_words`.
     """
     if isinstance(source, Variety):
         if 1 << source.n <= ENUMERATION_BUDGET:
@@ -384,7 +386,10 @@ def sample_source(source: Source, stream: Random) -> BitVector:
         raise RetryExhaustedError(
             f"no variety point after {REJECTION_BUDGET} rejection draws"
         )
-    return BitVector(ambient_length(source), int(sample_words(source, 1, stream)[0]))
+    width = ambient_length(source)
+    if isinstance(source, (Local, PolynomialImage)):
+        return BitVector(width, source.value(stream.getrandbits(source.m)))
+    return BitVector(width, int(sample_words(source, 1, stream)[0]))
 
 
 def variety_reduce(

@@ -211,6 +211,86 @@ def test_eval_words_agrees_across_block_sizes(monkeypatch):
         monkeypatch.undo()
 
 
+def _tabulate(polys) -> None:
+    """Build the truth table of every polynomial in ``polys`` up front, so
+    :func:`eval_words` reads each of them from it."""
+    for f in polys:
+        anf._table(f)
+
+
+@pytest.mark.parametrize("path", ["masks", "table"])
+def test_eval_words_paths_agree_with_eval_polys(path, monkeypatch):
+    stream = rng.derive(MASTER, "anf", "eval-words-paths")
+    polys = tuple(sample_poly(n, d, stream) for n, d in ((10, 3), (10, 0), (6, 2), (16, 5)))
+    polys += (Polynomial.from_monomials(10, 2, []), Polynomial.from_monomials(10, 2, [[]]))
+    # bits above each polynomial's n are set, and eval_polys ignores them
+    points = [stream.getrandbits(64) for _ in range(300)] + [0, (1 << 64) - 1]
+    if path == "table":
+        _tabulate(polys)
+    else:
+        monkeypatch.setattr(anf, "EVAL_BLOCK", 1)
+    expected = [eval_polys(polys, x) for x in points]
+    assert eval_words(polys, points).tolist() == expected
+    for k, f in enumerate(polys):
+        assert eval_words((f,), points).tolist() == [(e >> k) & 1 for e in expected]
+    assert all((f._table is None) == (path == "masks") for f in polys)
+
+
+def test_eval_words_mixes_tabulated_and_masked_polynomials(monkeypatch):
+    stream = rng.derive(MASTER, "anf", "eval-words-mixed")
+    tabulated = sample_poly(9, 3, stream)
+    masked = (sample_poly(9, 2, stream), Polynomial.from_monomials(9, 1, [[]]))
+    _tabulate((tabulated,))
+    monkeypatch.setattr(anf, "EVAL_BLOCK", 1)
+    points = [stream.getrandbits(20) for _ in range(200)]
+    for polys in ((tabulated,) + masked, masked[:1] + (tabulated,) + masked[1:]):
+        assert eval_words(polys, points).tolist() == [eval_polys(polys, x) for x in points]
+    assert all(f._table is None for f in masked)
+
+
+def test_eval_words_on_object_points_ignores_tables():
+    stream = rng.derive(MASTER, "anf", "eval-words-object")
+    small, wide = sample_poly(8, 3, stream), sample_poly(70, 2, stream)
+    _tabulate((small,))
+    points = [stream.getrandbits(70) for _ in range(50)]
+    for polys in ((small, wide), (wide, small)):
+        values = eval_words(polys, points)
+        assert values.dtype == np.uint64
+        assert values.tolist() == [eval_polys(polys, x) for x in points]
+
+
+def test_eval_words_tabulates_when_the_table_costs_less():
+    # 16 masks: the 256-entry table costs no more than the pairs from 16 points on
+    f = Polynomial.from_monomials(8, 2, [[i, (i + k) % 8] for i in range(8) for k in (1, 2)])
+    assert len(f.active_monomials()) == 16
+    eval_words((f,), range(15))
+    assert f._table is None
+    eval_words((f,), range(16))
+    assert f._table is not None
+
+
+def test_truth_table_is_built_once_and_read_only():
+    f = sample_poly(12, 4, rng.derive(MASTER, "anf", "table-once"))
+    eval_words((f,), np.arange(1 << 12, dtype=np.uint64))
+    table = f._table
+    assert table is not None and table is anf._table(f)
+    eval_words((f,), np.arange(1 << 12, dtype=np.uint64))
+    assert f._table is table
+    assert table.tolist() == truth_table(f).tolist()
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] ^= 1
+
+
+def test_no_table_past_one_evaluation_block():
+    f = sample_poly(17, 2, rng.derive(MASTER, "anf", "table-wide"))
+    assert 1 << 17 > anf.EVAL_BLOCK
+    points = np.arange(10**5, dtype=np.uint64)
+    values = eval_words((f,), points)
+    assert f._table is None
+    assert values[:200].tolist() == [eval_polys((f,), x) for x in range(200)]
+
+
 # ---------------------------------------------------------------------------
 # sample_poly
 

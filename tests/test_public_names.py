@@ -71,7 +71,11 @@ ALLOWED_DEFAULTS = {
 #: One owner per convention: (identifiers, function-name fragment or None,
 #: owner module, why), read by :func:`_ownership_breaches`.
 OWNERS = (
-    ({"_active_masks"}, None, "anf", "use anf.eval_polys instead of reading _active_masks"),
+    (
+        {"_active_masks", "_mask_array", "_table"}, None, "anf",
+        "evaluate with anf.eval_polys or anf.eval_words instead of reading "
+        "a polynomial's masks or cached table",
+    ),
     (
         {"support_of"}, None, "sources",
         "read sources._support_counts instead of the per-point support_of view",
