@@ -2,8 +2,7 @@
 """Run every registered experiment at full scale and write one report each.
 
 The trial counts below are the release-level counts the acceptance suite
-pins; --scale shrinks them proportionally for a quick smoke run.  Exit
-status is 0 only if every experiment's verdict holds.
+pins.  Exit status is 0 only if every experiment's verdict holds.
 """
 
 import argparse
@@ -35,20 +34,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, required=True, help="master seed")
     ap.add_argument("--out-dir", default="reports", help="directory for the JSON reports")
-    ap.add_argument("--scale", type=float, default=1.0, help="trial-count multiplier")
-    ap.add_argument("--only", nargs="*", default=None, help="subset of experiment names")
     args = ap.parse_args()
-
-    names = sorted(args.only) if args.only else sorted(EXPERIMENTS)
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        ap.error(f"unknown experiments: {unknown}")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_ok = True
-    for name in names:
-        trials = max(1, round(FULL_TRIALS.get(name, 100) * args.scale))
+    for name in sorted(EXPERIMENTS):
+        trials = FULL_TRIALS[name]
         config = config_from_dict({"experiment": name, "seed": args.seed, "trials": trials})
         report = run_experiment(config)
         path = out_dir / f"{name}.json"

@@ -8,7 +8,7 @@ Submodules:
 - :mod:`polyext.bias` — exact/Monte-Carlo bias, moment identities, audits
 - :mod:`polyext.ranklab` — evaluation-rank certificates and sumset samplers
 - :mod:`polyext.constructions` — two-source, seeded, and evasive extractors
-- :mod:`polyext.codes` — balanced-code views, list sizes, Johnson-bound checks
+- :mod:`polyext.codes` — balance reports, list sizes, Johnson-bound checks
 - :mod:`polyext.oracles` — additive energy, shift counts, structure attacks
 - :mod:`polyext.experiments` — the seeded experiment registry and its runner
 - :mod:`polyext.reports` — report containers, canonical JSON and CSV output

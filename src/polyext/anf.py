@@ -84,9 +84,10 @@ def monomial_order(n: int, d: int) -> MonomialOrder:
 class Polynomial:
     """GF(2) polynomial as a coefficient vector against a monomial order.
 
-    The active monomials are kept packed as ints.  :func:`eval_words` fills
-    two more slots on first use and keeps them for f's lifetime: the masks as
-    an array, and for n <= 16 the read-only truth table.
+    The active monomials are kept packed as ints.  Two more slots are filled
+    on first use and kept for f's lifetime: the masks as an array, by
+    :func:`eval_words`, and for n <= 16 the read-only truth table, by
+    :func:`truth_table`.
     """
 
     __slots__ = ("order", "coeffs", "_active_masks", "_mask_array", "_table")
@@ -182,14 +183,13 @@ def eval_words(polys: Sequence[Polynomial], words: Sequence[int] | np.ndarray) -
 
     Entry k equals ``eval_polys(polys, words[k])``.  Points are uint64 words
     for n <= 64 and Python ints (object dtype) past that.  On uint64 points a
-    polynomial f on n variables is read from its truth table, built once and
-    kept on f, when that table exists or when 2^n is at most both
-    ``EVAL_BLOCK`` and the point-mask pairs this call would compare; only the
-    low n bits of each point index it.  Every other polynomial is evaluated
-    by blocks of points, each ANDed against all its active masks at once, and
-    bit i of an entry is the parity of the masks of ``polys[i]`` its point
-    contains.  A block holds at most ``EVAL_BLOCK`` point-mask pairs, and at
-    least one point.
+    polynomial f on n variables is read from :func:`truth_table` when f
+    already keeps that table or when 2^n is at most both ``EVAL_BLOCK`` and
+    the point-mask pairs this call would compare; only the low n bits of each
+    point index it.  Every other polynomial is evaluated by blocks of points,
+    each ANDed against all its active masks at once, and bit i of an entry is
+    the parity of the masks of ``polys[i]`` its point contains.  A block
+    holds at most ``EVAL_BLOCK`` point-mask pairs, and at least one point.
     """
     if len(polys) > 64:
         raise ValueError("at most 64 polynomial values pack into one word")
@@ -206,7 +206,7 @@ def eval_words(polys: Sequence[Polynomial], words: Sequence[int] | np.ndarray) -
             continue
         # take on an int64 view gathers directly; a uint64 index is first copied to intp
         low = (points & np.uint64(size - 1)).view(np.int64)
-        out |= _table(f).take(low).astype(np.uint64) << np.uint64(i)
+        out |= truth_table(f).take(low).astype(np.uint64) << np.uint64(i)
     if not masked:
         return out
     masks = np.concatenate([_mask_array(f) for _, f in masked])
@@ -227,14 +227,6 @@ def _mask_array(f: Polynomial) -> np.ndarray:
     if f._mask_array is None:
         f._mask_array = np.array(f._active_masks, dtype=np.uint64 if f.order.n <= 64 else object)
     return f._mask_array
-
-
-def _table(f: Polynomial) -> np.ndarray:
-    """f's truth table for :func:`eval_words`, built once per f and read-only."""
-    if f._table is None:
-        f._table = truth_table(f)
-        f._table.setflags(write=False)
-    return f._table
 
 
 def evaluate(f: Polynomial, x: BitVector) -> int:
@@ -296,12 +288,23 @@ def mobius_transform(table: np.ndarray | Sequence[int]) -> np.ndarray:
 
 
 def truth_table(f: Polynomial) -> np.ndarray:
-    """Dense truth table of f over all 2^n packed points."""
-    n = f.order.n
-    dense = np.zeros(1 << n, dtype=np.uint8)
+    """Dense truth table of f over all 2^n packed points, as a read-only array.
+
+    The one accessor of f's table, built by one Mobius transform of its
+    coefficients.  A table of at most ``EVAL_BLOCK`` entries (n <= 16) is
+    kept on f, so every later call returns that same array; a larger one is
+    built afresh on each call and never kept.
+    """
+    if f._table is not None:
+        return f._table
+    dense = np.zeros(1 << f.order.n, dtype=np.uint8)
     for mask in f._active_masks:
         dense[mask] = 1
-    return mobius_transform(dense)
+    table = mobius_transform(dense)
+    table.setflags(write=False)
+    if table.size <= EVAL_BLOCK:
+        f._table = table
+    return table
 
 
 def anf_from_truth_table(table: np.ndarray | Sequence[int]) -> Polynomial:

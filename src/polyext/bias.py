@@ -94,7 +94,7 @@ def bias_mc(
     call and one :func:`anf.eval_words` call per chunk of at most
     ``MC_CHUNK`` draws, so memory stays bounded for any sample count.  Where
     its truth table is cheaper than comparing each draw with every active
-    monomial, f is read from that table, which :func:`anf.eval_words` builds
+    monomial, f is read from that table, which :func:`anf.truth_table` builds
     once and keeps on f for later calls.  The estimate is
     (samples - 2 * ones) / samples, where ones counts the draws with f = 1.
 

@@ -1,7 +1,8 @@
 """Balancedness, exhaustive list sizes, and Johnson-bound checks for small codes.
 
-A code is viewed through its generator matrix (message dimension x block
-length T); codewords are XOR combinations of rows.  Balance means every
+Every function takes a code as its generator :class:`BitMatrix` (message
+dimension x block length T); codewords are XOR combinations of its rows, and
+:func:`codewords` is the one enumeration of them.  Balance means every
 nonzero codeword has weight within the window [(1-eps)/2 * T, (1+eps)/2 * T];
 the delta-almost variant tolerates a delta fraction of nonzero exceptions.
 
@@ -25,7 +26,7 @@ from .errors import BudgetExceededError, PreconditionError
 from .gf2 import BitMatrix, BitVector, subset_xors
 
 __all__ = [
-    "CodeView",
+    "codewords",
     "BalanceReport",
     "JohnsonVerdict",
     "balancedness_report",
@@ -40,28 +41,11 @@ LIST_SIZE_LIMIT = 16  # both block length and dimension, per the exact enumerati
 RationalLike = Union[Fraction, int, float]
 
 
-@dataclass(frozen=True)
-class CodeView:
-    """A linear code presented by its generator matrix (dim x block length)."""
-
-    generator: BitMatrix
-
-    @property
-    def dim(self) -> int:
-        return self.generator.rows
-
-    @property
-    def block_length(self) -> int:
-        return self.generator.cols
-
-    def codewords(self) -> list[int]:
-        """All 2^dim codewords, one per message: entry k XORs the rows at the set bits of k."""
-        if self.dim > EXHAUSTIVE_DIM_LIMIT:
-            raise BudgetExceededError(f"2^{self.dim} codewords exceed the enumeration cap")
-        return subset_xors(self.generator.row_words)
-
-    def distinct_codewords(self) -> set[int]:
-        return set(self.codewords())
+def codewords(generator: BitMatrix) -> set[int]:
+    """The distinct codewords, XORs of the generator's rows, as packed ints."""
+    if generator.rows > EXHAUSTIVE_DIM_LIMIT:
+        raise BudgetExceededError(f"2^{generator.rows} codewords exceed the enumeration cap")
+    return set(subset_xors(generator.row_words))
 
 
 @dataclass(frozen=True)
@@ -72,16 +56,16 @@ class BalanceReport:
     worst_codeword: Optional[BitVector]
 
 
-def balancedness_report(code: CodeView, eps: RationalLike) -> BalanceReport:
+def balancedness_report(generator: BitMatrix, eps: RationalLike) -> BalanceReport:
     """Exact fraction of nonzero codewords outside the eps-balance window.
 
     Enumerates the distinct codewords; the zero codeword never enters the
     statistics.  The worst codeword maximizes |2 wt - T|.
     """
     epsf = Fraction(eps)
-    t = code.block_length
+    t = generator.cols
     lo, hi = (1 - epsf) * t / 2, (1 + epsf) * t / 2
-    nonzero = [w for w in code.distinct_codewords() if w]
+    nonzero = [w for w in codewords(generator) if w]
     if not nonzero:
         return BalanceReport(Fraction(0), None)
     bad = sum(1 for w in nonzero if not lo <= w.bit_count() <= hi)
@@ -89,11 +73,11 @@ def balancedness_report(code: CodeView, eps: RationalLike) -> BalanceReport:
     return BalanceReport(Fraction(bad, len(nonzero)), BitVector(t, worst))
 
 
-def measured_imbalance(code: CodeView) -> Fraction:
+def measured_imbalance(generator: BitMatrix) -> Fraction:
     """Smallest eps for which the code is eps-balanced (0 for no nonzero words)."""
-    t = code.block_length
+    t = generator.cols
     worst = Fraction(0)
-    for w in code.distinct_codewords():
+    for w in codewords(generator):
         if w:
             worst = max(worst, Fraction(abs(2 * w.bit_count() - t), t))
     return worst
@@ -113,7 +97,7 @@ def _wht(values: np.ndarray) -> np.ndarray:
 
 
 def list_size_exhaustive(
-    code: CodeView, radius: RationalLike
+    generator: BitMatrix, radius: RationalLike
 ) -> tuple[int, BitVector]:
     """Exact max, over all 2^T centers, of codewords within radius*T Hamming distance.
 
@@ -122,14 +106,14 @@ def list_size_exhaustive(
     T * 2^T — then maximized.  Returns the count and the first attaining
     center.
     """
-    t = code.block_length
-    if t > LIST_SIZE_LIMIT or code.dim > LIST_SIZE_LIMIT:
+    t = generator.cols
+    if t > LIST_SIZE_LIMIT or generator.rows > LIST_SIZE_LIMIT:
         raise BudgetExceededError("exact list-size enumeration is capped at 2^16 work")
     rho = Fraction(radius)
     cutoff = rho * t
     size = 1 << t
     indicator = np.zeros(size, dtype=np.int64)
-    for w in code.distinct_codewords():
+    for w in codewords(generator):
         indicator[w] = 1
     ball = np.array([1 if v.bit_count() <= cutoff else 0 for v in range(size)], dtype=np.int64)
     # counts[x] = #{c in C : wt(c ^ x) <= cutoff}; XOR convolution via WHT.
@@ -159,7 +143,7 @@ class JohnsonVerdict:
     limit: int
 
 
-def johnson_check(code: CodeView, eps: RationalLike) -> JohnsonVerdict:
+def johnson_check(generator: BitMatrix, eps: RationalLike) -> JohnsonVerdict:
     """Verify the list-size bound 2T at radius (1 - sqrt(eps))/2.
 
     The code must actually be eps-balanced — that precondition is verified
@@ -167,14 +151,14 @@ def johnson_check(code: CodeView, eps: RationalLike) -> JohnsonVerdict:
     The radius uses the 80-bit square root rounded toward inclusion.
     """
     epsf = Fraction(eps)
-    report = balancedness_report(code, epsf)
+    report = balancedness_report(generator, epsf)
     if report.delta != 0:
         raise PreconditionError(
             f"code is not {epsf}-balanced (unbalanced fraction {report.delta})"
         )
     radius = (1 - sqrt_widened(epsf)) / 2
-    max_list, center = list_size_exhaustive(code, radius)
-    limit = 2 * code.block_length
+    max_list, center = list_size_exhaustive(generator, radius)
+    limit = 2 * generator.cols
     return JohnsonVerdict(
         passed=max_list <= limit,
         eps=epsf,

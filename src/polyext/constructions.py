@@ -177,8 +177,7 @@ def seeded_table(desc: SeededDescriptor) -> np.ndarray:
     ``sources.ENUMERATION_BUDGET``.
     """
     n, t = desc.n, desc.t
-    if 1 << (n + t) > sources.ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"2^{n + t} seeded outputs exceed the enumeration budget")
+    sources._check_budget(f"seeded table (n={n}, t={t})", log2=n + t)
     xs = np.arange(1 << n, dtype=np.uint64)
     h_rows = desc.compressor.row_words
     g_rows = desc.generator.row_words

@@ -18,7 +18,7 @@ import numpy as np
 from . import rng
 from .anf import anf_from_truth_table, mobius_transform, sample_poly, truth_table
 from .bias import moment_by_eval_collision, moment_by_poly_enumeration
-from .codes import CodeView, johnson_check, measured_imbalance
+from .codes import johnson_check, measured_imbalance
 from .constructions import (
     build_seeded,
     build_two_source,
@@ -48,7 +48,7 @@ from .oracles import (
 )
 from .ranklab import eval_rank, find_high_rank_subsets, special_sumset_sampler
 from .reports import ExperimentReport
-from .sources import Flat, common_zeros, uniform_flat, variety_reduce
+from .sources import Flat, _check_budget, common_zeros, uniform_flat, variety_reduce
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "run_experiment", "config_from_dict"]
 
@@ -188,6 +188,7 @@ def _sumset_agg(rows, params):
 
 def _bias_trial(params, stream):
     n, d = params["n"], params["d"]
+    _check_budget(f"bias-concentration truth table (n={n})", log2=n)
     f = sample_poly(n, d, stream)
     table = truth_table(f)
     size = table.size
@@ -207,6 +208,7 @@ def _bias_agg(rows, params):
 
 def _two_source_trial(params, stream):
     n, r = params["n"], params["r"]
+    _check_budget(f"two-source joint table (n={n})", log2=2 * n)
     desc = build_two_source(n, stream.getrandbits(63), r=r)
     table = np.zeros(1 << (2 * n), dtype=np.uint8)
     for w in range(table.size):
@@ -249,11 +251,8 @@ def _seeded_subcode_check(table: np.ndarray, dim: int, stream) -> bool:
     for i in stream.sample(range(n), min(dim, n)):
         word = int.from_bytes(np.packbits(table[:, 1 << i], bitorder="little").tobytes(), "little")
         rows.append(BitVector(table.shape[0], word))
-    code = CodeView(BitMatrix.from_rows(rows))
-    if not code.distinct_codewords() - {0}:
-        return True  # degenerate all-zero sample: nothing to decode
-    eps = measured_imbalance(code)
-    return johnson_check(code, eps).passed
+    generator = BitMatrix.from_rows(rows)
+    return johnson_check(generator, measured_imbalance(generator)).passed
 
 
 def _seeded_trial(params, stream):
@@ -349,6 +348,7 @@ def _attack_agg(rows, params):
 # --- inner-product dichotomy ------------------------------------------------
 
 def _dichotomy_trial(params, stream):
+    _check_budget(f"dichotomy spans (n_max={params['n_max']})", log2=params["n_max"])
     n = stream.randint(2, params["n_max"])
     dim_a = stream.randint(2, n)
     dim_b = stream.randint(n + 2 - dim_a, n)

@@ -9,7 +9,7 @@ single top-level field so reproducibility comparisons can drop it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
@@ -80,16 +80,7 @@ class AuditReport:
     per_source: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return render_json(
-            {
-                "kind": self.kind,
-                "verdict": self.verdict,
-                "epsilon": frac_dict(self.epsilon),
-                "max_distance": frac_dict(self.max_distance),
-                "witness_source_index": self.witness_source_index,
-                "per_source": self.per_source,
-            }
-        )
+        return render_json(asdict(self))
 
     def to_csv(self) -> str:
         aggregates = {
@@ -115,17 +106,9 @@ class ExperimentReport:
     wall_time_s: float
 
     def payload(self, include_wall_time: bool = True) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "trials": self.trials,
-            "params": self.params,
-            "rows": self.rows,
-            "aggregates": self.aggregates,
-            "verdict": self.verdict,
-        }
-        if include_wall_time:
-            out["wall_time_s"] = self.wall_time_s
+        out = asdict(self)
+        if not include_wall_time:
+            del out["wall_time_s"]
         return out
 
     def to_json(self) -> str:

@@ -399,9 +399,11 @@ def variety_reduce(
 
     Draws uniform coefficient rows, forms the n+1 combined polynomials, and
     accepts only after exhaustively confirming the combined system has exactly
-    the original zero set (the containment direction is automatic).  Returns
-    the accepted system and the number of rejected rounds; expected rejections
-    are below one, so the default budget is generous.
+    the original zero set (the containment direction is automatic); that
+    target is :func:`common_zeros` of the system, which for n <= 16 reads the
+    truth tables kept on its polynomials.  Returns the accepted system and
+    the number of rejected rounds; expected rejections are below one, so the
+    default budget is generous.
     """
     if not polys:
         raise PreconditionError("need at least one polynomial")
@@ -413,9 +415,7 @@ def variety_reduce(
         raise BudgetExceededError("exhaustive variety comparison is capped at n = 20")
     t = len(polys)
     tables = [anf.truth_table(p) for p in polys]
-    target = np.ones(1 << n, dtype=bool)
-    for tab in tables:
-        target &= tab == 0
+    target = common_zeros(polys)
     ell = n + 1
     for attempt in range(budget):
         rows = [stream.getrandbits(t) for _ in range(ell)]

@@ -215,7 +215,7 @@ def _tabulate(polys) -> None:
     """Build the truth table of every polynomial in ``polys`` up front, so
     :func:`eval_words` reads each of them from it."""
     for f in polys:
-        anf._table(f)
+        truth_table(f)
 
 
 @pytest.mark.parametrize("path", ["masks", "table"])
@@ -273,13 +273,21 @@ def test_truth_table_is_built_once_and_read_only():
     f = sample_poly(12, 4, rng.derive(MASTER, "anf", "table-once"))
     eval_words((f,), np.arange(1 << 12, dtype=np.uint64))
     table = f._table
-    assert table is not None and table is anf._table(f)
+    assert table is not None and table is truth_table(f)
     eval_words((f,), np.arange(1 << 12, dtype=np.uint64))
     assert f._table is table
-    assert table.tolist() == truth_table(f).tolist()
+    assert table.tolist() == [eval_polys((f,), x) for x in range(1 << 12)]
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0] ^= 1
+
+
+@pytest.mark.parametrize("n", [0, 5, 16])
+def test_truth_table_returns_one_kept_array_up_to_n_16(n):
+    f = sample_poly(n, min(n, 3), rng.derive(MASTER, "anf", "table-kept", n))
+    table = truth_table(f)
+    assert f._table is table and truth_table(f) is table
+    assert not table.flags.writeable
 
 
 def test_no_table_past_one_evaluation_block():
@@ -289,6 +297,10 @@ def test_no_table_past_one_evaluation_block():
     values = eval_words((f,), points)
     assert f._table is None
     assert values[:200].tolist() == [eval_polys((f,), x) for x in range(200)]
+    table = truth_table(f)
+    assert not table.flags.writeable
+    assert f._table is None and truth_table(f) is not table
+    assert table[:200].tolist() == values[:200].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -481,6 +481,10 @@ def _refusal_files(tmp_path) -> dict[str, str]:
             tmp_path / "var.json",
             '{"type":"variety","n":20000,"polys":[{"d":1,"monomials":[[0]],"n":20000}]}',
         ),
+        # registry params that would make one trial enumerate past the budget
+        "two-source-n": write(tmp_path / "ts.json", '{"params":{"n":12}}'),
+        "bias-n": write(tmp_path / "bc.json", '{"params":{"n":25}}'),
+        "dichotomy-n": write(tmp_path / "dc.json", '{"params":{"n_max":40}}'),
     }
 
 
@@ -504,11 +508,15 @@ def _refusal_files(tmp_path) -> dict[str, str]:
         (["bias", "--poly", "poly", "--source", "local-m", "--samples", "100", "--seed", "1"],
          "m=1000000000000"),
         (["bias", "--poly", "poly-n", "--source", "variety-n"], "n=20000"),
+        (["experiment", "two-source-degree", "--config", "two-source-n", "--seed", "1"], "n=12"),
+        (["experiment", "bias-concentration", "--config", "bias-n", "--seed", "1"], "n=25"),
+        (["experiment", "dichotomy", "--config", "dichotomy-n", "--seed", "1"], "n_max=40"),
     ],
     ids=["energy-mixed-lengths", "partition-mixed-lengths", "evasive-r-20000",
          "descriptor-and-points", "ragged-matrix", "non-json-source",
          "partition-past-pair-budget", "evasive-r-200000", "local-m-10^12",
-         "local-m-10^12-sampled", "variety-n-20000"],
+         "local-m-10^12-sampled", "variety-n-20000", "two-source-n-12",
+         "bias-concentration-n-25", "dichotomy-n_max-40"],
 )
 def test_cli_refuses_bad_input_files_quickly(tmp_path, capsys, argv, says):
     """Every refusal of a file-reading verb exits 2 within a second with an

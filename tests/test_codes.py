@@ -6,14 +6,14 @@ import pytest
 
 from polyext import rng
 from polyext.codes import (
-    CodeView,
     balancedness_report,
+    codewords,
     johnson_check,
     list_size_exhaustive,
     measured_imbalance,
 )
 from polyext.errors import BudgetExceededError, PreconditionError
-from polyext.gf2 import BitMatrix, BitVector, sample_uniform_matrix
+from polyext.gf2 import BitMatrix, BitVector, sample_uniform_matrix, subset_xors
 
 MASTER = 20260823
 
@@ -27,18 +27,18 @@ def monomial_row(mask: int, n: int) -> int:
     return word
 
 
-def identity_code(n: int) -> CodeView:
-    return CodeView(BitMatrix(n, n, [1 << i for i in range(n)]))
+def identity_code(n: int) -> BitMatrix:
+    return BitMatrix(n, n, [1 << i for i in range(n)])
 
 
-def linear_functions_code() -> CodeView:
+def linear_functions_code() -> BitMatrix:
     # rows are the truth tables of x1, x2, x3 over the 8 points of F_2^3
-    return CodeView(BitMatrix(3, 8, [monomial_row(1, 3), monomial_row(2, 3), monomial_row(4, 3)]))
+    return BitMatrix(3, 8, [monomial_row(1, 3), monomial_row(2, 3), monomial_row(4, 3)])
 
 
-def quadratic_functions_code() -> CodeView:
+def quadratic_functions_code() -> BitMatrix:
     rows = [monomial_row(mask, 3) for mask in (0, 1, 2, 4, 3, 5, 6)]
-    return CodeView(BitMatrix(7, 8, rows))
+    return BitMatrix(7, 8, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def quadratic_functions_code() -> CodeView:
 
 
 def test_zero_code_is_perfectly_balanced():
-    report = balancedness_report(CodeView(BitMatrix(3, 4, [0] * 3)), 0)
+    report = balancedness_report(BitMatrix(3, 4, [0] * 3), 0)
     assert report.delta == 0
     assert report.worst_codeword is None
 
@@ -81,8 +81,7 @@ def test_measured_imbalance_identity():
 def test_list_size_radius_zero():
     count, center = list_size_exhaustive(identity_code(3), 0)
     assert count == 1
-    assert identity_code(3).codewords()[0] is not None  # center is some codeword
-    assert center.bits in identity_code(3).distinct_codewords()
+    assert center.bits in codewords(identity_code(3))
 
 
 def test_list_size_radius_one_counts_everything():
@@ -97,9 +96,15 @@ def test_list_size_linear_functions_at_half():
     assert center == BitVector(8, 0)
 
 
+def test_codewords_are_the_distinct_row_xors_within_the_cap():
+    assert codewords(BitMatrix(3, 2, [0b01, 0b10, 0b11])) == {0, 1, 2, 3}
+    with pytest.raises(BudgetExceededError):
+        codewords(BitMatrix(25, 1, [0] * 25))
+
+
 def test_list_size_respects_budget():
     with pytest.raises(BudgetExceededError):
-        list_size_exhaustive(CodeView(BitMatrix(1, 17, [0])), 0)
+        list_size_exhaustive(BitMatrix(1, 17, [0]), 0)
 
 
 def test_list_size_brute_force_agreement():
@@ -107,10 +112,10 @@ def test_list_size_brute_force_agreement():
     for _ in range(20):
         dim = stream.randrange(1, 6)
         t = stream.randrange(max(dim, 2), 9)
-        code = CodeView(sample_uniform_matrix(dim, t, stream))
+        code = sample_uniform_matrix(dim, t, stream)
         rho = Fraction(stream.randrange(0, t + 1), t)
         count, center = list_size_exhaustive(code, rho)
-        words = code.distinct_codewords()
+        words = codewords(code)
         brute = max(
             sum(1 for w in words if (w ^ x).bit_count() <= rho * t) for x in range(1 << t)
         )
@@ -132,7 +137,7 @@ def test_johnson_passes_on_balanced_code():
 
 
 def test_johnson_single_codeword():
-    verdict = johnson_check(CodeView(BitMatrix(1, 4, [0])), 0)
+    verdict = johnson_check(BitMatrix(1, 4, [0]), 0)
     assert verdict.passed
     assert verdict.max_list == 1
 
@@ -157,7 +162,7 @@ def test_johnson_never_fails_at_measured_eps():
     for _ in range(50):
         dim = stream.randrange(1, 9)
         t = stream.randrange(max(dim, 2), 13)
-        code = CodeView(sample_uniform_matrix(dim, t, stream))
+        code = sample_uniform_matrix(dim, t, stream)
         verdict = johnson_check(code, measured_imbalance(code))
         assert verdict.passed
         assert verdict.max_list <= 2 * t
@@ -167,7 +172,7 @@ def test_random_subcodes_stay_balanced():
     """Two-dimensional random subcodes of the degree-2 code are rarely unbalanced."""
     code = quadratic_functions_code()
     stream = rng.derive(MASTER, "codes", "subcode")
-    words = code.codewords()
+    words = subset_xors(code.row_words)  # entry k is the codeword of message k
     bad_draws = 0
     for _ in range(1000):
         h = sample_uniform_matrix(7, 2, stream)

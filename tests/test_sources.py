@@ -28,6 +28,7 @@ from polyext.sources import (
     Sumset,
     Variety,
     ambient_length,
+    common_zeros,
     sample_source,
     sample_words,
     support_of,
@@ -417,6 +418,33 @@ def test_bias_exact_on_a_variety_reads_one_truth_table(monkeypatch):
     assert tables_of_f[0] == 1
 
 
+def _count_transforms(monkeypatch) -> list[int]:
+    calls = [0]
+    real = anf.mobius_transform
+
+    def counted(table):
+        calls[0] += 1
+        return real(table)
+
+    monkeypatch.setattr(anf, "mobius_transform", counted)
+    return calls
+
+
+def test_exact_and_sampled_bias_of_one_polynomial_transform_it_once(monkeypatch):
+    """Every table read of an n <= 16 polynomial shares one kept truth table."""
+    stream = rng.derive(MASTER, "sources", "bias-transforms")
+    n = 16
+    f = sample_poly(n, 5, stream)
+    flat = Flat(n, tuple(BitVector(n, b) for b in stream.sample(range(1 << n), 256)))
+    basis = tuple(BitVector(n, 1 << i) for i in range(8))
+    affine = Affine(n, BitVector(n, stream.getrandbits(n)), basis)
+    calls = _count_transforms(monkeypatch)
+    bias_exact(f, flat)
+    bias_exact(f, affine)
+    bias_mc(f, flat, 64, 0.01, stream)
+    assert calls[0] == 1
+
+
 def test_one_enumeration_budget_for_every_branch(monkeypatch):
     monkeypatch.setattr(sources, "ENUMERATION_BUDGET", 1 << 4)
     calls = _count_truth_tables(monkeypatch)
@@ -633,6 +661,16 @@ def test_variety_reduce_empty_variety():
     one = Polynomial.from_monomials(3, 2, [[]])
     reduced, _ = variety_reduce([one], rng.derive(MASTER, "sources", "reduce-empty"))
     assert not _zero_set(reduced, 3).any()
+
+
+def test_variety_reduce_then_common_zeros_transforms_each_polynomial_once(monkeypatch):
+    stream = rng.derive(MASTER, "sources", "reduce-transforms")
+    polys = [sample_poly(10, 2, stream) for _ in range(6)]
+    calls = _count_transforms(monkeypatch)
+    reduced, _ = variety_reduce(polys, stream)
+    target = common_zeros(polys)
+    assert calls[0] == len(polys)
+    assert np.array_equal(_zero_set(reduced, 10), target)
 
 
 def test_variety_reduce_random_systems_exact():
