@@ -22,12 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVector
+from .errors import check_budget
+from .gf2 import BitMatrix, BitVector, binom_sum
 
 __all__ = [
     "MonomialOrder",
     "Polynomial",
     "monomial_order",
+    "check_order",
     "eval_bits",
     "eval_polys",
     "eval_words",
@@ -41,6 +43,10 @@ __all__ = [
 
 #: Point-mask pairs compared at once by :func:`eval_words`.
 EVAL_BLOCK = 1 << 16
+
+#: Most monomials an order built from outside input may range over, binom_sum(n, d);
+#: n = 80, d = 3 (85,401 monomials) builds its order in about 0.1 s.
+MONOMIAL_BUDGET = 1 << 17
 
 
 class MonomialOrder:
@@ -79,6 +85,16 @@ class MonomialOrder:
 @lru_cache(maxsize=None)
 def monomial_order(n: int, d: int) -> MonomialOrder:
     return MonomialOrder(n, d)
+
+
+def check_order(n: int, d: int, what: str, polys: int = 1) -> None:
+    """Refuse ``polys`` polynomials over the (n, d) order before it is built: past
+    MONOMIAL_BUDGET monomials in all, or past 64 * MONOMIAL_BUDGET bits of n-bit
+    monomial masks (at d = 1 they grow as n^2)."""
+    # exact: at d = MONOMIAL_BUDGET.bit_length() the count is over budget unless n <= d
+    size = binom_sum(n, min(d, MONOMIAL_BUDGET.bit_length()))
+    check_budget(f"{what}, monomials", MONOMIAL_BUDGET, polys * size)
+    check_budget(f"{what}, bits of monomial masks", 64 * MONOMIAL_BUDGET, size * n)
 
 
 class Polynomial:

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import anf, sources
 from .anf import Polynomial, eval_bits, eval_polys, eval_words, monomial_order
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError, check_budget
+from .gf2 import binom_sum
 from .reports import AuditReport
 from .sources import Source, _support_counts, ambient_length, sample_words
 
@@ -33,6 +34,7 @@ __all__ = [
     "bias_exact",
     "bias_mc",
     "mc_halfwidth",
+    "moment_walk",
     "moment_by_poly_enumeration",
     "moment_by_eval_collision",
     "statistical_distance",
@@ -120,27 +122,32 @@ def _support_ints(source: Source, n: int, d: int) -> tuple[list[int], list[int],
     return [eval_bits(w, order) for w in words.tolist()], counts.tolist(), total
 
 
+def moment_walk(n: int, d: int, points: int, what: str) -> int:
+    """binom_sum(n, d), once :func:`moment_by_poly_enumeration`'s walk over ``points``
+    points is within MOMENT_COEFF_LIMIT coefficients and MOMENT_WORK_LIMIT steps."""
+    size = binom_sum(n, min(d, MOMENT_COEFF_LIMIT + 1))  # a larger d adds only refusals
+    check_budget(f"{what}, coefficients", 1 << MOMENT_COEFF_LIMIT, log2=size)
+    check_budget(f"{what}, walk steps", MOMENT_WORK_LIMIT, points << size)
+    return size
+
+
 def moment_by_poly_enumeration(source: Source, n: int, d: int, t: int) -> Fraction:
     """E over all degree-<=d polynomials of bias(f)^t, by direct enumeration.
 
-    Walks every one of the 2^binom_sum(n, d) coefficient vectors, so it
-    refuses to run when the coefficient count exceeds 20.
+    Walks every one of the 2^binom_sum(n, d) coefficient vectors against
+    every support point, within the budgets of :func:`moment_walk`.
     """
     if t < 0:
         raise PreconditionError("moment index must be nonnegative")
-    order = monomial_order(n, d)
-    if order.size > MOMENT_COEFF_LIMIT:
-        raise BudgetExceededError(
-            f"enumerating 2^{order.size} polynomials is over the 2^{MOMENT_COEFF_LIMIT} cap"
-        )
     evals, weights, denom = _support_ints(source, n, d)
+    size = moment_walk(n, d, len(evals), f"moment enumeration (n={n}, d={d})")
     total = 0
-    for c in range(1 << order.size):
+    for c in range(1 << size):
         signed = 0
         for e, w in zip(evals, weights):
             signed += -w if (c & e).bit_count() & 1 else w
         total += signed**t
-    return Fraction(total, denom**t * (1 << order.size))
+    return Fraction(total, denom**t * (1 << size))
 
 
 def moment_by_eval_collision(source: Source, n: int, d: int, t: int) -> Fraction:
@@ -155,8 +162,7 @@ def moment_by_eval_collision(source: Source, n: int, d: int, t: int) -> Fraction
     evals, weights, denom = _support_ints(source, n, d)
     acc: dict[int, int] = {0: 1}
     for _ in range(t):
-        if len(acc) * len(evals) > MOMENT_WORK_LIMIT:
-            raise BudgetExceededError("eval-vector convolution exceeds the 2^24 step budget")
+        check_budget("eval-vector convolution", MOMENT_WORK_LIMIT, len(acc) * len(evals))
         nxt: dict[int, int] = {}
         for a, wa in acc.items():
             for e, we in zip(evals, weights):

@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError, check_budget
 from .gf2 import BitMatrix, BitVector, subset_xors
 
 __all__ = [
@@ -43,8 +43,7 @@ RationalLike = Union[Fraction, int, float]
 
 def codewords(generator: BitMatrix) -> set[int]:
     """The distinct codewords, XORs of the generator's rows, as packed ints."""
-    if generator.rows > EXHAUSTIVE_DIM_LIMIT:
-        raise BudgetExceededError(f"2^{generator.rows} codewords exceed the enumeration cap")
+    check_budget("codeword enumeration", 1 << EXHAUSTIVE_DIM_LIMIT, log2=generator.rows)
     return set(subset_xors(generator.row_words))
 
 
@@ -107,8 +106,7 @@ def list_size_exhaustive(
     center.
     """
     t = generator.cols
-    if t > LIST_SIZE_LIMIT or generator.rows > LIST_SIZE_LIMIT:
-        raise BudgetExceededError("exact list-size enumeration is capped at 2^16 work")
+    check_budget("exact list-size enumeration", 1 << LIST_SIZE_LIMIT, log2=max(t, generator.rows))
     rho = Fraction(radius)
     cutoff = rho * t
     size = 1 << t

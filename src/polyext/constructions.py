@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng, sources
 from .anf import Polynomial, eval_bits, eval_polys, monomial_order, sample_poly
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError, check_budget
 from .gf2 import (
     BitMatrix,
     BitVector,
@@ -138,9 +138,9 @@ def build_seeded(n: int, t: int, d: int, seed: int) -> SeededDescriptor:
         raise PreconditionError("need 1 <= d <= t")
     if n < 1:
         raise PreconditionError("n must be positive")
+    check_budget(f"generator material (t={t})", SEEDED_BUILD_BUDGET, log2=t)
     cols = binom_sum(t, d)
-    if (1 << t) * cols + cols * n > SEEDED_BUILD_BUDGET:
-        raise BudgetExceededError("generator material exceeds the build budget")
+    check_budget(f"generator material (t={t}, d={d})", SEEDED_BUILD_BUDGET, ((1 << t) + n) * cols)
     order = monomial_order(t, d)
     g = BitMatrix(1 << t, cols, [eval_bits(y, order) for y in range(1 << t)])
     if rank(g) != cols:
@@ -173,11 +173,11 @@ def seeded_table(desc: SeededDescriptor) -> np.ndarray:
     together: W = H·x as the parity of ``xs & row`` for each compressor row,
     generator row yb, and the parity of ``row & W``.  Words wider than 64
     bits are split into 64-bit limbs whose ANDs are XORed before the one
-    parity.  Raises :class:`BudgetExceededError` when 2^(n+t) exceeds
-    ``sources.ENUMERATION_BUDGET``.
+    parity.  Refuses through :func:`errors.check_budget` when 2^(n+t)
+    exceeds ``sources.ENUMERATION_BUDGET``.
     """
     n, t = desc.n, desc.t
-    sources._check_budget(f"seeded table (n={n}, t={t})", log2=n + t)
+    check_budget(f"seeded table (n={n}, t={t})", sources.ENUMERATION_BUDGET, log2=n + t)
     xs = np.arange(1 << n, dtype=np.uint64)
     h_rows = desc.compressor.row_words
     g_rows = desc.generator.row_words

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the one budget gate, :func:`check_budget`."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ __all__ = [
     "BudgetExceededError",
     "RetryExhaustedError",
     "PreconditionError",
+    "check_budget",
 ]
 
 
@@ -24,3 +25,13 @@ class RetryExhaustedError(PolyextError):
 
 class PreconditionError(PolyextError):
     """Caller violated a documented precondition."""
+
+
+def check_budget(what: str, limit: int, count: int = 0, log2: int = -1) -> None:
+    """Refuse over ``limit`` units of work: ``count`` of them, or 2^``log2`` judged
+    by its exponent and never built (2^x > L exactly when x >= L.bit_length())."""
+    bits = limit.bit_length()
+    if count > limit or log2 >= bits:
+        need = f"2^{log2}" if log2 >= bits else count
+        cap = f"2^{bits - 1}" if limit & (limit - 1) == 0 else limit
+        raise BudgetExceededError(f"{what}: {need} exceeds the {cap} budget")

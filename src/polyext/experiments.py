@@ -15,9 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import rng
-from .anf import anf_from_truth_table, mobius_transform, sample_poly, truth_table
-from .bias import moment_by_eval_collision, moment_by_poly_enumeration
+from . import rng, sources
+from .anf import anf_from_truth_table, check_order, mobius_transform, sample_poly, truth_table
+from .bias import moment_by_eval_collision, moment_by_poly_enumeration, moment_walk
 from .codes import johnson_check, measured_imbalance
 from .constructions import (
     build_seeded,
@@ -25,7 +25,7 @@ from .constructions import (
     eval_two_source,
     seeded_table,
 )
-from .errors import PreconditionError, RetryExhaustedError
+from .errors import PreconditionError, RetryExhaustedError, check_budget
 from .gf2 import (
     BitMatrix,
     BitVector,
@@ -48,7 +48,7 @@ from .oracles import (
 )
 from .ranklab import eval_rank, find_high_rank_subsets, special_sumset_sampler
 from .reports import ExperimentReport
-from .sources import Flat, _check_budget, common_zeros, uniform_flat, variety_reduce
+from .sources import Flat, common_zeros, uniform_flat, variety_reduce
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "run_experiment", "config_from_dict"]
 
@@ -85,8 +85,10 @@ def _all_ok(flag: str):
 # --- moment identity -------------------------------------------------------
 
 def _moment_trial(params, stream):
-    n, d, t = params["n"], params["d"], params["t"]
-    cap = min(params["max_support"], 1 << n)
+    n, d, t, most = params["n"], params["d"], params["t"], params["max_support"]
+    # F_2^n holds 2^n points; capping n at the bit length of most keeps the min exact
+    cap = min(most, 1 << min(n, most.bit_length()))
+    moment_walk(n, d, cap, f"moment-identity (n={n}, d={d}, max_support={most})")
     size = stream.randint(1, cap)
     src = Flat(n, tuple(_random_subset(n, size, stream)))
     lhs = moment_by_poly_enumeration(src, n, d, t)
@@ -97,6 +99,7 @@ def _moment_trial(params, stream):
 # --- interpolating rank ----------------------------------------------------
 
 def _interp_trial(params, stream):
+    check_order(params["n_max"], params["d_max"], f"interpolating-rank {params}")
     n = stream.randint(1, params["n_max"])
     d = stream.randint(0, min(n, params["d_max"]))
     cert = eval_rank(hamming_ball(n, d), d)
@@ -106,6 +109,8 @@ def _interp_trial(params, stream):
 # --- rank monotonicity under linear maps -----------------------------------
 
 def _mono_trial(params, stream):
+    widest = max(params["n_max"], params["m_max"])
+    check_order(widest, params["d_max"], f"rank-monotonicity {params}")
     n = stream.randint(1, params["n_max"])
     m = stream.randint(1, params["m_max"])
     d = stream.randint(1, min(params["d_max"], n, m))
@@ -188,7 +193,7 @@ def _sumset_agg(rows, params):
 
 def _bias_trial(params, stream):
     n, d = params["n"], params["d"]
-    _check_budget(f"bias-concentration truth table (n={n})", log2=n)
+    check_budget(f"bias-concentration truth table (n={n})", sources.ENUMERATION_BUDGET, log2=n)
     f = sample_poly(n, d, stream)
     table = truth_table(f)
     size = table.size
@@ -208,7 +213,7 @@ def _bias_agg(rows, params):
 
 def _two_source_trial(params, stream):
     n, r = params["n"], params["r"]
-    _check_budget(f"two-source joint table (n={n})", log2=2 * n)
+    check_budget(f"two-source joint table (n={n})", sources.ENUMERATION_BUDGET, log2=2 * n)
     desc = build_two_source(n, stream.getrandbits(63), r=r)
     table = np.zeros(1 << (2 * n), dtype=np.uint8)
     for w in range(table.size):
@@ -348,8 +353,9 @@ def _attack_agg(rows, params):
 # --- inner-product dichotomy ------------------------------------------------
 
 def _dichotomy_trial(params, stream):
-    _check_budget(f"dichotomy spans (n_max={params['n_max']})", log2=params["n_max"])
-    n = stream.randint(2, params["n_max"])
+    n_max = params["n_max"]
+    check_budget(f"dichotomy spans (n_max={n_max})", sources.ENUMERATION_BUDGET, log2=n_max)
+    n = stream.randint(2, n_max)
     dim_a = stream.randint(2, n)
     dim_b = stream.randint(n + 2 - dim_a, n)
     mat_a = sample_invertible(n, stream)

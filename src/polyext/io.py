@@ -14,7 +14,8 @@ from functools import partial
 from pathlib import Path
 from typing import Union
 
-from .anf import Polynomial
+from . import anf
+from .anf import Polynomial, check_order
 from .constructions import (
     EvasiveDescriptor,
     SeededDescriptor,
@@ -23,8 +24,8 @@ from .constructions import (
     build_seeded,
     build_two_source,
 )
-from .errors import BudgetExceededError
-from .gf2 import BitMatrix, BitVector, binom_sum
+from .errors import check_budget
+from .gf2 import BitMatrix, BitVector
 from .reports import render_json
 from .sources import (
     Affine,
@@ -53,10 +54,6 @@ __all__ = [
 ]
 
 Descriptor = Union[TwoSourceDescriptor, SeededDescriptor, EvasiveDescriptor]
-
-#: Most monomials a polynomial read from a file may range over, binom_sum(n, d);
-#: n = 80, d = 3 (85,401 monomials) builds its order in about 0.1 s.
-MONOMIAL_BUDGET = 1 << 17
 
 
 def parse_matrix(text: str) -> BitMatrix:
@@ -94,25 +91,9 @@ def _field(data, key: str, kind: type, where: str = "", of: type | None = None):
     return _typed(data[key], kind, _name(where, key), of)
 
 
-def _check_monomials(n: int, d: int, what: str, polys: int = 1, order: bool = True) -> None:
-    """Refuse ``polys`` polynomials of over MONOMIAL_BUDGET monomials in all before any is built.
-
-    With ``order``, also refuse an order whose n-bit monomial masks would hold
-    over 64 * MONOMIAL_BUDGET bits: at d = 1 they grow as n^2.
-    """
-    # binom_sum(n, d) grows with d; at d = b = MONOMIAL_BUDGET.bit_length() it
-    # is already over the budget unless n <= b, where a larger d adds nothing.
-    # Capping d at b keeps the check exact and costs at most b + 1 binomials.
-    size = binom_sum(n, min(d, MONOMIAL_BUDGET.bit_length()))
-    if polys * size > MONOMIAL_BUDGET:
-        raise BudgetExceededError(f"{what} ranges over more than {MONOMIAL_BUDGET} monomials")
-    if order and size * n > 64 * MONOMIAL_BUDGET:
-        raise BudgetExceededError(f"{what}: its monomial masks exceed {64 * MONOMIAL_BUDGET} bits")
-
-
 def _polynomial(data, where: str = "") -> Polynomial:
     n, d = _field(data, "n", int, where), _field(data, "d", int, where)
-    _check_monomials(n, d, f"{where or 'polynomial'}: n={n}, d={d}")
+    check_order(n, d, f"{where or 'polynomial'}: n={n}, d={d}")
     monomials = _field(data, "monomials", list, where)
     for k, mon in enumerate(monomials):
         _typed(mon, list, _name(where, f"monomials[{k}]"), of=int)
@@ -226,8 +207,8 @@ def source_from_dict(data: dict, where: str = "") -> Source:
             inputs = _field(b, "inputs", list, at, of=int)
             bits.append(LocalBit(tuple(inputs), tuple(map(int, table))))
         r, m = _field(data, "r", int, where), _field(data, "m", int, where)
-        # a local source builds no monomial order, so only its count is budgeted
-        _check_monomials(m, 1, f"{where or 'local source'}: m={m}, degree 1", order=False)
+        # a local source builds no monomial order, so only its m + 1 monomials are budgeted
+        check_budget(f"{where or 'local source'}: m={m}, monomials", anf.MONOMIAL_BUDGET, m + 1)
         return Local(r, m, tuple(bits))
     if kind == "polynomial":
         m = _field(data, "m", int, where)
@@ -265,15 +246,15 @@ def descriptor_from_dict(data: dict) -> Descriptor:
     # all of them are budgeted like a polynomial file's before the builder runs.
     if kind == "two-source":
         n, r = num("n"), num("r")
-        _check_monomials(n, 2, f"two-source descriptor: n={n}, degree 2, r={r}", r)
+        check_order(n, 2, f"two-source descriptor: n={n}, degree 2, r={r}", r)
         return build_two_source(n, num("seed"), r=r)
     if kind == "seeded":
         t, d = num("t"), num("d")
-        _check_monomials(t, d, f"seeded descriptor: t={t}, d={d}")
+        check_order(t, d, f"seeded descriptor: t={t}, d={d}")
         return build_seeded(num("n"), t, d, num("seed"))
     if kind == "evasive":
         k, d, r = num("k"), num("d"), num("r")
-        _check_monomials(k, d, f"evasive descriptor: k={k}, d={d}, r={r}", r)
+        check_order(k, d, f"evasive descriptor: k={k}, d={d}, r={r}", r)
         return build_evasive_h(k, d, num("seed"), r=r)
     raise ValueError(f"unknown descriptor kind {kind!r}")
 

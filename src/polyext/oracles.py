@@ -12,7 +12,9 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 from random import Random
 from typing import Callable, Optional, Sequence, Union
 
@@ -21,7 +23,7 @@ import numpy as np
 from . import anf
 from .anf import Polynomial, eval_bits, monomial_order
 from .constructions import EvasiveDescriptor, lift_point
-from .errors import BudgetExceededError, PreconditionError, RetryExhaustedError
+from .errors import PreconditionError, RetryExhaustedError, check_budget
 from .gf2 import (
     BitVector,
     XorBasis,
@@ -60,8 +62,7 @@ def additive_energy(x: Sequence[BitVector], y: Sequence[BitVector]) -> int:
     Computed as the sum of squared sum-multiplicities; equals |X| * |Y| exactly
     when all pairwise sums are distinct.
     """
-    if len(x) * len(y) > PAIR_BUDGET:
-        raise BudgetExceededError("pair enumeration exceeds the 2^26 budget")
+    check_budget("pair enumeration", PAIR_BUDGET, len(x) * len(y))
     common_length(x, y)
     counts: dict[int, int] = {}
     ybits = [v.bits for v in y]
@@ -148,8 +149,7 @@ def pair_energies(
     more than PAIR_BUDGET point pairs before packing, which also keeps the
     float64 count exact.
     """
-    if sum(map(len, x_parts)) * sum(map(len, y_parts)) > PAIR_BUDGET:
-        raise BudgetExceededError("pair enumeration exceeds the 2^26 budget")
+    check_budget("pair enumeration", PAIR_BUDGET, sum(map(len, x_parts)) * sum(map(len, y_parts)))
     return _energies(_pack(x_parts), _pack(y_parts))
 
 
@@ -210,8 +210,7 @@ def energy_partition(
     size = len(x)
     if size == 0 or size & (size - 1) or len(y) != size:
         raise PreconditionError("need |X| = |Y| = 2^k")
-    if size * size > PAIR_BUDGET:
-        raise BudgetExceededError("pair enumeration exceeds the 2^26 budget")
+    check_budget("pair enumeration", PAIR_BUDGET, size * size)
     common_length(x, y)
     k = size.bit_length() - 1
     if not 0 <= t <= k:
@@ -250,39 +249,29 @@ def energy_partition(
 
 def cw_shift_count(
     f: Polynomial, v_basis: Sequence[BitVector]
-) -> tuple[int, Union[int, object], bool]:
+) -> tuple[int, Union[int, Fraction], bool]:
     """Count x whose whole V-shift orbit stays inside the zero set of f.
 
     f must vanish on span(V) — verified first, error otherwise.  The returned
     bound is 2^(n - sum_{j<d} (d-j) C(t, j)) with d the actual degree of f
-    and t = dim span(V); the verdict says whether count >= bound.
+    and t = dim span(V); the verdict says whether count >= bound.  Costs t
+    passes over f's 2^n-point table, each doubling the span that ``ok`` covers.
     """
     n = f.order.n
-    if (1 << n) > SHIFT_BUDGET:
-        raise BudgetExceededError("shift counting is capped at 2^24 points")
+    check_budget(f"shift counting (n={n})", SHIFT_BUDGET, log2=n)
     if any(v.n != n for v in v_basis):
         raise PreconditionError("basis vectors must match the polynomial's width")
-    span = enumerate_span(v.bits for v in v_basis)
-    table = anf.truth_table(f)
-    for v in span:
-        if table[v]:
-            raise PreconditionError("f does not vanish on span(V)")
-    ok = np.ones(1 << n, dtype=bool)
-    idx = np.arange(1 << n)
-    for v in span:
-        ok &= table[idx ^ v] == 0
+    basis = XorBasis()
+    kept = [v.bits for v in v_basis if basis.add(v.bits)]
+    ok = anf.truth_table(f) == 0
+    for b in kept:
+        ok = ok & ok[np.arange(ok.size) ^ b]
+    if not ok[0]:
+        raise PreconditionError("f does not vanish on span(V)")
     count = int(ok.sum())
     d = f.degree()
-    t = span_rank(v.bits for v in v_basis)
-    from math import comb
-
-    exponent = n - sum((d - j) * comb(t, j) for j in range(d))
-    if exponent >= 0:
-        bound: Union[int, object] = 1 << exponent
-    else:
-        from fractions import Fraction
-
-        bound = Fraction(1, 1 << (-exponent))
+    exponent = n - sum((d - j) * comb(len(kept), j) for j in range(d))
+    bound = 1 << exponent if exponent >= 0 else Fraction(1, 1 << -exponent)
     return count, bound, count >= bound
 
 
@@ -582,10 +571,7 @@ def subspace_evasive_audit(
         if amb > 10 or ell > 3:
             raise PreconditionError("exhaustive mode is limited to ambient <= 10, ell <= 3")
         total = subspace_count(amb, ell)
-        if total > budget:
-            raise BudgetExceededError(
-                f"{total} subspaces exceed the exhaustive budget {budget}"
-            )
+        check_budget(f"exhaustive audit of {ell}-dimensional subspaces", budget, total)
         points = _evasive_point_set(subject)
         worst = 0
         witness_rows: Optional[list[int]] = None
@@ -708,8 +694,7 @@ def dichotomy_check(
 ) -> tuple[int, int, set[int]]:
     """Span dimensions of both sets and the exact set of inner-product values."""
     common_length(a, b)
-    if len(a) * len(b) > PAIR_BUDGET:
-        raise BudgetExceededError("pair enumeration exceeds the 2^26 budget")
+    check_budget("pair enumeration", PAIR_BUDGET, len(a) * len(b))
     dim_a = span_rank(v.bits for v in a)
     dim_b = span_rank(v.bits for v in b)
     values: set[int] = set()

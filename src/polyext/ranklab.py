@@ -18,7 +18,7 @@ from functools import lru_cache
 from random import Random
 from typing import Callable, Optional, Sequence
 
-from .anf import eval_bits, monomial_order
+from .anf import check_order, eval_bits, monomial_order
 from .errors import PreconditionError, RetryExhaustedError
 from .gf2 import (
     AffineSolver,
@@ -122,7 +122,8 @@ def eval_rank(points: Sequence[BitVector], d: int) -> RankCertificate:
 
     Duplicates are ignored.  The witness is the greedy independent subset in
     input order, found by the packed core's elimination and re-checked by a
-    separate elimination of its stored evaluation words.
+    separate elimination of its stored evaluation words.  The (n, d) order is
+    refused as a polynomial file's is (:func:`anf.check_order`) before it is built.
     """
     pts = list(dict.fromkeys(points))
     if not pts:
@@ -130,6 +131,7 @@ def eval_rank(points: Sequence[BitVector], d: int) -> RankCertificate:
     n = pts[0].n
     if any(p.n != n for p in pts):
         raise PreconditionError("points must share one ambient length")
+    check_order(n, d, f"evaluation rank: n={n}, d={d}")
     return _certificate(n, d, len(pts), _independent_points([p.bits for p in pts], n, d))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from random import Random
 from typing import Sequence, Union
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import anf
 from .anf import Polynomial, eval_polys
-from .errors import BudgetExceededError, PreconditionError, RetryExhaustedError
+from .errors import PreconditionError, RetryExhaustedError, check_budget
 from .gf2 import BitVector, canonical_key, span_rank, subset_xor, subset_xors
 
 __all__ = [
@@ -177,7 +177,7 @@ Source = Union[Flat, Affine, Sumset, Local, PolynomialImage, Variety]
 
 def uniform_flat(n: int) -> Flat:
     """The uniform distribution over all of F_2^n as an explicit flat source."""
-    _check_budget(f"uniform flat (n={n})", log2=n)
+    check_budget(f"uniform flat (n={n})", ENUMERATION_BUDGET, log2=n)
     return Flat(n, tuple(BitVector(n, b) for b in range(1 << n)))
 
 
@@ -192,26 +192,12 @@ def ambient_length(source: Source) -> int:
     raise TypeError(f"not a source: {source!r}")
 
 
-def _check_budget(what: str, count: int = 0, log2: int = -1) -> None:
-    """Refuse over ``ENUMERATION_BUDGET`` steps: ``count`` of them, or 2^``log2``
-    judged by its exponent (2^x > B exactly when x >= B.bit_length())."""
-    bits = ENUMERATION_BUDGET.bit_length()
-    if count > ENUMERATION_BUDGET or log2 >= bits:
-        raise BudgetExceededError(
-            f"{what} needs {f'2^{log2}' if log2 >= bits else count} enumeration steps, "
-            f"over the 2^{bits - 1} budget"
-        )
-
-
 def common_zeros(polys: Sequence[Polynomial]) -> np.ndarray:
     """Boolean mask over F_2^n of the points where every polynomial vanishes.
 
     One truth table per polynomial; ``polys`` is nonempty and shares one n.
     """
-    member = np.ones(1 << polys[0].order.n, dtype=bool)
-    for p in polys:
-        member &= anf.truth_table(p) == 0
-    return member
+    return reduce(np.logical_and, (anf.truth_table(p) == 0 for p in polys))
 
 
 @lru_cache(maxsize=4)
@@ -238,24 +224,25 @@ def _support_counts(source: Source) -> tuple[np.ndarray, np.ndarray, int]:
     :class:`PreconditionError` for an empty variety.
     """
     if isinstance(source, Variety):
-        _check_budget(f"variety enumeration (n={source.n})", log2=source.n)
+        check_budget(f"variety enumeration (n={source.n})", ENUMERATION_BUDGET, log2=source.n)
         pts = _variety_points(source)
         if pts.size == 0:
             raise PreconditionError("variety is empty; no distribution to enumerate")
         return pts, np.ones(pts.size, dtype=np.int64), int(pts.size)
     dtype = np.uint64 if ambient_length(source) <= 64 else object
     if isinstance(source, Flat):
-        _check_budget("flat support", len(source.support))
+        check_budget("flat support", ENUMERATION_BUDGET, len(source.support))
         raw = np.array([v.bits for v in source.support], dtype=dtype)
     elif isinstance(source, Affine):
-        _check_budget(f"affine span of {len(source.basis)} basis vectors", log2=len(source.basis))
+        k = len(source.basis)
+        check_budget(f"affine span of {k} basis vectors", ENUMERATION_BUDGET, log2=k)
         raw = np.array(subset_xors([b.bits for b in source.basis], source.offset.bits), dtype=dtype)
     elif isinstance(source, Sumset):
-        _check_budget("sumset pairs", len(source.x.support) * len(source.y.support))
         xs, ys = (np.array([v.bits for v in f.support], dtype=dtype) for f in (source.x, source.y))
+        check_budget("sumset pairs", ENUMERATION_BUDGET, xs.size * ys.size)
         raw = np.bitwise_xor.outer(xs, ys).ravel()
     elif isinstance(source, (Local, PolynomialImage)):
-        _check_budget(f"input enumeration (m={source.m})", log2=source.m)
+        check_budget(f"input enumeration (m={source.m})", ENUMERATION_BUDGET, log2=source.m)
         raw = _image_words(source, np.arange(1 << source.m, dtype=np.uint64))
     else:
         raise TypeError(f"not a source: {source!r}")
@@ -399,11 +386,11 @@ def variety_reduce(
 
     Draws uniform coefficient rows, forms the n+1 combined polynomials, and
     accepts only after exhaustively confirming the combined system has exactly
-    the original zero set (the containment direction is automatic); that
-    target is :func:`common_zeros` of the system, which for n <= 16 reads the
-    truth tables kept on its polynomials.  Returns the accepted system and
-    the number of rejected rounds; expected rejections are below one, so the
-    default budget is generous.
+    the original zero set (the containment direction is automatic).  Both
+    zero sets come from the same combination of the system's truth tables,
+    the target's from the identity rows, so each polynomial is transformed
+    once.  Returns the accepted system and the number of rejected rounds;
+    expected rejections are below one, so the default budget is generous.
     """
     if not polys:
         raise PreconditionError("need at least one polynomial")
@@ -411,18 +398,16 @@ def variety_reduce(
     if any(p.order is not order for p in polys):
         raise PreconditionError("system must share one monomial order")
     n = order.n
-    if n > 20:
-        raise BudgetExceededError("exhaustive variety comparison is capped at n = 20")
-    t = len(polys)
+    check_budget(f"exhaustive variety comparison (n={n})", 1 << 20, log2=n)
     tables = [anf.truth_table(p) for p in polys]
-    target = common_zeros(polys)
-    ell = n + 1
+
+    def zeros(rows: Sequence[int]) -> np.ndarray:
+        return reduce(np.logical_and, (subset_xor(tables, row) == 0 for row in rows))
+
+    target = zeros([1 << i for i in range(len(polys))])
     for attempt in range(budget):
-        rows = [stream.getrandbits(t) for _ in range(ell)]
-        combined = np.ones(1 << n, dtype=bool)
-        for row in rows:
-            combined &= subset_xor(tables, row) == 0
-        if np.array_equal(combined, target):
+        rows = [stream.getrandbits(len(polys)) for _ in range(n + 1)]
+        if np.array_equal(zeros(rows), target):
             coeffs = [p.coeffs.bits for p in polys]
             out = [Polynomial(order, BitVector(order.size, subset_xor(coeffs, row))) for row in rows]
             return out, attempt

@@ -485,6 +485,11 @@ def _refusal_files(tmp_path) -> dict[str, str]:
         "two-source-n": write(tmp_path / "ts.json", '{"params":{"n":12}}'),
         "bias-n": write(tmp_path / "bc.json", '{"params":{"n":25}}'),
         "dichotomy-n": write(tmp_path / "dc.json", '{"params":{"n_max":40}}'),
+        "moment-support": write(
+            tmp_path / "mi.json", '{"params":{"n":16,"d":1,"max_support":65536}}'
+        ),
+        # 600-bit points: their degree-2 order would hold 180,301 monomials
+        "wide": write(tmp_path / "wide.txt", "1" * 600 + "\n" + "0" * 599 + "1\n"),
     }
 
 
@@ -511,12 +516,18 @@ def _refusal_files(tmp_path) -> dict[str, str]:
         (["experiment", "two-source-degree", "--config", "two-source-n", "--seed", "1"], "n=12"),
         (["experiment", "bias-concentration", "--config", "bias-n", "--seed", "1"], "n=25"),
         (["experiment", "dichotomy", "--config", "dichotomy-n", "--seed", "1"], "n_max=40"),
+        (["experiment", "moment-identity", "--config", "moment-support", "--seed", "1"],
+         "max_support=65536"),
+        (["construct", "seeded", "--n", "1", "--t", "4000000000", "--d", "1", "--seed", "1"],
+         "t=4000000000"),
+        (["rank", "--points", "wide", "--degree", "2"], "n=600"),
     ],
     ids=["energy-mixed-lengths", "partition-mixed-lengths", "evasive-r-20000",
          "descriptor-and-points", "ragged-matrix", "non-json-source",
          "partition-past-pair-budget", "evasive-r-200000", "local-m-10^12",
          "local-m-10^12-sampled", "variety-n-20000", "two-source-n-12",
-         "bias-concentration-n-25", "dichotomy-n_max-40"],
+         "bias-concentration-n-25", "dichotomy-n_max-40", "moment-identity-max_support-65536",
+         "seeded-t-4*10^9", "rank-n-600"],
 )
 def test_cli_refuses_bad_input_files_quickly(tmp_path, capsys, argv, says):
     """Every refusal of a file-reading verb exits 2 within a second with an

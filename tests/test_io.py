@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from polyext import io, rng
+from polyext import anf, rng
 from polyext.anf import Polynomial
 from polyext.constructions import build_evasive_h, build_seeded, build_two_source
 from polyext.errors import BudgetExceededError
@@ -106,7 +106,7 @@ def test_polynomial_past_the_monomial_budget_is_refused_before_its_order():
 
 
 def test_monomial_budget_check_is_exact(monkeypatch):
-    monkeypatch.setattr(io, "MONOMIAL_BUDGET", 1 << 4)
+    monkeypatch.setattr(anf, "MONOMIAL_BUDGET", 1 << 4)
     for n in range(13):
         for d in range(13):
             text = json.dumps({"n": n, "d": d, "monomials": []})

@@ -5,6 +5,7 @@ import hashlib
 import warnings
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -417,6 +418,27 @@ def test_shift_count_random_vanishing_trials():
             1 for x in range(1 << n) if all(table[x ^ v] == 0 for v in span)
         )
         assert count == slow
+
+
+def test_shift_count_matches_a_recount_on_dependent_bases():
+    """Span doubling over the kept basis words agrees with a walk over the whole
+    span, also when the basis repeats a vector, holds a sum of two, or holds zero."""
+    stream = rng.derive(MASTER, "oracles", "cw-dependent")
+    for _ in range(40):
+        n = stream.randrange(2, 9)
+        d = stream.randrange(1, min(n, 3) + 1)
+        words = [stream.getrandbits(n) for _ in range(stream.randrange(1, 4))]
+        words += [words[0], words[0] ^ words[-1], 0][: stream.randrange(0, 4)]
+        basis = [BitVector(n, w) for w in words]
+        f = sample_vanishing_poly(n, d, basis, stream)
+        count, bound, ok = cw_shift_count(f, basis)
+        table = truth_table(f)
+        span = enumerate_span(words)
+        assert count == sum(1 for x in range(1 << n) if all(table[x ^ v] == 0 for v in span))
+        t, deg = span_rank(words), f.degree()
+        exponent = n - sum((deg - j) * comb(t, j) for j in range(deg))
+        assert bound == Fraction(2) ** exponent
+        assert ok == (count >= bound)
 
 
 def test_vanishing_sampler_vanishes():

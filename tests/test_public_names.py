@@ -99,6 +99,11 @@ OWNERS = (
         "XOR subsets of words with gf2.subset_xor or gf2.subset_xors "
         "instead of encoding subset-XOR again",
     ),
+    (
+        {"BudgetExceededError"}, "check_budget", "errors",
+        "refuse exponential work with errors.check_budget and the module's named limit "
+        "instead of raising BudgetExceededError or writing another gate",
+    ),
 )
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from polyext import ranklab, rng
 from polyext.anf import eval_bits, monomial_order, sample_poly
-from polyext.errors import PreconditionError, RetryExhaustedError
+from polyext.errors import BudgetExceededError, PreconditionError, RetryExhaustedError
+from polyext.experiments import EXPERIMENTS
 from polyext.gf2 import (
     BitMatrix,
     BitVector,
@@ -94,6 +95,36 @@ def test_eval_rank_evaluates_each_point_once(monkeypatch):
     cert = eval_rank(list(ball) + list(ball), 2)
     assert cert.rank == len(ball) == 22
     assert calls[0] == 22
+
+
+def test_eval_rank_refuses_an_order_past_the_monomial_budget(monkeypatch):
+    """The order is refused by the polynomial files' rule before it is built."""
+    monkeypatch.setattr(ranklab, "monomial_order", lambda n, d: pytest.fail("built the order"))
+    with pytest.raises(BudgetExceededError, match="n=600, d=2"):
+        eval_rank([BitVector(600, 1), BitVector(600, 2)], 2)
+
+
+class _Unread:
+    """A stream whose first read fails the test."""
+
+    def __getattr__(self, name):
+        pytest.fail(f"the trial read its stream ({name}) before refusing")
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("interpolating-rank", {"n_max": 600, "d_max": 2}),
+        ("rank-monotonicity", {"n_max": 8, "m_max": 600, "d_max": 2, "max_set": 24}),
+        ("moment-identity", {"n": 16, "d": 1, "t": 2, "max_support": 65536}),
+        ("two-source-degree", {"n": 12, "r": 33}),
+        ("bias-concentration", {"n": 25, "d": 2, "fail_rate": 0.01}),
+        ("dichotomy", {"n_max": 40}),
+    ],
+)
+def test_registry_trials_refuse_from_their_params_before_their_stream(name, params):
+    with pytest.raises(BudgetExceededError):
+        EXPERIMENTS[name].trial(params, _Unread())
 
 
 def test_rank_monotone_under_linear_maps():

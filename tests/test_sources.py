@@ -673,6 +673,16 @@ def test_variety_reduce_then_common_zeros_transforms_each_polynomial_once(monkey
     assert np.array_equal(_zero_set(reduced, 10), target)
 
 
+def test_variety_reduce_past_the_kept_tables_transforms_each_polynomial_once(monkeypatch):
+    """For 16 < n <= 20 no table is kept, so the target reuses the candidates' tables."""
+    stream = rng.derive(MASTER, "sources", "reduce-transforms-17")
+    polys = [sample_poly(17, 1, stream) for _ in range(3)]
+    calls = _count_transforms(monkeypatch)
+    reduced, _ = variety_reduce(polys, stream)
+    assert calls[0] == len(polys)
+    assert np.array_equal(common_zeros(reduced), common_zeros(polys))
+
+
 def test_variety_reduce_random_systems_exact():
     stream = rng.derive(MASTER, "sources", "reduce-random")
     for _ in range(25):
