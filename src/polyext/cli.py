@@ -20,10 +20,11 @@ from . import io, rng
 from .anf import Polynomial, sample_poly
 from .bias import bias_exact, bias_mc, extractor_audit, disperser_audit
 from .constructions import EvasiveDescriptor, build_evasive_h, build_seeded, build_two_source
-from .errors import PolyextError
+from .errors import PolyextError, check_budget
 from .experiments import EXPERIMENTS, config_from_dict, run_experiment
 from .gf2 import BitVector
 from .oracles import (
+    FAMILY_BUDGET,
     additive_energy,
     cw_shift_count,
     disperser_attack,
@@ -180,6 +181,7 @@ def _cmd_oracle_attack(args) -> int:
     else:
         if args.n is None or args.d is None:
             raise PolyextError("pass --family or both --n and --d for a random family")
+        check_budget(f"attack family (n={args.n})", FAMILY_BUDGET, log2=args.n)
         family = [sample_poly(args.n, args.d, stream) for _ in range(1 << args.n)]
     witness = disperser_attack(family, args.t, args.budget, stream)
     _emit(args, render_json(witness.to_json_dict()))

@@ -39,6 +39,7 @@ from .gf2 import (
 )
 from .io import _field, _typed
 from .oracles import (
+    FAMILY_BUDGET,
     cw_shift_count,
     dichotomy_check,
     disperser_attack,
@@ -331,6 +332,7 @@ def _cw_trial(params, stream):
 
 def _attack_trial(params, stream):
     n, d, t = params["n"], params["d"], params["t"]
+    check_budget(f"attack family (n={n})", FAMILY_BUDGET, log2=n)
     family = [sample_poly(n, d, stream) for _ in range(1 << n)]
     try:
         witness = disperser_attack(family, t, params["budget"], stream)

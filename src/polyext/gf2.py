@@ -96,9 +96,6 @@ class BitVector:
             raise IndexError(i)
         return (self.bits >> i) & 1
 
-    def __len__(self) -> int:
-        return self.n
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitVector)
@@ -167,9 +164,6 @@ class BitMatrix:
             and self.row_words == other.row_words
         )
 
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.row_words))
-
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
 
@@ -216,8 +210,6 @@ def binom_sum(n: int, d: int) -> int:
     """Sum of binomial coefficients C(n, 0) + ... + C(n, d), exactly."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if d < 0:
-        return 0
     return sum(math.comb(n, i) for i in range(min(n, d) + 1))
 
 

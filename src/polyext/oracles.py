@@ -54,6 +54,8 @@ __all__ = [
 
 PAIR_BUDGET = 1 << 26
 SHIFT_BUDGET = 1 << 24
+#: Most members of an explicit attack family, one polynomial per seed y in F_2^n.
+FAMILY_BUDGET = 1 << 12
 
 
 def additive_energy(x: Sequence[BitVector], y: Sequence[BitVector]) -> int:
@@ -352,8 +354,7 @@ def disperser_attack(
     if size == 0 or size & (size - 1):
         raise PreconditionError("family must have 2^n members")
     n = size.bit_length() - 1
-    if n > 12:
-        raise PreconditionError("explicit family storage is capped at n = 12")
+    check_budget(f"attack family (n={n})", FAMILY_BUDGET, log2=n)
     order = family[0].order
     if any(p.order is not order for p in family):
         raise PreconditionError("family members must share one monomial order")

@@ -190,9 +190,7 @@ def find_high_rank_subsets(
     """
     if d % 2 != 0 or d <= 0:
         raise PreconditionError("the ball-splitting argument needs even d >= 2")
-    if not a or not b:
-        raise PreconditionError("both sets must be nonempty")
-    n = a[0].n
+    n = common_length(a, b)
     if m > n or m <= 0:
         raise PreconditionError("need 1 <= m <= n")
     need = binom_sum(m, d // 2)
@@ -223,9 +221,7 @@ def find_high_rank_subsets(
         b_sel = tuple(fibers_b[z.bits] for z in ball_half)
         _full, cert = full_rank_check(a_sel, b_sel, d)
         if cert.rank < binom_sum(m, d):
-            raise AssertionError(
-                "sumset rank fell below the guaranteed floor; this is a bug"
-            )
+            raise AssertionError("sumset rank fell below the guaranteed floor; this is a bug")
         return HighRankSelection(a_sel, b_sel, cert, attempts)
     raise RetryExhaustedError(f"no ball-covering map within {trials} samples")
 

@@ -80,6 +80,38 @@ def test_order_is_interned():
     assert monomial_order(4, 2) is monomial_order(4, 2)
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (BitVector.from_string("0110"), "BitVector('0110')"),
+        (BitMatrix.from_string("110\n011"), "BitMatrix(2x3)"),
+        (monomial_order(3, 2), "MonomialOrder(n=3, d=2)"),
+        (Polynomial.from_monomials(3, 2, [[0, 2], [], [1]]),
+         "Polynomial(3 vars, deg<=2: 1 + x2 + x1*x3)"),
+        (Polynomial.from_monomials(2, 1, []), "Polynomial(2 vars, deg<=1: 0)"),
+    ],
+    ids=["vector", "matrix", "order", "polynomial", "zero-polynomial"],
+)
+def test_repr_is_what_a_failed_assertion_prints(value, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize(
+    "call, says",
+    [
+        (lambda: monomial_order(-1, 1), "nonnegative"),
+        (lambda: Polynomial(monomial_order(2, 1), BitVector(2, 0)), "length must match"),
+        (lambda: Polynomial.from_monomials(2, 1, []) ^ Polynomial.from_monomials(2, 2, []),
+         "different monomial orders"),
+        (lambda: eval_words((Polynomial.from_monomials(1, 1, []),) * 65, [0]), "at most 64"),
+    ],
+    ids=["order-shape", "coefficient-length", "mixed-orders", "65-outputs"],
+)
+def test_malformed_polynomials_are_refused(call, says):
+    with pytest.raises(ValueError, match=says):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # evaluation vectors (eval_bits) / evaluate
 

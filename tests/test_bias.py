@@ -90,6 +90,8 @@ def test_source_length_must_match_the_polynomial():
         bias_exact(f, uniform_flat(6))
     with pytest.raises(PreconditionError):
         bias_mc(f, uniform_flat(6), 10, 0.1, stream)
+    with pytest.raises(PreconditionError, match="must equal n"):
+        moment_by_eval_collision(uniform_flat(6), 4, 2, 2)
 
 
 def test_bias_mc_calibration_on_balanced_function():
@@ -174,6 +176,12 @@ def test_moment_identity_random_three_bit_sources():
             assert moment_by_poly_enumeration(src, 3, 2, t) == moment_by_eval_collision(
                 src, 3, 2, t
             )
+
+
+@pytest.mark.parametrize("moment", [moment_by_poly_enumeration, moment_by_eval_collision])
+def test_moment_index_must_be_nonnegative(moment):
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        moment(uniform_flat(2), 2, 1, -1)
 
 
 def test_moment_enumeration_budget():
@@ -303,6 +311,14 @@ def test_disperser_audit_refuses_a_source_of_the_wrong_length():
     f = Polynomial.from_monomials(3, 1, [[0]])
     with pytest.raises(PreconditionError):
         disperser_audit(f, [uniform_flat(3), uniform_flat(5)])
+
+
+def test_audits_need_a_source():
+    f = Polynomial.from_monomials(3, 1, [[0]])
+    with pytest.raises(PreconditionError, match="at least one source"):
+        extractor_audit([f], [], 0)
+    with pytest.raises(PreconditionError, match="at least one source"):
+        disperser_audit(f, [])
 
 
 def test_disperser_audit_passes_on_linear():

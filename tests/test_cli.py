@@ -3,12 +3,15 @@
 import hashlib
 import importlib.util
 import json
+import runpy
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from polyext import cli
+from polyext import cli, rng
+from polyext.anf import sample_poly
 from polyext.errors import PreconditionError
 from polyext.experiments import (
     EXPERIMENTS,
@@ -16,6 +19,7 @@ from polyext.experiments import (
     config_from_dict,
     run_experiment,
 )
+from polyext.oracles import disperser_attack
 
 ALL_EXPERIMENTS = [
     "moment-identity",
@@ -164,6 +168,22 @@ def test_param_overrides_are_echoed():
     assert report.verdict
 
 
+@pytest.mark.parametrize(
+    "name, params, row",
+    [
+        ("high-rank-subsets", {"map_trials": 0},
+         {"success": False, "attempts": 0, "rank": 0, "sizes": 0}),
+        ("energy-partition", {"retries": 0},
+         {"success": False, "retries": 0, "max_energy": -1, "cap_ok": False}),
+        ("disperser-attack", {"budget": 0}, {"success": False, "survivors": 0, "verified": True}),
+    ],
+)
+def test_an_exhausted_search_is_a_failed_row(name, params, row):
+    """A trial whose search runs out of budget reports a failed row instead of raising."""
+    cfg = config_from_dict({"experiment": name, "seed": 1, "trials": 2, "params": params})
+    assert run_experiment(cfg).rows == [{"trial": k, **row} for k in range(2)]
+
+
 def test_experiment_csv_rendering():
     cfg = config_from_dict(
         {"experiment": "dichotomy", "seed": 4, "trials": 3, "format": "csv"}
@@ -218,6 +238,20 @@ def test_cli_seed_can_precede_subcommand(tmp_path):
 def test_cli_sample_poly_without_seed_is_an_error(capsys):
     assert cli.main(["sample-poly", "--n", "2", "--d", "1"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_cli_runs_as_a_module(monkeypatch, capsys):
+    """``python -m polyext.cli`` exits with the status of ``main`` on ``sys.argv``."""
+    argv = ["sample-poly", "--n", "4", "--d", "2", "--seed", "11"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["polyext", *argv])
+    # a fresh import under __main__, as -m gives, not a rerun of the imported module
+    monkeypatch.delitem(sys.modules, "polyext.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("polyext.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_cli_bias_exact(tmp_path, capsys, uniform_source):
@@ -344,6 +378,27 @@ def test_cli_audit_disperser_fails_on_constant(tmp_path, capsys, uniform_source)
     assert json.loads(capsys.readouterr().out)["verdict"] is False
 
 
+@pytest.mark.parametrize(
+    "kind, sources, code, csv",
+    [
+        ("extractor", ["uniform.json"], 0,
+         "source_index,distance_num,distance_den,heaviest_output,support_points\n"
+         "0,0,1,0,2\n# kind=extractor\n# max_distance=0/1\n# verdict=true\n"
+         "# witness_source_index=0\n"),
+        ("disperser", ["uniform.json", "half.json"], 1,
+         "source_index,hits_zero,hits_one,pass\n0,true,true,true\n1,true,false,false\n"
+         "# kind=disperser\n# max_distance=\n# verdict=false\n# witness_source_index=1\n"),
+    ],
+)
+def test_cli_audit_csv(tmp_path, capsys, uniform_source, kind, sources, code, csv):
+    """Fractions print as num/den (0 as 0/1) and a missing value as an empty cell."""
+    write(tmp_path / "half.json", '{"type":"flat","n":2,"support":["00","01"]}')
+    poly = write(tmp_path / "f.json", '{"d":1,"monomials":[[0]],"n":2}')
+    argv = ["audit", kind, "--polys", poly, "--format", "csv", "--sources"]
+    assert cli.main(argv + [str(tmp_path / s) for s in sources]) == code
+    assert capsys.readouterr().out == csv
+
+
 def test_cli_audit_refuses_mismatched_lengths(tmp_path, capsys, uniform_source):
     poly = write(tmp_path / "f.json", '{"d":1,"monomials":[[0]],"n":3}')
     for kind in ("extractor", "disperser"):
@@ -404,6 +459,21 @@ def test_cli_oracle_attack_family_file(tmp_path, capsys):
     assert data["verified"] and len(data["set_b"]) == 4
 
 
+def test_cli_oracle_attack_random_family(capsys):
+    """--n and --d draw the 2^n family from the command's stream, then attack it."""
+    assert cli.main(["oracle", "attack", "--n", "3", "--d", "1", "--t", "1", "--seed", "6"]) == 0
+    stream = rng.derive(6, "cli", "attack")
+    family = [sample_poly(3, 1, stream) for _ in range(8)]
+    witness = disperser_attack(family, 1, 100, stream)
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(witness.to_json_dict()))
+
+
+def test_cli_oracle_attack_refuses_a_random_family_before_drawing_it(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sample_poly", lambda *args: pytest.fail("drew before refusing"))
+    assert cli.main(["oracle", "attack", "--n", "13", "--d", "1", "--t", "1", "--seed", "6"]) == 2
+    assert "attack family (n=13): 2^13 exceeds the 2^12 budget" in capsys.readouterr().err
+
+
 def test_cli_oracle_sumset_search_finds_and_misses(tmp_path, capsys):
     zero = write(tmp_path / "z.json", '{"d":2,"monomials":[],"n":3}')
     assert cli.main(["oracle", "sumset-search", "--poly", zero, "--size", "2", "--seed", "4"]) == 0
@@ -428,6 +498,19 @@ def test_cli_oracle_evasive_audit_both_verdicts(tmp_path, capsys):
         ["oracle", "evasive-audit", "subspace", "--points", pts, "--ell", "2", "--threshold", "2"]
     )
     assert rc == 1
+
+
+def test_cli_oracle_sumset_evasive_audit_both_verdicts(tmp_path, capsys):
+    # no two unit vectors sum to a unit vector, while F_2^2 holds A + B for any A, B in it
+    units = write(tmp_path / "units.txt", "0001\n0010\n0100\n1000\n")
+    full = write(tmp_path / "full.txt", "00\n01\n10\n11\n")
+    argv = ["oracle", "evasive-audit", "sumset", "--t", "1", "--budget", "200", "--seed", "3"]
+    assert cli.main(argv + ["--points", units]) == 0
+    extra = json.loads(capsys.readouterr().out)["per_source"][0]
+    assert extra["witness"] is None and extra["evaluations"] == 200
+    assert cli.main(argv + ["--points", full]) == 1
+    witness = json.loads(capsys.readouterr().out)["per_source"][0]["witness"]
+    assert witness["verified"] and len(witness["set_a"]) == len(witness["set_b"]) == 2
 
 
 @pytest.mark.parametrize("audit", ["subspace", "sumset"])
@@ -468,6 +551,8 @@ def _refusal_files(tmp_path) -> dict[str, str]:
         "2^14": write(tmp_path / "big.txt", "".join(f"{v:015b}\n" for v in range(1 << 14))),
         "not-json": write(tmp_path / "s.json", "flat 2 00 11"),
         "poly": write(tmp_path / "f.json", '{"d":1,"monomials":[[0]],"n":2}'),
+        "poly-d2": write(tmp_path / "f2.json", '{"d":2,"monomials":[[0]],"n":2}'),
+        "uniform": write(tmp_path / "u.json", '{"type":"flat","n":2,"support":["00","11"]}'),
         # 2^m does not fit in memory, and 2^n has more decimal digits than
         # Python will print; the budget checks must refuse both without
         # building (or formatting) the power
@@ -488,6 +573,11 @@ def _refusal_files(tmp_path) -> dict[str, str]:
         "moment-support": write(
             tmp_path / "mi.json", '{"params":{"n":16,"d":1,"max_support":65536}}'
         ),
+        "special-d-0": write(tmp_path / "ss0.json", '{"params":{"d":0}}'),
+        "special-d-8": write(tmp_path / "ss8.json", '{"params":{"d":8}}'),
+        "special-no-maps": write(tmp_path / "ssm.json", '{"params":{"map_trials":0}}'),
+        "subsets-m-6": write(tmp_path / "hr.json", '{"params":{"n":5,"m":6}}'),
+        "moment-t": write(tmp_path / "mt.json", '{"params":{"t":-1}}'),
         # 600-bit points: their degree-2 order would hold 180,301 monomials
         "wide": write(tmp_path / "wide.txt", "1" * 600 + "\n" + "0" * 599 + "1\n"),
     }
@@ -521,13 +611,45 @@ def _refusal_files(tmp_path) -> dict[str, str]:
         (["construct", "seeded", "--n", "1", "--t", "4000000000", "--d", "1", "--seed", "1"],
          "t=4000000000"),
         (["rank", "--points", "wide", "--degree", "2"], "n=600"),
+        (["oracle", "attack", "--n", "20", "--d", "1", "--t", "1", "--seed", "1"],
+         "attack family (n=20): 2^20 exceeds the 2^12 budget"),
+        (["oracle", "attack", "--n", "3", "--t", "1", "--seed", "1"], "--family or both"),
+        (["construct", "two-source", "--seed", "1"], "needs --n"),
+        (["construct", "evasive", "--k", "3", "--seed", "1"], "needs --k, --d"),
+        (["construct", "two-source", "--n", "0", "--seed", "1"], "n must be positive"),
+        (["construct", "two-source", "--n", "2", "--r", "0", "--seed", "1"], "r must be positive"),
+        (["construct", "seeded", "--n", "0", "--t", "2", "--d", "1", "--seed", "1"],
+         "n must be positive"),
+        (["construct", "evasive", "--k", "0", "--d", "1", "--seed", "1"], "need k >= 1"),
+        (["construct", "evasive", "--k", "2", "--d", "1", "--r", "0", "--seed", "1"],
+         "r must be positive"),
+        (["bias", "--poly", "poly", "--source", "uniform", "--samples", "0", "--seed", "1"],
+         "samples >= 1"),
+        (["audit", "extractor", "--polys", *["poly"] * 17, "--sources", "uniform"],
+         "between 1 and 16"),
+        (["audit", "extractor", "--polys", "poly", "poly-d2", "--sources", "uniform"],
+         "share a monomial order"),
+        (["experiment", "special-sumset", "--config", "special-d-0", "--seed", "1"],
+         "degree must be at least 1"),
+        (["experiment", "special-sumset", "--config", "special-d-8", "--seed", "1"],
+         "floor(d/2) must fit"),
+        (["experiment", "special-sumset", "--config", "special-no-maps", "--seed", "1"],
+         "no surjective map within 0 samples"),
+        (["experiment", "high-rank-subsets", "--config", "subsets-m-6", "--seed", "1"],
+         "need 1 <= m <= n"),
+        (["experiment", "moment-identity", "--config", "moment-t", "--seed", "1"],
+         "moment index must be nonnegative"),
     ],
     ids=["energy-mixed-lengths", "partition-mixed-lengths", "evasive-r-20000",
          "descriptor-and-points", "ragged-matrix", "non-json-source",
          "partition-past-pair-budget", "evasive-r-200000", "local-m-10^12",
          "local-m-10^12-sampled", "variety-n-20000", "two-source-n-12",
          "bias-concentration-n-25", "dichotomy-n_max-40", "moment-identity-max_support-65536",
-         "seeded-t-4*10^9", "rank-n-600"],
+         "seeded-t-4*10^9", "rank-n-600", "attack-n-20", "attack-without-d",
+         "two-source-without-n", "evasive-without-d", "two-source-n-0", "two-source-r-0",
+         "seeded-n-0", "evasive-k-0", "evasive-r-0", "bias-samples-0", "audit-17-outputs",
+         "audit-mixed-orders", "special-sumset-d-0", "special-sumset-d-8",
+         "special-sumset-map_trials-0", "high-rank-subsets-m-6", "moment-identity-t-negative"],
 )
 def test_cli_refuses_bad_input_files_quickly(tmp_path, capsys, argv, says):
     """Every refusal of a file-reading verb exits 2 within a second with an

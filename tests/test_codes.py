@@ -11,6 +11,7 @@ from polyext.codes import (
     johnson_check,
     list_size_exhaustive,
     measured_imbalance,
+    sqrt_widened,
 )
 from polyext.errors import BudgetExceededError, PreconditionError
 from polyext.gf2 import BitMatrix, BitVector, sample_uniform_matrix, subset_xors
@@ -155,6 +156,12 @@ def test_johnson_exact_square_root():
     verdict = johnson_check(code, eps)
     assert verdict.radius == 0
     assert verdict.passed
+
+
+def test_square_root_refuses_a_negative_rational():
+    assert sqrt_widened(Fraction(1, 4)) == Fraction(1, 2)
+    with pytest.raises(PreconditionError, match="negative"):
+        sqrt_widened(Fraction(-1, 4))
 
 
 def test_johnson_never_fails_at_measured_eps():

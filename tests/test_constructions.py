@@ -11,7 +11,9 @@ from polyext.anf import (
     monomial_order,
 )
 from polyext.constructions import (
+    EvasiveDescriptor,
     SeededDescriptor,
+    TwoSourceDescriptor,
     build_evasive_h,
     build_seeded,
     build_two_source,
@@ -251,6 +253,30 @@ def test_seeded_right_degree_is_the_worst_column_degree():
     for table in tables:
         worst = max(anf_from_truth_table(column).degree() for column in table.T)
         assert _seeded_right_degree(table) == worst
+
+
+@pytest.mark.parametrize(
+    "call, says",
+    [
+        (lambda: TwoSourceDescriptor(n=2, r=0, polys=(), seed=0), "r >= 1"),
+        (lambda: TwoSourceDescriptor(n=2, r=1, polys=(Polynomial.from_monomials(3, 2, []),),
+                                     seed=0), "degree <= 2 over n"),
+        (lambda: EvasiveDescriptor(k=2, d=1, r=0, polys=(), seed=0), "r >= 1"),
+        (lambda: EvasiveDescriptor(k=2, d=1, r=1, polys=(Polynomial.from_monomials(2, 2, []),),
+                                   seed=0), "degree <= d over k"),
+        (lambda: eval_two_source(build_two_source(2, seed=1), BitVector(2, 0), BitVector(3, 0)),
+         "length n"),
+        (lambda: eval_seeded(build_seeded(n=4, t=2, d=1, seed=1), BitVector(3, 0),
+                             BitVector(2, 0)), "length n"),
+        (lambda: eval_seeded(build_seeded(n=4, t=2, d=1, seed=1), BitVector(4, 0),
+                             BitVector(3, 0)), "length t"),
+    ],
+    ids=["two-source-r", "two-source-degree", "evasive-r", "evasive-degree",
+         "two-source-input", "seeded-input", "seeded-seed"],
+)
+def test_malformed_descriptors_and_inputs_are_refused(call, says):
+    with pytest.raises((ValueError, PreconditionError), match=says):
+        call()
 
 
 def test_seeded_rejects_bad_degree():

@@ -79,6 +79,26 @@ def test_vector_xor_commutes(a, b):
         assert bv(a) ^ bv(b) == bv(b) ^ bv(a)
 
 
+@pytest.mark.parametrize(
+    "call, error, says",
+    [
+        (lambda: BitVector(-1, 0), ValueError, "nonnegative"),
+        (lambda: BitVector.from_support(3, (3,)), ValueError, "out of range"),
+        (lambda: bv("010")[3], IndexError, "3"),
+        (lambda: BitMatrix(-1, 2, []), ValueError, "nonnegative"),
+        (lambda: BitMatrix(2, 2, [1]), ValueError, "row count"),
+        (lambda: BitMatrix.from_rows([]), ValueError, "empty matrix"),
+        (lambda: BitMatrix.from_rows([bv("01"), bv("1")]), ValueError, "ragged"),
+        (lambda: hamming_ball(-1, 0), ValueError, "nonnegative"),
+    ],
+    ids=["vector-length", "support-index", "coordinate", "matrix-shape", "row-count",
+         "empty-rows", "ragged-rows", "ball-radius"],
+)
+def test_malformed_shapes_are_refused(call, error, says):
+    with pytest.raises(error, match=says):
+        call()
+
+
 def test_matrix_row_column_consistency():
     m = BitMatrix.from_string("110\n011")
     assert m.row(0) == bv("110")

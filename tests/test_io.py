@@ -150,6 +150,8 @@ def test_source_round_trips_every_kind():
 def test_source_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown source type"):
         parse_source('{"type":"mystery"}')
+    with pytest.raises(ValueError, match="unknown source object"):
+        emit_source(object())
 
 
 def test_source_rejects_nonflat_sumset_summand():
@@ -167,6 +169,31 @@ def test_source_rejects_bad_local_table():
 def test_source_rejects_wrong_length_offset():
     with pytest.raises(ValueError, match="offset"):
         parse_source('{"type":"affine","n":3,"offset":"10","basis":[]}')
+
+
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        ('{"type":"sumset","x":{"type":"flat","n":1,"support":["1"]},'
+         '"y":{"type":"flat","n":2,"support":["01"]}}', "same space"),
+        ('{"type":"local","r":2,"m":2,"bits":[{"inputs":[0,0],"table":"0110"}]}', "repeat"),
+        ('{"type":"local","r":1,"m":1,"bits":[{"inputs":[0],"table":"011"}]}',
+         "table length must be 2^(number of inputs)"),
+        ('{"type":"local","r":1,"m":1,"bits":[]}', "at least one output bit"),
+        ('{"type":"local","r":1,"m":2,"bits":[{"inputs":[0,1],"table":"0110"}]}',
+         "reads 2 inputs, exceeding r=1"),
+        ('{"type":"local","r":1,"m":1,"bits":[{"inputs":[1],"table":"01"}]}', "out of range"),
+        ('{"type":"polynomial","m":2,"polys":[]}', "at least one output"),
+        ('{"type":"polynomial","m":2,"polys":[{"n":3,"d":1,"monomials":[]}]}', "all m inputs"),
+        ('{"type":"variety","n":2,"polys":[]}', "at least one polynomial"),
+        ('{"type":"variety","n":2,"polys":[{"n":3,"d":1,"monomials":[]}]}', "over n variables"),
+    ],
+    ids=["sumset-spaces", "local-repeat", "local-table", "local-no-bits", "local-r",
+         "local-position", "polynomial-none", "polynomial-m", "variety-none", "variety-n"],
+)
+def test_source_file_breaking_a_source_rule_is_refused(text, says):
+    with pytest.raises(ValueError, match=re.escape(says)):
+        parse_source(text)
 
 
 @pytest.mark.parametrize(
@@ -215,6 +242,8 @@ def test_descriptor_round_trips_reproduce_builders():
 def test_descriptor_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown descriptor"):
         descriptor_from_dict({"kind": "mystery"})
+    with pytest.raises(ValueError, match="unknown descriptor object"):
+        descriptor_to_dict(object())
 
 
 def test_descriptor_rejects_wrong_typed_field():

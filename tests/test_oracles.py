@@ -177,6 +177,9 @@ def test_partition_verify_rejects_wrong_sets():
     part = energy_partition(full, full, t=2, ell=4, stream=stream)
     assert not part.verify(full[:3] + [full[0]], full)
     assert part.verify(list(reversed(full)), full)  # order does not matter
+    # the same points in parts of sizes 1 and 3 are not 2^t equal parts
+    uneven = dataclasses.replace(part, x_parts=(tuple(full[:1]), tuple(full[1:])))
+    assert not uneven.verify(full, full)
 
 
 def test_partition_preconditions():
@@ -514,6 +517,9 @@ def test_disperser_attack_witness_reverifies():
     w = disperser_attack(family, t=1, budget=20, stream=stream)
     assert verify_constancy(family, w.set_a, w.set_b, w.value)
     assert not verify_constancy(family, w.set_a, w.set_b, 1 - w.value)
+    # an empty side certifies nothing
+    assert not verify_constancy(family, (), w.set_b, w.value)
+    assert not verify_constancy(family, w.set_a, (), w.value)
 
 
 def test_disperser_attack_exhausts_on_affine_family():
@@ -524,9 +530,28 @@ def test_disperser_attack_exhausts_on_affine_family():
         disperser_attack([f, f], t=1, budget=5, stream=stream)
 
 
+class _ZeroBits:
+    """A stream whose every draw is the zero word, which no basis keeps."""
+
+    def getrandbits(self, k):
+        return 0
+
+
+def test_disperser_attack_gives_up_when_no_subspace_is_drawn():
+    # every seed of the zero family survives any subspace, but no trial gets one
+    family = [Polynomial.from_monomials(2, 1, []) for _ in range(4)]
+    with pytest.raises(RetryExhaustedError, match="in 3 subspace trials"):
+        disperser_attack(family, t=1, budget=3, stream=_ZeroBits())
+
+
 def test_disperser_attack_preconditions():
     stream = rng.derive(MASTER, "oracles", "disperser-pre")
     family = _linear_family(2)
+    with pytest.raises(BudgetExceededError, match=r"attack family \(n=13\)"):
+        disperser_attack(family[:1] * (1 << 13), t=1, budget=1, stream=stream)
+    with pytest.raises(PreconditionError, match="one monomial order"):
+        disperser_attack(family[:3] + [Polynomial.from_monomials(2, 2, [])], t=1, budget=1,
+                         stream=stream)
     with pytest.raises(PreconditionError):
         disperser_attack(family[:3], t=1, budget=1, stream=stream)
     with pytest.raises(PreconditionError):
@@ -635,6 +660,23 @@ def test_subspace_audit_randomized_identity_block():
     assert report.per_source[0]["flag_rate"] == 1.0
 
 
+def test_subspace_audit_randomized_on_a_point_set():
+    stream = rng.derive(MASTER, "oracles", "audit-random-points")
+    # any 3 points of a 2-dimensional subspace span at most 2 dimensions
+    spanned = vecs(4, enumerate_span([0b0001, 0b0010]))
+    report = subspace_evasive_audit(spanned, 2, 3, mode="randomized", budget=10, stream=stream)
+    extra = report.per_source[0]
+    assert not report.verdict and extra["flag_rate"] == 1.0
+    flagged = extra["first_flagged_image"]
+    assert len(set(flagged)) == 3 and {bv(p) for p in flagged} <= set(spanned)
+    # any 3 unit vectors span 3 dimensions
+    units = vecs(4, [1, 2, 4, 8])
+    report = subspace_evasive_audit(units, 2, 3, mode="randomized", budget=10, stream=stream)
+    assert report.verdict and report.per_source[0]["first_flagged_image"] is None
+    with pytest.raises(PreconditionError, match="more points than the set holds"):
+        subspace_evasive_audit(units, 2, 5, mode="randomized", budget=10, stream=stream)
+
+
 def test_subspace_audit_mode_errors():
     pts = [BitVector(4, 1)]
     with pytest.raises(PreconditionError):
@@ -647,6 +689,8 @@ def test_subspace_audit_mode_errors():
         subspace_evasive_audit(pts, ell=4, threshold=2)
     with pytest.raises(PreconditionError):
         subspace_evasive_audit(pts, ell=2, threshold=0)
+    with pytest.raises(PreconditionError, match="nonempty"):
+        subspace_evasive_audit([], ell=2, threshold=2)
 
 
 @pytest.mark.parametrize(

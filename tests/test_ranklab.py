@@ -54,6 +54,13 @@ def test_radius_one_ball_spans_linear_monomials():
     assert cert.rank == 4 == binom_sum(3, 1)
 
 
+def test_eval_rank_refuses_an_empty_or_mixed_point_set():
+    with pytest.raises(PreconditionError, match="at least one point"):
+        eval_rank([], 1)
+    with pytest.raises(PreconditionError, match="one ambient length"):
+        eval_rank([bv("01"), bv("011")], 1)
+
+
 def test_single_zero_point_has_rank_one():
     for d in (0, 1, 3):
         assert eval_rank([bv("0000")], d).rank == 1
@@ -120,6 +127,7 @@ class _Unread:
         ("two-source-degree", {"n": 12, "r": 33}),
         ("bias-concentration", {"n": 25, "d": 2, "fail_rate": 0.01}),
         ("dichotomy", {"n_max": 40}),
+        ("disperser-attack", {"n": 20, "d": 1, "t": 1, "budget": 1}),
     ],
 )
 def test_registry_trials_refuse_from_their_params_before_their_stream(name, params):
@@ -291,6 +299,29 @@ def test_high_rank_random_sets_succeed():
         assert 1 <= sel.attempts <= 50
 
 
+def test_high_rank_images_each_point_past_the_table_threshold(monkeypatch):
+    """With 2^n > 8 (|A| + |B|) each image is one apply_word: the selection is
+    still the canonically-first preimage of every ball point."""
+    stream = rng.derive(MASTER, "ranklab", "per-point")
+    a, b = ([BitVector(10, w) for w in stream.sample(range(1 << 10), 32)] for _ in range(2))
+    matrix = sample_uniform_matrix(3, 10, stream)
+    _always_map(monkeypatch, matrix)
+    sel = find_high_rank_subsets(a, b, 2, 3, 1, stream)
+    for points, chosen in ((a, sel.a_points), (b, sel.b_points)):
+        first: dict[int, BitVector] = {}
+        for p in sorted(points, key=reference_key):
+            first.setdefault(matrix.apply_word(p.bits), p)
+        assert chosen == tuple(first[z.bits] for z in hamming_ball(3, 1))
+
+
+def test_high_rank_refuses_sets_of_different_lengths():
+    stream = rng.derive(MASTER, "ranklab", "lengths")
+    with pytest.raises(PreconditionError, match="one ambient length"):
+        find_high_rank_subsets(full_space(4), full_space(5), 2, 3, 5, stream)
+    with pytest.raises(PreconditionError, match="both sets must be nonempty"):
+        find_high_rank_subsets(full_space(4), [], 2, 3, 5, stream)
+
+
 def test_high_rank_requires_even_degree():
     with pytest.raises(PreconditionError):
         find_high_rank_subsets(full_space(3), full_space(3), 1, 3, 5, rng.derive(MASTER, "x"))
@@ -405,6 +436,11 @@ def test_special_draws_are_pinned():
 def test_special_sampler_rejects_small_m():
     with pytest.raises(PreconditionError):
         special_sumset_sampler(uniform_flat(4), uniform_flat(4), 2, 2, 10, rng.derive(MASTER))
+
+
+def test_special_sampler_refuses_sources_of_different_lengths():
+    with pytest.raises(PreconditionError, match="one ambient length"):
+        special_sumset_sampler(uniform_flat(4), uniform_flat(5), 2, 3, 10, rng.derive(MASTER))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,8 @@ def test_local_bit_table_indexing():
     # this bit fires only on (x1, x2) = (1, 0)
     src = Local(2, 2, (LocalBit((0, 1), (0, 1, 0, 0)),))
     assert dict(support_of(src)) == {bv("0"): Fraction(3, 4), bv("1"): Fraction(1, 4)}
+    with pytest.raises(ValueError, match="entries must be bits"):
+        LocalBit((0,), (0, 2))
 
 
 def test_polynomial_image_identity_is_uniform():
@@ -129,11 +131,15 @@ def test_flat_support_entries_validated():
         Flat(2, (bv("00"), bv("00")))
     with pytest.raises(ValueError):
         Flat(2, ())
+    with pytest.raises(ValueError, match="length n"):
+        Flat(2, (bv("001"),))
 
 
 def test_affine_requires_independent_basis():
     with pytest.raises(ValueError):
         Affine(3, bv("000"), (bv("110"), bv("110")))
+    with pytest.raises(ValueError, match="length n"):
+        Affine(3, bv("000"), (bv("11"),))
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +159,16 @@ def test_sample_sumset_of_singletons():
 
 
 def test_sample_polynomial_image_chi_square():
-    """Identity map on 4 bits: 10^5 draws consistent with uniform (chi^2, df 15)."""
+    """Identity map on 4 bits: 10^5 draws consistent with uniform (chi^2, df 15).
+
+    One batch reads the stream as that many single draws do, so these are the
+    draws of 10^5 ``sample_source`` calls, at a fraction of their cost.
+    """
     polys = tuple(Polynomial.from_monomials(4, 1, [[i]]) for i in range(4))
     src = PolynomialImage(4, polys)
     stream = rng.derive(MASTER, "sources", "chi2")
-    counts = [0] * 16
     draws = 10**5
-    for _ in range(draws):
-        counts[sample_source(src, stream).bits] += 1
+    counts = np.bincount(sample_words(src, draws, stream).astype(np.int64), minlength=16)
     expected = draws / 16
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     assert chi2 < 37.70  # 0.999 quantile of chi^2 with 15 degrees of freedom
@@ -655,6 +663,22 @@ def test_variety_reduce_keeps_already_small_systems():
     polys = [sample_poly(2, 2, stream) for _ in range(3)]
     reduced, _ = variety_reduce(polys, stream)
     assert np.array_equal(_zero_set(reduced, 2), _zero_set(polys, 2))
+
+
+def test_variety_reduce_refusals():
+    stream = rng.derive(MASTER, "sources", "reduce-refusals")
+    x1 = Polynomial.from_monomials(2, 1, [[0]])
+    with pytest.raises(PreconditionError, match="at least one polynomial"):
+        variety_reduce([], stream)
+    with pytest.raises(PreconditionError, match="one monomial order"):
+        variety_reduce([x1, Polynomial.from_monomials(2, 2, [])], stream)
+    with pytest.raises(RetryExhaustedError, match="in 0 rounds"):
+        variety_reduce([x1], stream, budget=0)
+
+
+def test_ambient_length_refuses_a_non_source():
+    with pytest.raises(TypeError, match="not a source"):
+        ambient_length(object())
 
 
 def test_variety_reduce_empty_variety():
