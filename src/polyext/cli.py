@@ -22,7 +22,7 @@ from .bias import bias_exact, bias_mc, extractor_audit, disperser_audit
 from .constructions import EvasiveDescriptor, build_evasive_h, build_seeded, build_two_source
 from .errors import PolyextError, check_budget
 from .experiments import EXPERIMENTS, config_from_dict, run_experiment
-from .gf2 import BitVector
+from .gf2 import BitVector, common_length
 from .oracles import (
     FAMILY_BUDGET,
     additive_energy,
@@ -56,6 +56,12 @@ def _emit(args, text: str) -> None:
 def _read_vectors(path: str) -> list[BitVector]:
     mat = io.parse_matrix(Path(path).read_text())
     return [mat.row(i) for i in range(mat.rows)]
+
+
+def _read_word_sets(args) -> tuple[list[int], list[int]]:
+    x, y = _read_vectors(args.x), _read_vectors(args.y)
+    common_length(x, y)
+    return [v.bits for v in x], [v.bits for v in y]
 
 
 def _read_poly(path: str) -> Polynomial:
@@ -138,8 +144,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_oracle_energy(args) -> int:
-    x = _read_vectors(args.x)
-    y = _read_vectors(args.y)
+    x, y = _read_word_sets(args)
     energy = additive_energy(x, y)
     floor = len(x) * len(y)
     _emit(args, render_json({"energy": energy, "floor": floor, "minimal": energy == floor}))
@@ -148,9 +153,7 @@ def _cmd_oracle_energy(args) -> int:
 
 def _cmd_oracle_partition(args) -> int:
     stream = rng.derive(_require_seed(args), "cli", "partition")
-    part = energy_partition(
-        _read_vectors(args.x), _read_vectors(args.y), args.t, args.ell, stream, args.retries
-    )
+    part = energy_partition(*_read_word_sets(args), args.t, args.ell, stream, args.retries)
     _emit(
         args,
         render_json(

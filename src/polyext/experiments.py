@@ -136,6 +136,8 @@ def _mono_trial(params, stream):
 
 def _subset_trial(params, stream):
     n, m, d = params["n"], params["m"], params["d"]
+    if params["set_size"] > 1 << n:
+        raise PreconditionError(f"set_size={params['set_size']} exceeds the 2^{n} points of F_2^{n}")
     a = _random_subset(n, params["set_size"], stream)
     b = _random_subset(n, params["set_size"], stream)
     try:
@@ -283,8 +285,8 @@ def _seeded_trial(params, stream):
 def _energy_trial(params, stream):
     k, ell, t = params["k"], params["ell"], params["t"]
     amb = params["ambient"]
-    x = _random_subset(amb, 1 << k, stream)
-    y = _random_subset(amb, 1 << k, stream)
+    x = stream.sample(range(1 << amb), 1 << k)
+    y = stream.sample(range(1 << amb), 1 << k)
     try:
         part = energy_partition(x, y, t, ell, stream, retries=params["retries"])
     except RetryExhaustedError:

@@ -58,19 +58,16 @@ SHIFT_BUDGET = 1 << 24
 FAMILY_BUDGET = 1 << 12
 
 
-def additive_energy(x: Sequence[BitVector], y: Sequence[BitVector]) -> int:
-    """Number of quadruples (x, y, x', y') with x + y = x' + y'.
+def additive_energy(x: Sequence[int], y: Sequence[int]) -> int:
+    """Number of quadruples (x, y, x', y') with x + y = x' + y', on packed words.
 
     Computed as the sum of squared sum-multiplicities; equals |X| * |Y| exactly
     when all pairwise sums are distinct.
     """
     check_budget("pair enumeration", PAIR_BUDGET, len(x) * len(y))
-    common_length(x, y)
     counts: dict[int, int] = {}
-    ybits = [v.bits for v in y]
-    for xv in x:
-        xb = xv.bits
-        for yb in ybits:
+    for xb in x:
+        for yb in y:
             s = xb ^ yb
             counts[s] = counts.get(s, 0) + 1
     return sum(c * c for c in counts.values())
@@ -81,16 +78,20 @@ def additive_energy(x: Sequence[BitVector], y: Sequence[BitVector]) -> int:
 LIVE_SUMS = 1 << 13
 
 
-def _pack(parts: Sequence[Sequence[BitVector]]) -> np.ndarray:
-    """Equal-size parts as a (parts, part_size) array of packed words.
+def _pack(parts: Sequence[Sequence[int]]) -> np.ndarray:
+    """Equal-size parts of packed words as a (parts, part_size) array.
 
     Words below 2^63 fit int64, and so do their XORs; a wider word makes it
     an object array of Python ints, on which XOR, sorting, searching and
     equality behave the same.
     """
-    words = [[v.bits for v in part] for part in parts]
-    dtype = np.int64 if max(map(max, words)).bit_length() <= 63 else object
-    return np.array(words, dtype=dtype)
+    words = [w for part in parts for w in part]
+    if min(words) < 0:
+        raise PreconditionError("points must be nonnegative words")
+    if len(set(map(len, parts))) > 1:
+        raise PreconditionError("parts must have equal sizes")
+    dtype = np.int64 if max(words).bit_length() <= 63 else object
+    return np.array(words, dtype=dtype).reshape(len(parts), -1)
 
 
 def _energies(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -103,7 +104,11 @@ def _energies(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     E_ij <= (|X_i| * |Y_j|)^2 < 2^53 under PAIR_BUDGET.
     """
     dx, dy = ((p[:, :, None] ^ p[:, None, :]).reshape(len(p), -1) for p in (xs, ys))
-    shared = np.intersect1d(dx, dy)  # never empty: every part forms 0
+    sx, sy = np.sort(dx, axis=None), np.sort(dy, axis=None)
+    first = np.ones(sx.size, dtype=bool)
+    first[1:] = sx[1:] != sx[:-1]
+    ux = sx[first]
+    shared = ux[sy[np.searchsorted(sy, ux).clip(max=sy.size - 1)] == ux]  # holds 0, formed by every part
     tables = []
     for diffs in (dx, dy):
         cols = np.searchsorted(shared, diffs).clip(max=len(shared) - 1)
@@ -142,9 +147,7 @@ def _max_fiber(xs: np.ndarray, ys: np.ndarray) -> int:
     return biggest
 
 
-def pair_energies(
-    x_parts: Sequence[Sequence[BitVector]], y_parts: Sequence[Sequence[BitVector]]
-) -> np.ndarray:
+def pair_energies(x_parts: Sequence[Sequence[int]], y_parts: Sequence[Sequence[int]]) -> np.ndarray:
     """E(X_i, Y_j) for every part pair, as a (len(x_parts), len(y_parts)) array.
 
     Batched ``additive_energy`` on each pair (see ``_energies``).  Refuses
@@ -163,8 +166,8 @@ class EnergyPartition:
     bound E(X_i, Y_j) <= ell^2 * 2^(2(k-t)).
     """
 
-    x_parts: tuple[tuple[BitVector, ...], ...]
-    y_parts: tuple[tuple[BitVector, ...], ...]
+    x_parts: tuple[tuple[int, ...], ...]
+    y_parts: tuple[tuple[int, ...], ...]
     t: int
     ell: int
     max_fiber: int
@@ -174,7 +177,7 @@ class EnergyPartition:
         part = len(self.x_parts[0])
         return self.ell * self.ell * part * part
 
-    def verify(self, x: Sequence[BitVector], y: Sequence[BitVector]) -> bool:
+    def verify(self, x: Sequence[int], y: Sequence[int]) -> bool:
         """Re-check the partition property and the fiber cap from scratch.
 
         The largest fiber is recounted from the parts by ``_max_fiber``,
@@ -192,8 +195,8 @@ class EnergyPartition:
 
 
 def energy_partition(
-    x: Sequence[BitVector],
-    y: Sequence[BitVector],
+    x: Sequence[int],
+    y: Sequence[int],
     t: int,
     ell: int,
     stream: Random,
@@ -201,19 +204,18 @@ def energy_partition(
 ) -> EnergyPartition:
     """Resample whole uniform partitions until every sum-fiber has <= ell pairs.
 
-    Requires |X| = |Y| = 2^k <= 2^13 (PAIR_BUDGET) with t <= k.  The stated
+    X and Y are packed words; |X| = |Y| = 2^k <= 2^13 (PAIR_BUDGET), t <= k.  The stated
     sufficient condition ell >= 4, t >= (k/(ell-1)) * (1 + ell/2) is advisory:
     parameters outside it only trigger a warning, since the resampling loop
     may still succeed.
 
-    Both sets are packed once; each resample shuffles indices, gathers the
-    parts and reads the largest fiber off the pairs that can hold one (``_max_fiber``).
+    Both sets are packed once; each resample shuffles indices, gathers the parts
+    and reads their largest fiber (``_max_fiber``); the first within ell is returned.
     """
     size = len(x)
     if size == 0 or size & (size - 1) or len(y) != size:
         raise PreconditionError("need |X| = |Y| = 2^k")
     check_budget("pair enumeration", PAIR_BUDGET, size * size)
-    common_length(x, y)
     k = size.bit_length() - 1
     if not 0 <= t <= k:
         raise PreconditionError("need 0 <= t <= k so 2^t parts divide the sets")
@@ -223,21 +225,18 @@ def energy_partition(
             "t >= (k/(ell-1))(1+ell/2); the partition search may stall",
             stacklevel=2,
         )
-    part_size = size >> t
-    shape = (1 << t, part_size)
-    x_words, y_words = _pack([x]).reshape(size), _pack([y]).reshape(size)
+    shape = (1 << t, size >> t)
+    x_words, y_words = _pack([x])[0], _pack([y])[0]
     for attempt in range(retries):
         # shuffle reads the stream by length only, so shuffling indices draws
         # the same permutations as shuffling the points themselves
         ix, iy = list(range(size)), list(range(size))
         stream.shuffle(ix)
         stream.shuffle(iy)
-        max_fiber = _max_fiber(x_words[ix].reshape(shape), y_words[iy].reshape(shape))
+        xs, ys = x_words[ix].reshape(shape), y_words[iy].reshape(shape)
+        max_fiber = _max_fiber(xs, ys)
         if max_fiber <= ell:
-            x_parts, y_parts = (
-                tuple(tuple(points[i : i + part_size]) for i in range(0, size, part_size))
-                for points in ([x[j] for j in ix], [y[j] for j in iy])
-            )
+            x_parts, y_parts = (tuple(map(tuple, parts.tolist())) for parts in (xs, ys))
             return EnergyPartition(
                 x_parts=x_parts,
                 y_parts=y_parts,

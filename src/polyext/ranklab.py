@@ -328,6 +328,8 @@ def special_sumset_sampler(
     n = x_source.n
     if y_source.n != n:
         raise PreconditionError("sources must share one ambient length")
+    if m > n:
+        raise PreconditionError(f"need m <= n: no map F_2^{n} -> F_2^{m} is onto")
     b_zero, b_one = _ball_slices(m, half, third)
     xs_bits = _support_bits(x_source)
     ys_bits = xs_bits if y_source is x_source else _support_bits(y_source)

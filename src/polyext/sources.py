@@ -170,6 +170,11 @@ class Variety:
             raise ValueError("variety needs at least one polynomial")
         if any(p.order.n != self.n for p in self.polys):
             raise ValueError("polynomials must be over n variables")
+        # every draw looks its zero set up by the source, so hash the polynomials once
+        object.__setattr__(self, "_hash", hash((self.n, self.polys)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Source = Union[Flat, Affine, Sumset, Local, PolynomialImage, Variety]
@@ -241,11 +246,9 @@ def _support_counts(source: Source) -> tuple[np.ndarray, np.ndarray, int]:
         xs, ys = (np.array([v.bits for v in f.support], dtype=dtype) for f in (source.x, source.y))
         check_budget("sumset pairs", ENUMERATION_BUDGET, xs.size * ys.size)
         raw = np.bitwise_xor.outer(xs, ys).ravel()
-    elif isinstance(source, (Local, PolynomialImage)):
+    else:
         check_budget(f"input enumeration (m={source.m})", ENUMERATION_BUDGET, log2=source.m)
         raw = _image_words(source, np.arange(1 << source.m, dtype=np.uint64))
-    else:
-        raise TypeError(f"not a source: {source!r}")
     words, counts = np.unique(raw, return_counts=True)
     return words, counts, int(raw.size)
 

@@ -47,19 +47,19 @@ def vecs(n: int, values) -> list[BitVector]:
 
 
 def test_energy_of_singletons():
-    assert additive_energy([bv("10")], [bv("01")]) == 1
+    assert additive_energy([0b10], [0b01]) == 1
 
 
 def test_energy_of_full_group():
     # X = Y = F_2^k: every sum has multiplicity 2^k, so E = 2^(3k)
     for k in (1, 2, 3):
-        full = vecs(k, range(1 << k))
+        full = list(range(1 << k))
         assert additive_energy(full, full) == 1 << (3 * k)
 
 
 def test_energy_equals_product_iff_sums_distinct():
-    x = vecs(2, [0b00, 0b01])
-    y = vecs(2, [0b00, 0b10])
+    x = [0b00, 0b01]
+    y = [0b00, 0b10]
     assert additive_energy(x, y) == 4  # all four sums distinct
 
 
@@ -67,13 +67,12 @@ def test_energy_lower_bound_and_distinctness():
     stream = rng.derive(MASTER, "oracles", "energy-bounds")
     for _ in range(30):
         n = stream.randrange(1, 7)
-        x = vecs(n, [stream.getrandbits(n) for _ in range(stream.randrange(1, 7))])
-        y = vecs(n, [stream.getrandbits(n) for _ in range(stream.randrange(1, 7))])
+        x = [stream.getrandbits(n) for _ in range(stream.randrange(1, 7))]
+        y = [stream.getrandbits(n) for _ in range(stream.randrange(1, 7))]
         e = additive_energy(x, y)
         product = len(x) * len(y)
         assert e >= product
-        sums = {(xv.bits ^ yv.bits, ) for xv in x for yv in y}
-        distinct = len({xv.bits ^ yv.bits for xv in x for yv in y}) == product
+        distinct = len({xv ^ yv for xv in x for yv in y}) == product
         assert (e == product) == distinct
 
 
@@ -82,16 +81,9 @@ def test_energy_quadruple_oracle():
     stream = rng.derive(MASTER, "oracles", "energy-quad")
     for _ in range(30):
         n = stream.randrange(1, 5)
-        x = vecs(n, [stream.getrandbits(n) for _ in range(stream.randrange(1, 6))])
-        y = vecs(n, [stream.getrandbits(n) for _ in range(stream.randrange(1, 6))])
-        slow = sum(
-            1
-            for a in x
-            for b in y
-            for c in x
-            for d in y
-            if a.bits ^ b.bits == c.bits ^ d.bits
-        )
+        x = [stream.getrandbits(n) for _ in range(stream.randrange(1, 6))]
+        y = [stream.getrandbits(n) for _ in range(stream.randrange(1, 6))]
+        slow = sum(1 for a in x for b in y for c in x for d in y if a ^ b == c ^ d)
         assert additive_energy(x, y) == slow
 
 
@@ -99,27 +91,24 @@ def test_energy_symmetry_and_translation():
     stream = rng.derive(MASTER, "oracles", "energy-sym")
     for _ in range(20):
         n = stream.randrange(1, 6)
-        x = vecs(n, [stream.getrandbits(n) for _ in range(4)])
-        y = vecs(n, [stream.getrandbits(n) for _ in range(4)])
+        x = [stream.getrandbits(n) for _ in range(4)]
+        y = [stream.getrandbits(n) for _ in range(4)]
         c = stream.getrandbits(n)
-        shifted = [BitVector(n, v.bits ^ c) for v in x]
+        shifted = [v ^ c for v in x]
         assert additive_energy(x, y) == additive_energy(y, x)
         assert additive_energy(shifted, y) == additive_energy(x, y)
 
 
 def test_energy_pair_budget():
-    x = vecs(14, range(1 << 13))
-    y = vecs(14, range((1 << 13) + 1))
+    x = list(range(1 << 13))
+    y = list(range((1 << 13) + 1))
     with pytest.raises(BudgetExceededError):
         additive_energy(x, y)
 
 
 def test_pair_oracles_refuse_sets_of_different_lengths():
     x, y = vecs(3, [5, 6]), vecs(2, [1, 2])
-    stream = rng.derive(MASTER, "oracles", "mixed-lengths")
     for call in (
-        lambda: additive_energy(x, y),
-        lambda: energy_partition(x, y, t=0, ell=4, stream=stream),
         lambda: dichotomy_check(x, y),
         lambda: dichotomy_check(x, x + y),
     ):
@@ -132,7 +121,7 @@ def test_pair_oracles_refuse_sets_of_different_lengths():
 
 
 def test_partition_into_singletons():
-    full = vecs(2, range(4))
+    full = list(range(4))
     stream = rng.derive(MASTER, "oracles", "partition-singleton")
     part = energy_partition(full, full, t=2, ell=4, stream=stream)
     assert part.retries_used == 0
@@ -144,8 +133,8 @@ def test_partition_into_singletons():
 def test_partition_full_scale_spot_run():
     """k=8 points in F_2^10, 128 parts of size 2, fiber cap 5."""
     stream = rng.derive(MASTER, "oracles", "partition-full")
-    x = vecs(10, stream.sample(range(1 << 10), 256))
-    y = vecs(10, stream.sample(range(1 << 10), 256))
+    x = stream.sample(range(1 << 10), 256)
+    y = stream.sample(range(1 << 10), 256)
     part = energy_partition(x, y, t=7, ell=5, stream=stream)
     assert part.verify(x, y)
     assert part.energy_cap() == 100
@@ -155,7 +144,7 @@ def test_partition_full_scale_spot_run():
 
 
 def test_partition_warns_outside_sufficient_condition():
-    full = vecs(3, range(8))
+    full = list(range(8))
     stream = rng.derive(MASTER, "oracles", "partition-warn")
     with pytest.warns(UserWarning):
         part = energy_partition(full, full, t=1, ell=4, stream=stream)
@@ -164,7 +153,7 @@ def test_partition_warns_outside_sufficient_condition():
 
 def test_partition_exhausts_on_impossible_cap():
     # F_2^2 against itself in one part: every fiber has exactly 4 pairs
-    full = vecs(2, range(4))
+    full = list(range(4))
     stream = rng.derive(MASTER, "oracles", "partition-fail")
     with pytest.warns(UserWarning):
         with pytest.raises(RetryExhaustedError):
@@ -172,7 +161,7 @@ def test_partition_exhausts_on_impossible_cap():
 
 
 def test_partition_verify_rejects_wrong_sets():
-    full = vecs(2, range(4))
+    full = list(range(4))
     stream = rng.derive(MASTER, "oracles", "partition-verify")
     part = energy_partition(full, full, t=2, ell=4, stream=stream)
     assert not part.verify(full[:3] + [full[0]], full)
@@ -184,8 +173,8 @@ def test_partition_verify_rejects_wrong_sets():
 
 def test_partition_preconditions():
     stream = rng.derive(MASTER, "oracles", "partition-pre")
-    three = vecs(2, [0, 1, 2])
-    four = vecs(2, range(4))
+    three = [0, 1, 2]
+    four = list(range(4))
     with pytest.raises(PreconditionError):
         energy_partition(three, three, t=0, ell=4, stream=stream)
     with pytest.raises(PreconditionError):
@@ -195,7 +184,7 @@ def test_partition_preconditions():
 
 
 def test_partition_verify_recounts_the_fiber_cap():
-    full = vecs(2, range(4))
+    full = list(range(4))
     stream = rng.derive(MASTER, "oracles", "partition-recount")
     part = energy_partition(full, full, t=2, ell=4, stream=stream)
     # one part holding F_2^2 on both sides has every fiber of size 4 > ell = 3
@@ -219,7 +208,7 @@ def scalar_energy_partition(x, y, t, ell, stream, retries):
         x_parts = tuple(tuple(xs[i : i + part_size]) for i in range(0, len(xs), part_size))
         y_parts = tuple(tuple(ys[i : i + part_size]) for i in range(0, len(ys), part_size))
         max_fiber = max(
-            max(Counter(a.bits ^ b.bits for a in xp for b in yp).values())
+            max(Counter(a ^ b for a in xp for b in yp).values())
             for xp in x_parts
             for yp in y_parts
         )
@@ -228,7 +217,7 @@ def scalar_energy_partition(x, y, t, ell, stream, retries):
     return None
 
 
-# (k, t, n, ell, word shift): the shift moves every word up, so wide vectors
+# (k, t, n, ell, word shift): the shift moves every word up, so wide words
 # keep the collisions of n - shift bits.
 KERNEL_CASES = [
     (3, 0, 5, 8, 0),  # t = 0: one part holds all points
@@ -239,15 +228,15 @@ KERNEL_CASES = [
     (6, 3, 7, 3, 0),  # part size 8, cap forces a retry
     (5, 2, 6, 2, 0),  # cap exhausts every resample
     (4, 2, 60, 4, 54),  # int64 words whose (pair, sum) keys need Python ints
-    (5, 3, 70, 2, 64),  # 70-bit vectors
+    (5, 3, 70, 2, 64),  # 70-bit words
     (4, 0, 70, 16, 64),
 ]
 
 
 def _kernel_case(k, t, n, ell, shift):
     stream = rng.derive(MASTER, "oracles", "partition-kernel", k, t, n, ell)
-    x = vecs(n, (b << shift for b in stream.sample(range(1 << (n - shift)), 1 << k)))
-    y = vecs(n, (b << shift for b in stream.sample(range(1 << (n - shift)), 1 << k)))
+    x = [b << shift for b in stream.sample(range(1 << (n - shift)), 1 << k)]
+    y = [b << shift for b in stream.sample(range(1 << (n - shift)), 1 << k)]
     expected = scalar_energy_partition(x, y, t, ell, rng.derive(MASTER, n, k, t), retries=20)
     return x, y, expected
 
@@ -287,8 +276,8 @@ def test_kernel_cases_cover_retries_and_exhaustion():
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_kernels_agree_across_block_sizes(monkeypatch):
     stream = rng.derive(MASTER, "oracles", "partition-blocks")
-    x = vecs(8, stream.sample(range(256), 32))
-    y = vecs(8, stream.sample(range(256), 32))
+    x = stream.sample(range(256), 32)
+    y = stream.sample(range(256), 32)
     seed = stream.getrandbits(32)
     for t in (0, 2, 5):
         part = energy_partition(x, y, t, 64, rng.derive(seed, t))
@@ -304,7 +293,7 @@ def test_kernels_agree_across_block_sizes(monkeypatch):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_repeated_points_alone_make_a_fiber():
     # the parts share no nonzero difference, yet 5 + 1 and 5 + 2 are each hit twice
-    x, y = vecs(3, [5, 5]), vecs(3, [1, 2])
+    x, y = [5, 5], [1, 2]
     assert pair_energies([x], [y]).tolist() == [[additive_energy(x, y)]] == [[8]]
     part = energy_partition(x, y, t=0, ell=4, stream=rng.derive(MASTER, "oracles", "repeats"))
     assert part.max_fiber == 2
@@ -319,7 +308,7 @@ MULTISET_CASES = [
     (4, 2, 6, 3),  # cap exhausts every resample
     (5, 3, 4, 4),
     (5, 2, 8, 7),
-    (4, 3, 70, 2),  # 70-bit vectors
+    (4, 3, 70, 2),  # 70-bit words
 ]
 
 
@@ -328,8 +317,8 @@ MULTISET_CASES = [
 def test_partition_kernel_matches_scalar_reference_on_multisets(k, t, n, ell):
     stream = rng.derive(MASTER, "oracles", "partition-multiset", k, t, n)
     pool = [stream.getrandbits(n) for _ in range(1 << (k - 1))]
-    x = vecs(n, (stream.choice(pool) for _ in range(1 << k)))
-    y = vecs(n, (stream.choice(pool) for _ in range(1 << k)))
+    x = [stream.choice(pool) for _ in range(1 << k)]
+    y = [stream.choice(pool) for _ in range(1 << k)]
     assert len(set(x)) < len(x) and len(set(y)) < len(y)
     expected = scalar_energy_partition(x, y, t, ell, rng.derive(MASTER, n, k, t), retries=20)
     _assert_kernel_matches(x, y, t, ell, rng.derive(MASTER, n, k, t), expected)
@@ -339,8 +328,8 @@ def test_partition_kernel_matches_scalar_reference_on_multisets(k, t, n, ell):
 def test_fiber_check_recounts_every_energy_it_sorts(monkeypatch, error):
     """An energy kernel that is off on one pair fails the fiber check's run count."""
     stream = rng.derive(MASTER, "oracles", "partition-miscount")
-    x = vecs(10, stream.sample(range(1 << 10), 256))
-    y = vecs(10, stream.sample(range(1 << 10), 256))
+    x = stream.sample(range(1 << 10), 256)
+    y = stream.sample(range(1 << 10), 256)
     part = energy_partition(x, y, t=7, ell=5, stream=stream)
     xs, ys = oracles._pack(part.x_parts), oracles._pack(part.y_parts)
     energies = oracles._energies(xs, ys)
@@ -354,13 +343,40 @@ def test_fiber_check_recounts_every_energy_it_sorts(monkeypatch, error):
 
 
 def test_partition_oracles_refuse_pairs_past_the_budget(monkeypatch):
-    big = vecs(15, range(1 << 14))
+    big = list(range(1 << 14))
     monkeypatch.setattr(oracles, "_pack", lambda parts: pytest.fail("packed past the budget"))
     stream = rng.derive(MASTER, "oracles", "partition-budget")
     with pytest.raises(BudgetExceededError):
         energy_partition(big, big, t=7, ell=5, stream=stream, retries=0)
     with pytest.raises(BudgetExceededError):
         pair_energies([big[:1 << 13], big[1 << 13 :]], [big])
+
+
+def test_pair_energies_match_additive_energy_across_the_int64_boundary():
+    """Words up to 2^63 - 1 pack as int64 and wider ones as Python ints; both
+    count every pair's energy as the dict count does, repeated sums included."""
+    top = 1 << 63
+    x_parts = [[top - 1, top - 2], [0, 1]]
+    for y_parts, dtype in (
+        ([[0, 1], [top - 1, top - 2]], np.int64),
+        ([[top, top + 1], [top + 2, 0]], object),
+    ):
+        assert oracles._pack(y_parts).dtype == dtype
+        expected = [[additive_energy(xp, yp) for yp in y_parts] for xp in x_parts]
+        assert expected[0][0] == 8  # top - 1 and top - 2 against a pair differing in bit 0
+        assert pair_energies(x_parts, y_parts).tolist() == expected
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_partition_oracles_refuse_negative_words_and_ragged_parts():
+    stream = rng.derive(MASTER, "oracles", "partition-words")
+    with pytest.raises(PreconditionError, match="nonnegative words"):
+        energy_partition([0, -1], [0, 1], t=0, ell=4, stream=stream)
+    with pytest.raises(PreconditionError, match="nonnegative words"):
+        pair_energies([[1, 2]], [[-3, 4]])
+    # sizes 2, 1, 3 hold 3 x 2 words, so a reshape alone would accept them
+    with pytest.raises(PreconditionError, match="equal sizes"):
+        pair_energies([[1, 2], [3], [4, 5, 6]], [[0, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -853,15 +869,15 @@ def test_low_energy_pairs_keep_quadratics_unbiased():
     hits = 0
     for seed in range(100):
         s = rng.derive(MASTER, "oracles", "bias-energy", seed)
-        xs = vecs(8, s.sample(range(256), 16))
-        ys = vecs(8, s.sample(range(256), 16))
+        xs = s.sample(range(256), 16)
+        ys = s.sample(range(256), 16)
         assert additive_energy(xs, ys) <= 16 * 16 * 16
         f = sample_poly(8, 2, s)
         coeffs = f.coeffs.bits
         acc = 0
         for x in xs:
             for y in ys:
-                v = (coeffs & eval_bits(x.bits ^ y.bits, f.order)).bit_count() & 1
+                v = (coeffs & eval_bits(x ^ y, f.order)).bit_count() & 1
                 acc += 1 - 2 * v
         if abs(acc) / 256 <= 0.25:
             hits += 1

@@ -118,6 +118,10 @@ class _Unread:
         pytest.fail(f"the trial read its stream ({name}) before refusing")
 
 
+#: What the rows that break a precondition say; every other row exceeds a budget.
+PRECONDITION_REFUSALS = {"special-sumset": "need m <= n", "high-rank-subsets": "set_size=32"}
+
+
 @pytest.mark.parametrize(
     "name, params",
     [
@@ -128,10 +132,13 @@ class _Unread:
         ("bias-concentration", {"n": 25, "d": 2, "fail_rate": 0.01}),
         ("dichotomy", {"n_max": 40}),
         ("disperser-attack", {"n": 20, "d": 1, "t": 1, "budget": 1}),
+        ("special-sumset", {"n": 6, "m": 7, "d": 2, "map_trials": 1000}),
+        ("high-rank-subsets", {"n": 4, "m": 3, "d": 2, "set_size": 32, "map_trials": 50}),
     ],
 )
 def test_registry_trials_refuse_from_their_params_before_their_stream(name, params):
-    with pytest.raises(BudgetExceededError):
+    says = PRECONDITION_REFUSALS.get(name)
+    with pytest.raises(BudgetExceededError if says is None else PreconditionError, match=says):
         EXPERIMENTS[name].trial(params, _Unread())
 
 
