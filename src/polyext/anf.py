@@ -16,7 +16,7 @@ which is an involution over GF(2).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from random import Random
 from typing import Sequence
 
@@ -40,6 +40,9 @@ __all__ = [
     "mobius_transform",
     "compose_linear",
 ]
+
+#: Maps the text "0"/"1" of a binary numeral to the bytes 0/1 that ``compress`` selects by.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 #: Point-mask pairs compared at once by :func:`eval_words`.
 EVAL_BLOCK = 1 << 16
@@ -113,10 +116,8 @@ class Polynomial:
             raise ValueError("coefficient vector length must match the monomial order")
         self.order = order
         self.coeffs = coeffs
-        c = coeffs.bits
-        self._active_masks = tuple(
-            order.masks[j] for j in range(order.size) if (c >> j) & 1
-        )
+        flags = f"{coeffs.bits:b}"[::-1].encode().translate(_BIT_BYTES)
+        self._active_masks = tuple(compress(order.masks, flags))
         self._mask_array: np.ndarray | None = None
         self._table: np.ndarray | None = None
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -359,14 +360,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for dest in ("seed", "out", "format"):
         if not hasattr(args, dest):
             setattr(args, dest, None)
-    try:
-        return args.func(args)
-    except PolyextError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"polyext: warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except PolyextError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -150,10 +150,13 @@ def _max_fiber(xs: np.ndarray, ys: np.ndarray) -> int:
 def pair_energies(x_parts: Sequence[Sequence[int]], y_parts: Sequence[Sequence[int]]) -> np.ndarray:
     """E(X_i, Y_j) for every part pair, as a (len(x_parts), len(y_parts)) array.
 
-    Batched ``additive_energy`` on each pair (see ``_energies``).  Refuses
-    more than PAIR_BUDGET point pairs before packing, which also keeps the
-    float64 count exact.
+    Batched ``additive_energy`` on each pair (see ``_energies``).  Refuses an
+    argument with no words, and more than PAIR_BUDGET point pairs before
+    packing, which also keeps the float64 count exact.
     """
+    for name, parts in (("x_parts", x_parts), ("y_parts", y_parts)):
+        if not sum(map(len, parts)):
+            raise PreconditionError(f"{name} holds no words")
     check_budget("pair enumeration", PAIR_BUDGET, sum(map(len, x_parts)) * sum(map(len, y_parts)))
     return _energies(_pack(x_parts), _pack(y_parts))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from random import Random
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +46,18 @@ ENUMERATION_BUDGET = 1 << 22
 
 #: Draws :func:`sample_source` makes on a variety too large to enumerate.
 REJECTION_BUDGET = 10**6
+
+
+def _hashed_once(cls):
+    """Hash a frozen source's fields once, at construction: each draw looks its kept table up by it."""
+    field_hash, check = cls.__hash__, cls.__post_init__
+
+    def __post_init__(self):
+        check(self)
+        object.__setattr__(self, "_hash", field_hash(self))
+
+    cls.__post_init__, cls.__hash__ = __post_init__, lambda self: self._hash
+    return cls
 
 
 @dataclass(frozen=True)
@@ -117,6 +129,7 @@ class LocalBit:
         return self.table[idx]
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class Local:
     """Each output bit depends on at most r of m uniform input bits."""
@@ -141,6 +154,7 @@ class Local:
         return out
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class PolynomialImage:
     """Image of the uniform distribution under a tuple of polynomials on m bits."""
@@ -158,6 +172,7 @@ class PolynomialImage:
         return eval_polys(self.polys, u_bits)
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class Variety:
     """Uniform distribution over the common zero set of a polynomial system."""
@@ -170,11 +185,6 @@ class Variety:
             raise ValueError("variety needs at least one polynomial")
         if any(p.order.n != self.n for p in self.polys):
             raise ValueError("polynomials must be over n variables")
-        # every draw looks its zero set up by the source, so hash the polynomials once
-        object.__setattr__(self, "_hash", hash((self.n, self.polys)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 Source = Union[Flat, Affine, Sumset, Local, PolynomialImage, Variety]
@@ -222,9 +232,10 @@ def _variety_points(source: Variety) -> np.ndarray:
 def _support_counts(source: Source) -> tuple[np.ndarray, np.ndarray, int]:
     """Distinct output words in ascending order, their integer counts, and the total.
 
-    Probabilities are ``counts / total``.  Words are unsigned machine ints up
-    to 64 bits and Python ints (object dtype) beyond, so no wide point is
-    truncated.  Raises :class:`BudgetExceededError` when full enumeration
+    Probabilities are ``counts / total``.  Words are unsigned machine ints up to
+    64 bits and Python ints (object dtype) beyond, so no wide point is truncated;
+    local and polynomial-image words come from the :func:`_image_table` that
+    draws read.  Raises :class:`BudgetExceededError` when full enumeration
     would visit more than ``ENUMERATION_BUDGET`` points, and
     :class:`PreconditionError` for an empty variety.
     """
@@ -248,7 +259,8 @@ def _support_counts(source: Source) -> tuple[np.ndarray, np.ndarray, int]:
         raw = np.bitwise_xor.outer(xs, ys).ravel()
     else:
         check_budget(f"input enumeration (m={source.m})", ENUMERATION_BUDGET, log2=source.m)
-        raw = _image_words(source, np.arange(1 << source.m, dtype=np.uint64))
+        table = _image_table(source)
+        raw = _image_words(source, np.arange(1 << source.m, dtype=np.uint64)) if table is None else table
     words, counts = np.unique(raw, return_counts=True)
     return words, counts, int(raw.size)
 
@@ -274,8 +286,9 @@ def sample_words(source: Source, count: int, stream: Random) -> np.ndarray:
     random words in order and then forms the outputs in one batch: support
     words are gathered without a :class:`BitVector` per draw, a small affine
     span is read from its subset-XOR table, and local and polynomial-image
-    inputs go through :func:`_image_words`.  A variety draws one point at a
-    time through :func:`sample_source`, whose rejection path tests each draw.
+    inputs index their kept :func:`_image_table`, or past it go through
+    :func:`_image_words`.  A variety draws one point at a time through
+    :func:`sample_source`, whose rejection path tests each draw.
     """
     dtype = np.uint64 if ambient_length(source) <= 64 else object
     if isinstance(source, Flat):
@@ -295,24 +308,32 @@ def sample_words(source: Source, count: int, stream: Random) -> np.ndarray:
         nx, ny = len(xs), len(ys)
         words = [xs[stream.randrange(nx)].bits ^ ys[stream.randrange(ny)].bits for _ in range(count)]
     elif isinstance(source, (Local, PolynomialImage)):
-        m = source.m
-        inputs = np.fromiter(
-            (stream.getrandbits(m) for _ in range(count)),
-            dtype=np.uint64 if m <= 64 else object,
-            count=count,
-        )
-        return _image_words(source, inputs)
+        m, table = source.m, _image_table(source)
+        draws = (stream.getrandbits(m) for _ in range(count))
+        inputs = np.fromiter(draws, dtype=np.uint64 if m <= 64 else object, count=count)
+        return _image_words(source, inputs) if table is None else table[inputs]
     else:
         words = [sample_source(source, stream).bits for _ in range(count)]
     return np.fromiter(words, dtype=dtype, count=count)
 
 
+@lru_cache(maxsize=4)
+def _image_table(source: Union[Local, PolynomialImage]) -> Optional[np.ndarray]:
+    """``source.value`` at every input word, read-only and kept per source; None past
+    ``anf.EVAL_BLOCK`` inputs or 64 output bits, so a table holds at most 512 KiB."""
+    if 1 << source.m > anf.EVAL_BLOCK or ambient_length(source) > 64:
+        return None
+    table = _image_words(source, np.arange(1 << source.m, dtype=np.uint64))
+    table.setflags(write=False)
+    return table
+
+
 def _image_words(source: Union[Local, PolynomialImage], inputs: np.ndarray) -> np.ndarray:
     """``source.value`` at each input word, in the dtype of :func:`_support_counts`.
 
-    Up to 64 input and output bits this is one :func:`anf.eval_words` call for
-    a polynomial image and a blocked numpy gather for a local source.  Wider
-    sources go through ``source.value`` point by point.
+    Builds :func:`_image_table` and evaluates the draws of larger sources.  Up to 64
+    input and output bits this is one :func:`anf.eval_words` call or a blocked numpy
+    gather of the local lookup tables; wider ones go through ``source.value``.
     """
     width = ambient_length(source)
     if width > 64 or source.m > 64:

@@ -76,6 +76,16 @@ def test_order_starts_with_constant():
             assert monomial_order(n, d).monomials[0] == ()
 
 
+@pytest.mark.parametrize("n, d", [(0, 0), (3, 3), (8, 2), (16, 5)])
+def test_active_masks_are_the_orders_masks_at_the_coefficients_set_bits(n, d):
+    order = monomial_order(n, d)
+    s = rng.derive(MASTER, "anf", "active-masks", n, d)
+    top = 1 << (order.size - 1)  # a single set bit as far from bit 0 as the order allows
+    for c in [0, (1 << order.size) - 1, 1, top] + [s.getrandbits(order.size) for _ in range(20)]:
+        expected = tuple(order.masks[j] for j in range(order.size) if (c >> j) & 1)
+        assert Polynomial(order, BitVector(order.size, c))._active_masks == expected
+
+
 def test_order_is_interned():
     assert monomial_order(4, 2) is monomial_order(4, 2)
 

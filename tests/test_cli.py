@@ -442,6 +442,22 @@ def test_cli_oracle_partition(tmp_path, capsys):
     assert data["energy_cap"] == 16
 
 
+def test_cli_oracle_partition_warns_in_one_line_without_a_source_path(tmp_path, capsys):
+    """t = 1 is outside the sufficient condition for 4 points: the run still succeeds."""
+    pts = write(tmp_path / "x.txt", "00\n01\n10\n11\n")
+    argv = ["oracle", "partition", "--x", pts, "--y", pts, "--t", "1", "--ell", "4", "--seed", "3"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {
+        "ell": 4, "energy_cap": 64, "max_fiber": 2, "part_size": 2, "parts": 2, "retries_used": 0, "t": 1
+    }
+    assert ".py:" not in err
+    assert err.splitlines() == [
+        "polyext: warning: parameters violate the sufficient condition ell >= 4, "
+        "t >= (k/(ell-1))(1+ell/2); the partition search may stall"
+    ]
+
+
 def test_cli_oracle_cw(tmp_path, capsys):
     poly = write(tmp_path / "z.json", '{"d":2,"monomials":[],"n":3}')
     basis = write(tmp_path / "b.txt", "100\n")

@@ -367,6 +367,16 @@ def test_pair_energies_match_additive_energy_across_the_int64_boundary():
         assert pair_energies(x_parts, y_parts).tolist() == expected
 
 
+@pytest.mark.parametrize(
+    "x_parts, y_parts, name",
+    [([[]], [[1]], "x_parts"), ([], [[1]], "x_parts"), ([[1]], [[]], "y_parts"), ([[1]], [], "y_parts")],
+    ids=["x-empty-part", "x-no-parts", "y-empty-part", "y-no-parts"],
+)
+def test_pair_energies_names_an_argument_with_no_words(x_parts, y_parts, name):
+    with pytest.raises(PreconditionError, match=f"^{name} holds no words$"):
+        pair_energies(x_parts, y_parts)
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_partition_oracles_refuse_negative_words_and_ragged_parts():
     stream = rng.derive(MASTER, "oracles", "partition-words")

@@ -81,6 +81,11 @@ OWNERS = (
         "read sources._support_counts instead of the per-point support_of view",
     ),
     (
+        {"_image_table", "_image_words", "_local_layout"}, None, "sources",
+        "read local and polynomial-image outputs through sources.sample_words or "
+        "sources._support_counts instead of the kept table or its builders",
+    ),
+    (
         {"sample_source"}, None, "sources",
         "draw a batch with sources.sample_words instead of one sample_source call per point",
     ),

@@ -1,5 +1,6 @@
 """Weak-source models: exact enumeration, sampling, variety reduction."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -14,6 +15,7 @@ from polyext.bias import (
     bias_mc,
     disperser_audit,
     extractor_audit,
+    mc_halfwidth,
     moment_by_eval_collision,
     moment_by_poly_enumeration,
 )
@@ -547,16 +549,18 @@ def test_sample_words_on_a_variety_drawn_by_rejection(monkeypatch):
 def test_sample_words_gathers_local_bits_across_blocks(monkeypatch):
     """A block of a single point, or of a few, gives the same words as one block."""
     src = _pinned_sources()["local"]
-    whole = sample_words(src, 300, rng.derive(MASTER, "sources", "local-blocks"))
+    whole = sources._image_table(src)  # built in one block
+    inputs = np.arange(1 << src.m, dtype=np.uint64)
     for block in (1, 7, 64):
         monkeypatch.setattr(anf, "EVAL_BLOCK", block)
-        again = sample_words(src, 300, rng.derive(MASTER, "sources", "local-blocks"))
-        assert again.tolist() == whole.tolist()
+        assert sources._image_words(src, inputs).tolist() == whole.tolist()
 
 
-@pytest.mark.parametrize(
-    "kind", ["local", "polyimage", "local-sparse", "local-constant", "local-wide", "polyimage-wide"]
-)
+#: Every local and polynomial-image source of _pinned_sources() and _batch_sources().
+IMAGE_KINDS = ["local", "polyimage", "local-sparse", "local-constant", "local-wide", "polyimage-wide"]
+
+
+@pytest.mark.parametrize("kind", IMAGE_KINDS)
 def test_batch_support_counts_match_per_point_enumeration(kind):
     src = {**_pinned_sources(), **_batch_sources()}[kind]
     size = 1 << src.m
@@ -568,6 +572,84 @@ def test_batch_support_counts_match_per_point_enumeration(kind):
     assert words.tolist() == ref_words.tolist()
     assert counts.tolist() == ref_counts.tolist()
     assert total == size
+
+
+# ---------------------------------------------------------------------------
+# _image_table: local and polynomial-image outputs at every input word, kept per source
+
+
+@pytest.mark.parametrize("kind", IMAGE_KINDS)
+def test_image_draws_are_the_value_at_the_twin_stream_inputs(kind):
+    """sample_source is itself a one-draw sample_words, so check against source.value."""
+    src = {**_pinned_sources(), **_batch_sources()}[kind]
+    batch, twin = (rng.derive(MASTER, "sources", "image-inputs", kind) for _ in range(2))
+    words = sample_words(src, 300, batch)
+    assert words.tolist() == [src.value(twin.getrandbits(src.m)) for _ in range(300)]
+    assert batch.getrandbits(64) == twin.getrandbits(64)
+    # only the 70-bit outputs are too wide to keep
+    assert (sources._image_table(src) is None) == (ambient_length(src) > 64)
+
+
+def _count_image_words(monkeypatch) -> list:
+    real, calls = sources._image_words, []
+
+    def counted(src, inputs):
+        calls.append((src, inputs.size))
+        return real(src, inputs)
+
+    monkeypatch.setattr(sources, "_image_words", counted)
+    return calls
+
+
+def test_exact_and_sampled_bias_build_each_image_table_once(monkeypatch):
+    sources._image_table.cache_clear()
+    calls = _count_image_words(monkeypatch)
+    pins = _pinned_sources()
+    stream = rng.derive(MASTER, "sources", "image-table-once")
+    for kind in ("local", "polyimage"):
+        src = pins[kind]
+        f = sample_poly(ambient_length(src), 3, stream)
+        exact = bias_exact(f, src)
+        for _ in range(2):
+            assert abs(bias_mc(f, src, 500, 0.01, stream).estimate - exact) <= mc_halfwidth(500, 0.01)
+    assert calls == [(pins["local"], 1 << 12), (pins["polyimage"], 1 << 8)]
+    # an equal source rebuilt from its file form reads the same kept table
+    again = io.source_from_dict(io.source_to_dict(pins["local"]))
+    assert again is not pins["local"] and hash(again) == hash(pins["local"])
+    sample_words(again, 10, stream)
+    assert len(calls) == 2
+    for kind in ("local", "polyimage"):
+        table = sources._image_table(pins[kind])
+        assert table.tolist() == [pins[kind].value(u) for u in range(1 << pins[kind].m)]
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+def test_a_source_past_eval_block_keeps_no_table_and_draws_per_chunk(monkeypatch):
+    s = rng.derive(MASTER, "sources", "past-eval-block")
+    m = anf.EVAL_BLOCK.bit_length()  # 2^m = 2 * EVAL_BLOCK input words
+    local = Local(2, m, tuple(
+        LocalBit(tuple(s.sample(range(m), 2)), tuple(s.getrandbits(1) for _ in range(4)))
+        for _ in range(6)
+    ))
+    image = PolynomialImage(m, tuple(sample_poly(m, 2, s) for _ in range(5)))
+    calls = _count_image_words(monkeypatch)
+    for src in (local, image):
+        calls.clear()
+        assert sources._image_table(src) is None
+        _assert_batch_matches_draws(src, 40, f"past-eval-block-{type(src).__name__}")
+        batch, twin = (rng.derive(MASTER, "sources", "past-block-inputs") for _ in range(2))
+        assert sample_words(src, 30, batch).tolist() == [src.value(twin.getrandbits(m)) for _ in range(30)]
+        # one batch of draws, then 40 single draws, then one more batch: each evaluates its own inputs
+        assert [size for _, size in calls] == [40] + [1] * 40 + [30]
+
+
+@pytest.mark.parametrize("cls", [Local, PolynomialImage, Variety])
+def test_sources_keep_their_field_hash_from_construction(cls):
+    src = next(v for v in _pinned_sources().values() if type(v) is cls)
+    assert hash(src) == hash(tuple(getattr(src, f.name) for f in dataclasses.fields(src)))
+    assert "_hash" in vars(src)
+    assert src == dataclasses.replace(src) and hash(dataclasses.replace(src)) == hash(src)
 
 
 # ---------------------------------------------------------------------------
