@@ -44,7 +44,6 @@ from .oracles import (
     dichotomy_check,
     disperser_attack,
     energy_partition,
-    pair_energies,
     sample_vanishing_poly,
 )
 from .ranklab import eval_rank, find_high_rank_subsets, special_sumset_sampler
@@ -292,12 +291,11 @@ def _energy_trial(params, stream):
     except RetryExhaustedError:
         return {"success": False, "retries": params["retries"], "max_energy": -1, "cap_ok": False}
     cap = part.energy_cap()
-    worst = int(pair_energies(part.x_parts, part.y_parts).max())
     return {
         "success": True,
         "retries": part.retries_used,
-        "max_energy": worst,
-        "cap_ok": worst <= cap,
+        "max_energy": part.max_energy,
+        "cap_ok": part.max_energy <= cap,
     }
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "EnergyPartition",
     "AttackWitness",
     "additive_energy",
-    "pair_energies",
     "energy_partition",
     "cw_shift_count",
     "sample_vanishing_poly",
@@ -88,8 +87,6 @@ def _pack(parts: Sequence[Sequence[int]]) -> np.ndarray:
     words = [w for part in parts for w in part]
     if min(words) < 0:
         raise PreconditionError("points must be nonnegative words")
-    if len(set(map(len, parts))) > 1:
-        raise PreconditionError("parts must have equal sizes")
     dtype = np.int64 if max(words).bit_length() <= 63 else object
     return np.array(words, dtype=dtype).reshape(len(parts), -1)
 
@@ -119,8 +116,9 @@ def _energies(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return (tables[0] @ tables[1].T).astype(np.int64)
 
 
-def _max_fiber(xs: np.ndarray, ys: np.ndarray) -> int:
-    """Largest sum-fiber |{(x, y) in X_i x Y_j : x + y = w}| over all i, j, w.
+def _max_fiber(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
+    """Largest sum-fiber |{(x, y) in X_i x Y_j : x + y = w}| over all i, j, w,
+    and the largest pair energy E(X_i, Y_j).
 
     A pair's fibers add up to |X_i| * |Y_j| and their squares to E(X_i, Y_j),
     so they are all 1 exactly when the two agree, for multisets too.  Only
@@ -144,21 +142,7 @@ def _max_fiber(xs: np.ndarray, ys: np.ndarray) -> int:
         if (per_pair != energies[i, j]).any():
             raise AssertionError("sum-fiber runs disagree with the pair energies; this is a bug")
         biggest = max(biggest, int(runs.max()))
-    return biggest
-
-
-def pair_energies(x_parts: Sequence[Sequence[int]], y_parts: Sequence[Sequence[int]]) -> np.ndarray:
-    """E(X_i, Y_j) for every part pair, as a (len(x_parts), len(y_parts)) array.
-
-    Batched ``additive_energy`` on each pair (see ``_energies``).  Refuses an
-    argument with no words, and more than PAIR_BUDGET point pairs before
-    packing, which also keeps the float64 count exact.
-    """
-    for name, parts in (("x_parts", x_parts), ("y_parts", y_parts)):
-        if not sum(map(len, parts)):
-            raise PreconditionError(f"{name} holds no words")
-    check_budget("pair enumeration", PAIR_BUDGET, sum(map(len, x_parts)) * sum(map(len, y_parts)))
-    return _energies(_pack(x_parts), _pack(y_parts))
+    return biggest, int(energies.max())
 
 
 @dataclass(frozen=True)
@@ -166,7 +150,8 @@ class EnergyPartition:
     """Equal random partitions of X and Y with all sum-fibers capped at ell.
 
     The cap on every fiber |A_w^(i,j)| <= ell certifies the pairwise energy
-    bound E(X_i, Y_j) <= ell^2 * 2^(2(k-t)).
+    bound E(X_i, Y_j) <= ell^2 * 2^(2(k-t)); ``max_energy`` is the largest
+    E(X_i, Y_j), from the same pass that found ``max_fiber``.
     """
 
     x_parts: tuple[tuple[int, ...], ...]
@@ -174,27 +159,31 @@ class EnergyPartition:
     t: int
     ell: int
     max_fiber: int
+    max_energy: int
     retries_used: int
 
     def energy_cap(self) -> int:
+        if not self.x_parts:
+            raise PreconditionError("a partition with no parts has no energy cap")
         part = len(self.x_parts[0])
         return self.ell * self.ell * part * part
 
     def verify(self, x: Sequence[int], y: Sequence[int]) -> bool:
         """Re-check the partition property and the fiber cap from scratch.
 
-        The largest fiber is recounted from the parts by ``_max_fiber``,
-        which checks its sorted runs against the pair energies; the stored
-        ``max_fiber`` must equal it and both must respect ``ell``.
+        The largest fiber and pair energy are recounted from the parts by
+        ``_max_fiber``, which checks its sorted runs against the pair
+        energies; the stored ``max_fiber`` and ``max_energy`` must equal
+        them, and the fiber must respect ``ell``.
         """
         for parts, points in ((self.x_parts, x), (self.y_parts, y)):
             if Counter(v for part in parts for v in part) != Counter(points):
                 return False
         sizes = {len(p) for p in self.x_parts} | {len(p) for p in self.y_parts}
-        if sizes != {len(x) >> self.t}:
+        if not x or sizes != {len(x) >> self.t}:
             return False
-        fiber = _max_fiber(_pack(self.x_parts), _pack(self.y_parts))
-        return fiber == self.max_fiber and fiber <= self.ell
+        fiber, energy = _max_fiber(_pack(self.x_parts), _pack(self.y_parts))
+        return (fiber, energy) == (self.max_fiber, self.max_energy) and fiber <= self.ell
 
 
 def energy_partition(
@@ -237,7 +226,7 @@ def energy_partition(
         stream.shuffle(ix)
         stream.shuffle(iy)
         xs, ys = x_words[ix].reshape(shape), y_words[iy].reshape(shape)
-        max_fiber = _max_fiber(xs, ys)
+        max_fiber, max_energy = _max_fiber(xs, ys)
         if max_fiber <= ell:
             x_parts, y_parts = (tuple(map(tuple, parts.tolist())) for parts in (xs, ys))
             return EnergyPartition(
@@ -246,6 +235,7 @@ def energy_partition(
                 t=t,
                 ell=ell,
                 max_fiber=max_fiber,
+                max_energy=max_energy,
                 retries_used=attempt,
             )
     raise RetryExhaustedError(f"no admissible partition within {retries} resamples")

@@ -23,7 +23,6 @@ from polyext.oracles import (
     disperser_attack,
     energy_partition,
     monochromatic_sumset_search,
-    pair_energies,
     sample_vanishing_poly,
     subspace_count,
     subspace_evasive_audit,
@@ -189,12 +188,33 @@ def test_partition_verify_recounts_the_fiber_cap():
     part = energy_partition(full, full, t=2, ell=4, stream=stream)
     # one part holding F_2^2 on both sides has every fiber of size 4 > ell = 3
     forged = dataclasses.replace(
-        part, x_parts=(tuple(full),), y_parts=(tuple(full),), t=0, ell=3, max_fiber=3
+        part, x_parts=(tuple(full),), y_parts=(tuple(full),), t=0, ell=3, max_fiber=3, max_energy=64
     )
     assert not forged.verify(full, full)
     assert dataclasses.replace(forged, ell=4, max_fiber=4).verify(full, full)
     # a stored max_fiber that disagrees with the parts is rejected even under the cap
     assert not dataclasses.replace(part, max_fiber=0).verify(full, full)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_partition_verify_recounts_the_largest_energy():
+    full = list(range(4))
+    stream = rng.derive(MASTER, "oracles", "partition-recount-energy")
+    part = energy_partition(full, full, t=1, ell=4, stream=stream)
+    truth = max(additive_energy(xp, yp) for xp in part.x_parts for yp in part.y_parts)
+    assert part.max_energy == truth and part.verify(full, full)
+    # a stored max_energy off the recount fails, above or below it, under the same fiber cap
+    for forged in (truth - 1, truth + 1, 0):
+        assert not dataclasses.replace(part, max_energy=forged).verify(full, full)
+
+
+def test_partition_with_no_parts_or_words_is_refused():
+    empty = oracles.EnergyPartition((), (), 0, 4, 1, 0, 0)
+    with pytest.raises(PreconditionError, match="no parts"):
+        empty.energy_cap()
+    assert not empty.verify([], [])
+    # one part of no words is no partition of two empty sets either
+    assert not dataclasses.replace(empty, x_parts=((),), y_parts=((),)).verify([], [])
 
 
 def scalar_energy_partition(x, y, t, ell, stream, retries):
@@ -248,9 +268,15 @@ def test_partition_kernel_matches_scalar_reference(k, t, n, ell, shift):
     _assert_kernel_matches(x, y, t, ell, rng.derive(MASTER, n, k, t), expected)
 
 
+def pair_energies(x_parts, y_parts):
+    """E(X_i, Y_j) for every part pair, by the kernel ``energy_partition`` runs."""
+    return oracles._energies(oracles._pack(x_parts), oracles._pack(y_parts))
+
+
 def _assert_kernel_matches(x, y, t, ell, stream, expected):
-    """``energy_partition`` on the stream gives the reference's outcome, and
-    ``pair_energies`` of its parts equals ``additive_energy`` on every pair."""
+    """``energy_partition`` on the stream gives the reference's outcome, the
+    batched energies of its parts equal ``additive_energy`` on every pair, and
+    its ``max_energy`` is their largest."""
     if expected is None:
         with pytest.raises(RetryExhaustedError):
             energy_partition(x, y, t, ell, stream, retries=20)
@@ -263,6 +289,25 @@ def _assert_kernel_matches(x, y, t, ell, stream, expected):
     for i, xp in enumerate(part.x_parts):
         for j, yp in enumerate(part.y_parts):
             assert energies[i, j] == additive_energy(xp, yp)
+    assert part.max_energy == energies.max()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("n, dtype", [(10, np.int64), (70, object)])
+def test_max_energy_is_the_brute_force_maximum_over_part_pairs(n, dtype):
+    """Over 8 seeds, ``max_energy`` is the largest ``additive_energy(X_i, Y_j)``;
+    the words' top 7 bits collide, so energies sit above the floor |X_i| * |Y_j|."""
+    retried = 0
+    for seed in range(8):
+        stream = rng.derive(MASTER, "oracles", "max-energy", n, seed)
+        x = [b << (n - 7) for b in stream.sample(range(1 << 7), 32)]
+        y = [b << (n - 7) for b in stream.sample(range(1 << 7), 32)]
+        part = energy_partition(x, y, t=2, ell=3, stream=stream, retries=50)
+        assert oracles._pack(part.x_parts).dtype == dtype
+        truth = max(additive_energy(xp, yp) for xp in part.x_parts for yp in part.y_parts)
+        assert part.max_energy == truth > 8 * 8
+        retried += part.retries_used > 0
+    assert retried
 
 
 def test_kernel_cases_cover_retries_and_exhaustion():
@@ -296,7 +341,7 @@ def test_repeated_points_alone_make_a_fiber():
     x, y = [5, 5], [1, 2]
     assert pair_energies([x], [y]).tolist() == [[additive_energy(x, y)]] == [[8]]
     part = energy_partition(x, y, t=0, ell=4, stream=rng.derive(MASTER, "oracles", "repeats"))
-    assert part.max_fiber == 2
+    assert (part.max_fiber, part.max_energy) == (2, 8)
     assert part.verify(x, y)
 
 
@@ -348,8 +393,6 @@ def test_partition_oracles_refuse_pairs_past_the_budget(monkeypatch):
     stream = rng.derive(MASTER, "oracles", "partition-budget")
     with pytest.raises(BudgetExceededError):
         energy_partition(big, big, t=7, ell=5, stream=stream, retries=0)
-    with pytest.raises(BudgetExceededError):
-        pair_energies([big[:1 << 13], big[1 << 13 :]], [big])
 
 
 def test_pair_energies_match_additive_energy_across_the_int64_boundary():
@@ -367,26 +410,21 @@ def test_pair_energies_match_additive_energy_across_the_int64_boundary():
         assert pair_energies(x_parts, y_parts).tolist() == expected
 
 
-@pytest.mark.parametrize(
-    "x_parts, y_parts, name",
-    [([[]], [[1]], "x_parts"), ([], [[1]], "x_parts"), ([[1]], [[]], "y_parts"), ([[1]], [], "y_parts")],
-    ids=["x-empty-part", "x-no-parts", "y-empty-part", "y-no-parts"],
-)
-def test_pair_energies_names_an_argument_with_no_words(x_parts, y_parts, name):
-    with pytest.raises(PreconditionError, match=f"^{name} holds no words$"):
-        pair_energies(x_parts, y_parts)
-
-
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_partition_oracles_refuse_negative_words_and_ragged_parts():
+def test_partition_oracles_refuse_negative_words_and_ragged_parts(monkeypatch):
     stream = rng.derive(MASTER, "oracles", "partition-words")
     with pytest.raises(PreconditionError, match="nonnegative words"):
         energy_partition([0, -1], [0, 1], t=0, ell=4, stream=stream)
+    negative = oracles.EnergyPartition(((1,), (2,)), ((-3,), (4,)), 1, 4, 1, 1, 0)
     with pytest.raises(PreconditionError, match="nonnegative words"):
-        pair_energies([[1, 2]], [[-3, 4]])
-    # sizes 2, 1, 3 hold 3 x 2 words, so a reshape alone would accept them
-    with pytest.raises(PreconditionError, match="equal sizes"):
-        pair_energies([[1, 2], [3], [4, 5, 6]], [[0, 1]])
+        negative.verify([1, 2], [-3, 4])
+    # sizes 2, 1, 3, 2 hold 4 x 2 words, so a reshape alone would accept them
+    x, y = list(range(8)), list(range(8, 16))
+    ragged = oracles.EnergyPartition(
+        ((0, 1), (2,), (3, 4, 5), (6, 7)), tuple(zip(y[::2], y[1::2])), 2, 4, 1, 4, 0
+    )
+    monkeypatch.setattr(oracles, "_pack", lambda parts: pytest.fail("packed ragged parts"))
+    assert not ragged.verify(x, y)
 
 
 # ---------------------------------------------------------------------------
