@@ -21,9 +21,8 @@ from . import io, rng
 from .anf import Polynomial, sample_poly
 from .bias import bias_exact, bias_mc, extractor_audit, disperser_audit
 from .constructions import EvasiveDescriptor, build_evasive_h, build_seeded, build_two_source
-from .errors import PolyextError, check_budget
+from .errors import PolyextError, PreconditionError, check_budget
 from .experiments import EXPERIMENTS, config_from_dict, run_experiment
-from .gf2 import BitVector, common_length
 from .oracles import (
     FAMILY_BUDGET,
     additive_energy,
@@ -34,7 +33,7 @@ from .oracles import (
     subspace_evasive_audit,
     sumset_evasive_audit,
 )
-from .ranklab import eval_rank
+from .ranklab import eval_rank_words
 from .reports import render_json
 from .sources import Source
 
@@ -54,15 +53,16 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _read_vectors(path: str) -> list[BitVector]:
+def _read_vectors(path: str) -> tuple[int, tuple[int, ...]]:
     mat = io.parse_matrix(Path(path).read_text())
-    return [mat.row(i) for i in range(mat.rows)]
+    return mat.cols, mat.row_words
 
 
-def _read_word_sets(args) -> tuple[list[int], list[int]]:
-    x, y = _read_vectors(args.x), _read_vectors(args.y)
-    common_length(x, y)
-    return [v.bits for v in x], [v.bits for v in y]
+def _read_word_sets(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    (n, x), (m, y) = _read_vectors(args.x), _read_vectors(args.y)
+    if n != m:
+        raise PreconditionError("sets must share one ambient length")
+    return x, y
 
 
 def _read_poly(path: str) -> Polynomial:
@@ -110,7 +110,7 @@ def _cmd_bias(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    cert = eval_rank(_read_vectors(args.points), args.degree)
+    cert = eval_rank_words(*_read_vectors(args.points), args.degree)
     _emit(args, render_json(cert.to_json_dict()))
     return 0
 
@@ -173,7 +173,7 @@ def _cmd_oracle_partition(args) -> int:
 
 
 def _cmd_oracle_cw(args) -> int:
-    count, bound, ok = cw_shift_count(_read_poly(args.poly), _read_vectors(args.basis))
+    count, bound, ok = cw_shift_count(_read_poly(args.poly), *_read_vectors(args.basis))
     _emit(args, render_json({"count": count, "bound": str(bound), "ok": ok}))
     return 0 if ok else 1
 

@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import PreconditionError, check_budget
-from .gf2 import BitMatrix, BitVector, subset_xors
+from .gf2 import BitMatrix, subset_xors
 
 __all__ = [
     "codewords",
@@ -49,10 +49,10 @@ def codewords(generator: BitMatrix) -> set[int]:
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """Unbalanced fraction over nonzero codewords, plus the worst offender."""
+    """Unbalanced fraction over nonzero codewords, plus the worst offender as a packed word."""
 
     delta: Fraction
-    worst_codeword: Optional[BitVector]
+    worst_codeword: Optional[int]
 
 
 def balancedness_report(generator: BitMatrix, eps: RationalLike) -> BalanceReport:
@@ -69,7 +69,7 @@ def balancedness_report(generator: BitMatrix, eps: RationalLike) -> BalanceRepor
         return BalanceReport(Fraction(0), None)
     bad = sum(1 for w in nonzero if not lo <= w.bit_count() <= hi)
     worst = max(nonzero, key=lambda w: (abs(2 * w.bit_count() - t), w))
-    return BalanceReport(Fraction(bad, len(nonzero)), BitVector(t, worst))
+    return BalanceReport(Fraction(bad, len(nonzero)), worst)
 
 
 def measured_imbalance(generator: BitMatrix) -> Fraction:
@@ -97,13 +97,13 @@ def _wht(values: np.ndarray) -> np.ndarray:
 
 def list_size_exhaustive(
     generator: BitMatrix, radius: RationalLike
-) -> tuple[int, BitVector]:
+) -> tuple[int, int]:
     """Exact max, over all 2^T centers, of codewords within radius*T Hamming distance.
 
     Computed as the XOR correlation of the code's indicator with the ball
     indicator via a Walsh-Hadamard transform — integer-exact and linear in
     T * 2^T — then maximized.  Returns the count and the first attaining
-    center.
+    center, a packed T-bit word.
     """
     t = generator.cols
     check_budget("exact list-size enumeration", 1 << LIST_SIZE_LIMIT, log2=max(t, generator.rows))
@@ -118,7 +118,7 @@ def list_size_exhaustive(
     spectrum = _wht(indicator) * _wht(ball)
     counts = _wht(spectrum) // size
     center = int(np.argmax(counts))
-    return int(counts[center]), BitVector(t, center)
+    return int(counts[center]), center
 
 
 def sqrt_widened(eps: Fraction) -> Fraction:
@@ -137,7 +137,7 @@ class JohnsonVerdict:
     eps: Fraction
     radius: Fraction
     max_list: int
-    center: BitVector
+    center: int
     limit: int
 
 

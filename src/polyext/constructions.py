@@ -21,13 +21,7 @@ import numpy as np
 from . import rng, sources
 from .anf import Polynomial, eval_bits, eval_polys, monomial_order, sample_poly
 from .errors import PreconditionError, check_budget
-from .gf2 import (
-    BitMatrix,
-    BitVector,
-    binom_sum,
-    rank,
-    sample_uniform_matrix,
-)
+from .gf2 import BitMatrix, binom_sum, rank, sample_uniform_matrix
 
 __all__ = [
     "TwoSourceDescriptor",
@@ -113,14 +107,14 @@ def build_two_source(n: int, seed: int, r: int | None = None) -> TwoSourceDescri
     return TwoSourceDescriptor(n=n, r=r, polys=polys, seed=seed)
 
 
-def lift_point(polys: tuple[Polynomial, ...], x: BitVector) -> int:
-    """Packed (x, f_1(x), ..., f_r(x)) with x occupying the low bits."""
-    return x.bits | eval_polys(polys, x.bits) << x.n
+def lift_point(polys: tuple[Polynomial, ...], x: int) -> int:
+    """Packed (x, f_1(x), ..., f_r(x)) with the k-bit word x occupying the low bits."""
+    return x | eval_polys(polys, x) << polys[0].order.n
 
 
-def eval_two_source(desc: TwoSourceDescriptor, x: BitVector, y: BitVector) -> int:
-    """Inner product of the two lifted inputs over n + r coordinates."""
-    if x.n != desc.n or y.n != desc.n:
+def eval_two_source(desc: TwoSourceDescriptor, x: int, y: int) -> int:
+    """Inner product of the two lifted n-bit words over n + r coordinates."""
+    if not (0 <= x < 1 << desc.n and 0 <= y < 1 << desc.n):
         raise PreconditionError("inputs must have length n")
     hx = lift_point(desc.polys, x)
     hy = lift_point(desc.polys, y)
@@ -150,27 +144,26 @@ def build_seeded(n: int, t: int, d: int, seed: int) -> SeededDescriptor:
     return SeededDescriptor(n=n, t=t, d=d, generator=g, compressor=h, seed=seed)
 
 
-def eval_seeded(desc: SeededDescriptor, x: BitVector, y: BitVector) -> int:
-    """Output bit: compress x through H, then dot with the y-indexed generator row.
+def eval_seeded(desc: SeededDescriptor, x: int, y: int) -> int:
+    """Output bit at n-bit x, t-bit y: compress x through H, then dot with generator row y.
 
     G·H is never materialized; evaluation is H first, then a single row
     lookup, so the cost is independent of the 2^t row count.
     """
-    if x.n != desc.n:
+    if not 0 <= x < 1 << desc.n:
         raise PreconditionError("source input must have length n")
-    if y.n != desc.t:
+    if not 0 <= y < 1 << desc.t:
         raise PreconditionError("seed must have length t")
-    w = desc.compressor.apply_word(x.bits)
-    row = desc.generator.row_words[y.bits]
+    w = desc.compressor.apply_word(x)
+    row = desc.generator.row_words[y]
     return (row & w).bit_count() & 1
 
 
 def seeded_table(desc: SeededDescriptor) -> np.ndarray:
     """Every output bit at once, as a uint8 array of shape (2^t, 2^n).
 
-    Entry ``[yb, xb]`` equals ``eval_seeded(desc, BitVector(n, xb),
-    BitVector(t, yb))`` and is computed by the same steps for all points
-    together: W = H·x as the parity of ``xs & row`` for each compressor row,
+    Entry ``[yb, xb]`` equals ``eval_seeded(desc, xb, yb)`` and is computed
+    by the same steps for all points together: W = H·x as the parity of ``xs & row`` for each compressor row,
     generator row yb, and the parity of ``row & W``.  Words wider than 64
     bits are split into 64-bit limbs whose ANDs are XORed before the one
     parity.  Refuses through :func:`errors.check_budget` when 2^(n+t)

@@ -28,7 +28,6 @@ from .constructions import (
 from .errors import PreconditionError, RetryExhaustedError, check_budget
 from .gf2 import (
     BitMatrix,
-    BitVector,
     XorBasis,
     binom_sum,
     enumerate_span,
@@ -46,7 +45,7 @@ from .oracles import (
     energy_partition,
     sample_vanishing_poly,
 )
-from .ranklab import eval_rank, find_high_rank_subsets, special_sumset_sampler
+from .ranklab import eval_rank, eval_rank_words, find_high_rank_subsets, special_sumset_sampler
 from .reports import ExperimentReport
 from .sources import Flat, common_zeros, uniform_flat, variety_reduce
 
@@ -60,17 +59,13 @@ class _Entry:
     aggregate: Callable  # (rows, params) -> (aggregates dict, verdict bool)
 
 
-def _random_subset(n: int, size: int, stream) -> list[BitVector]:
-    return [BitVector(n, b) for b in stream.sample(range(1 << n), size)]
-
-
-def _independent_words(n: int, count: int, stream) -> list[BitVector]:
+def _independent_words(n: int, count: int, stream) -> list[int]:
     basis = XorBasis()
-    out: list[BitVector] = []
+    out: list[int] = []
     while len(out) < count:
         w = stream.getrandbits(n)
         if w and basis.add(w):
-            out.append(BitVector(n, w))
+            out.append(w)
     return out
 
 
@@ -90,7 +85,7 @@ def _moment_trial(params, stream):
     cap = min(most, 1 << min(n, most.bit_length()))
     moment_walk(n, d, cap, f"moment-identity (n={n}, d={d}, max_support={most})")
     size = stream.randint(1, cap)
-    src = Flat(n, tuple(_random_subset(n, size, stream)))
+    src = Flat(n, tuple(stream.sample(range(1 << n), size)))
     lhs = moment_by_poly_enumeration(src, n, d, t)
     rhs = moment_by_eval_collision(src, n, d, t)
     return {"support_size": size, "moment": str(lhs), "equal": lhs == rhs}
@@ -115,11 +110,11 @@ def _mono_trial(params, stream):
     m = stream.randint(1, params["m_max"])
     d = stream.randint(1, min(params["d_max"], n, m))
     size = stream.randint(1, min(params["max_set"], 1 << n))
-    points = _random_subset(n, size, stream)
+    points = stream.sample(range(1 << n), size)
     mat = sample_uniform_matrix(m, n, stream)
-    image = [BitVector(m, mat.apply_word(p.bits)) for p in points]
-    r_before = eval_rank(points, d).rank
-    r_after = eval_rank(image, d).rank
+    image = [mat.apply_word(p) for p in points]
+    r_before = eval_rank_words(n, points, d).rank
+    r_after = eval_rank_words(m, image, d).rank
     return {
         "n": n,
         "m": m,
@@ -137,10 +132,10 @@ def _subset_trial(params, stream):
     n, m, d = params["n"], params["m"], params["d"]
     if params["set_size"] > 1 << n:
         raise PreconditionError(f"set_size={params['set_size']} exceeds the 2^{n} points of F_2^{n}")
-    a = _random_subset(n, params["set_size"], stream)
-    b = _random_subset(n, params["set_size"], stream)
+    a = stream.sample(range(1 << n), params["set_size"])
+    b = stream.sample(range(1 << n), params["set_size"])
     try:
-        sel = find_high_rank_subsets(a, b, d, m, params["map_trials"], stream)
+        sel = find_high_rank_subsets(n, a, b, d, m, params["map_trials"], stream)
     except RetryExhaustedError:
         return {"success": False, "attempts": params["map_trials"], "rank": 0, "sizes": 0}
     return {
@@ -219,9 +214,7 @@ def _two_source_trial(params, stream):
     desc = build_two_source(n, stream.getrandbits(63), r=r)
     table = np.zeros(1 << (2 * n), dtype=np.uint8)
     for w in range(table.size):
-        x = BitVector(n, w & ((1 << n) - 1))
-        y = BitVector(n, w >> n)
-        table[w] = eval_two_source(desc, x, y)
+        table[w] = eval_two_source(desc, w & ((1 << n) - 1), w >> n)
     degree = anf_from_truth_table(table).degree()
     return {"degree": degree, "ok": degree <= 4}
 
@@ -254,11 +247,11 @@ def _seeded_right_degree(table: np.ndarray) -> int:
 
 def _seeded_subcode_check(table: np.ndarray, dim: int, stream) -> bool:
     n = table.shape[1].bit_length() - 1
-    rows = []
-    for i in stream.sample(range(n), min(dim, n)):
-        word = int.from_bytes(np.packbits(table[:, 1 << i], bitorder="little").tobytes(), "little")
-        rows.append(BitVector(table.shape[0], word))
-    generator = BitMatrix.from_rows(rows)
+    rows = [
+        int.from_bytes(np.packbits(table[:, 1 << i], bitorder="little").tobytes(), "little")
+        for i in stream.sample(range(n), min(dim, n))
+    ]
+    generator = BitMatrix(len(rows), table.shape[0], rows)
     return johnson_check(generator, measured_imbalance(generator)).passed
 
 
@@ -316,7 +309,7 @@ def _cw_trial(params, stream):
     t = stream.randint(1, min(params["t_max"], n))
     basis = _independent_words(n, t, stream)
     f = sample_vanishing_poly(n, d, basis, stream)
-    count, bound, ok = cw_shift_count(f, basis)
+    count, bound, ok = cw_shift_count(f, n, basis)
     return {
         "n": n,
         "d_cap": d,
@@ -362,9 +355,9 @@ def _dichotomy_trial(params, stream):
     dim_b = stream.randint(n + 2 - dim_a, n)
     mat_a = sample_invertible(n, stream)
     mat_b = sample_invertible(n, stream)
-    a = [BitVector(n, p) for p in enumerate_span(mat_a.row(i).bits for i in range(dim_a))]
-    b = [BitVector(n, p) for p in enumerate_span(mat_b.row(i).bits for i in range(dim_b))]
-    da, db, values = dichotomy_check(a, b)
+    a = enumerate_span(mat_a.row_words[:dim_a])
+    b = enumerate_span(mat_b.row_words[:dim_b])
+    da, db, values = dichotomy_check(n, a, b)
     return {
         "n": n,
         "dim_a": da,

@@ -26,7 +26,7 @@ __all__ = [
     "XorBasis",
     "AffineSolver",
     "binom_sum",
-    "common_length",
+    "check_words",
     "rank",
     "sample_uniform_matrix",
     "sample_invertible",
@@ -35,9 +35,11 @@ __all__ = [
     "canonical_key",
     "enumerate_span",
     "nullspace_basis",
+    "parse_word",
     "span_rank",
     "subset_xor",
     "subset_xors",
+    "word_string",
 ]
 
 #: Rejections allowed for any one column in :func:`sample_invertible`.
@@ -63,13 +65,7 @@ class BitVector:
     @classmethod
     def from_string(cls, text: str) -> "BitVector":
         """Parse the '0'/'1' textual form."""
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"invalid bit character {ch!r}")
-        return cls(len(text), bits)
+        return cls(len(text), parse_word(text))
 
     @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> "BitVector":
@@ -82,7 +78,7 @@ class BitVector:
         return cls(n, bits)
 
     def to_string(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        return word_string(self.n, self.bits)
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
@@ -130,21 +126,13 @@ class BitMatrix:
         self.row_words = tuple([w & mask for w in row_words])
 
     @classmethod
-    def from_rows(cls, vectors: Sequence[BitVector]) -> "BitMatrix":
-        if not vectors:
-            raise ValueError("cannot infer width of an empty matrix")
-        cols = vectors[0].n
-        if any(v.n != cols for v in vectors):
-            raise ValueError("ragged rows")
-        return cls(len(vectors), cols, [v.bits for v in vectors])
-
-    @classmethod
     def from_string(cls, text: str) -> "BitMatrix":
         lines = [ln for ln in text.strip().splitlines() if ln]
-        return cls.from_rows([BitVector.from_string(ln) for ln in lines])
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.row_words[i])
+        if not lines:
+            raise ValueError("cannot infer width of an empty matrix")
+        if any(len(ln) != len(lines[0]) for ln in lines):
+            raise ValueError("ragged rows")
+        return cls(len(lines), len(lines[0]), [parse_word(ln) for ln in lines])
 
     def apply_word(self, bits: int) -> int:
         """Matrix-vector product on packed words: bit i is the parity of ``row_words[i] & bits``."""
@@ -154,7 +142,7 @@ class BitMatrix:
         return out
 
     def to_string(self) -> str:
-        return "\n".join(self.row(i).to_string() for i in range(self.rows))
+        return "\n".join(word_string(self.cols, w) for w in self.row_words)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -196,14 +184,22 @@ class XorBasis:
         return len(self._pivots)
 
 
-def common_length(a: Sequence[BitVector], b: Sequence[BitVector]) -> int:
-    """The one ambient length of two nonempty vector sets; PreconditionError otherwise."""
-    if not a or not b:
-        raise PreconditionError("both sets must be nonempty")
-    n = a[0].n
-    if any(v.n != n for v in a) or any(v.n != n for v in b):
-        raise PreconditionError("sets must share one ambient length")
-    return n
+def word_string(n: int, word: int) -> str:
+    """The '0'/'1' textual form of a packed n-bit word, coordinate 1 first."""
+    return f"{word | 1 << n:b}"[:0:-1]
+
+
+def parse_word(text: str) -> int:
+    """The packed word of a '0'/'1' textual form; ValueError on any other character."""
+    if text.strip("01"):
+        raise ValueError(f"invalid bit character {text.strip('01')[0]!r}")
+    return int("0" + text[::-1], 2)
+
+
+def check_words(n: int, *sets: Iterable[int]) -> None:
+    """PreconditionError unless every word of every set is a point of F_2^n, an int in [0, 2^n)."""
+    if any(not isinstance(w, int) or w < 0 or w >> n for words in sets for w in words):
+        raise PreconditionError(f"points must share one ambient length: ints in [0, 2^{n})")
 
 
 def binom_sum(n: int, d: int) -> int:

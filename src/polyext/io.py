@@ -25,7 +25,7 @@ from .constructions import (
     build_two_source,
 )
 from .errors import check_budget
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix, parse_word, word_string
 from .reports import render_json
 from .sources import (
     Affine,
@@ -129,10 +129,10 @@ def _load(text: str, kind: type):
     return data
 
 
-def _vec(raw, where: str, n: int) -> BitVector:
+def _vec(raw, where: str, n: int) -> int:
     if not isinstance(raw, str) or len(raw) != n:
         raise ValueError(f"{where}: expected a length-{n} 0/1 string, got {raw!r}")
-    return BitVector.from_string(raw)
+    return parse_word(raw)
 
 
 def _items(data, key: str, where: str, parse) -> tuple:
@@ -146,14 +146,14 @@ def source_to_dict(src: Source) -> dict:
         return {
             "type": "flat",
             "n": src.n,
-            "support": [v.to_string() for v in src.support],
+            "support": [word_string(src.n, v) for v in src.support],
         }
     if isinstance(src, Affine):
         return {
             "type": "affine",
             "n": src.n,
-            "offset": src.offset.to_string(),
-            "basis": [v.to_string() for v in src.basis],
+            "offset": word_string(src.n, src.offset),
+            "basis": [word_string(src.n, v) for v in src.basis],
         }
     if isinstance(src, Sumset):
         return {"type": "sumset", "x": source_to_dict(src.x), "y": source_to_dict(src.y)}

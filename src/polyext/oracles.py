@@ -27,11 +27,12 @@ from .errors import PreconditionError, RetryExhaustedError, check_budget
 from .gf2 import (
     BitVector,
     XorBasis,
-    common_length,
+    check_words,
     enumerate_span,
     nullspace_basis,
     span_rank,
     subset_xor,
+    word_string,
 )
 from .reports import AuditReport
 
@@ -242,21 +243,21 @@ def energy_partition(
 
 
 def cw_shift_count(
-    f: Polynomial, v_basis: Sequence[BitVector]
+    f: Polynomial, n: int, v_basis: Sequence[int]
 ) -> tuple[int, Union[int, Fraction], bool]:
-    """Count x whose whole V-shift orbit stays inside the zero set of f.
+    """Count x whose whole V-shift orbit, V given as n-bit words, stays inside the zero set of f.
 
     f must vanish on span(V) — verified first, error otherwise.  The returned
     bound is 2^(n - sum_{j<d} (d-j) C(t, j)) with d the actual degree of f
     and t = dim span(V); the verdict says whether count >= bound.  Costs t
     passes over f's 2^n-point table, each doubling the span that ``ok`` covers.
     """
-    n = f.order.n
-    check_budget(f"shift counting (n={n})", SHIFT_BUDGET, log2=n)
-    if any(v.n != n for v in v_basis):
+    if n != f.order.n:
         raise PreconditionError("basis vectors must match the polynomial's width")
+    check_budget(f"shift counting (n={n})", SHIFT_BUDGET, log2=n)
+    check_words(n, v_basis)
     basis = XorBasis()
-    kept = [v.bits for v in v_basis if basis.add(v.bits)]
+    kept = [v for v in v_basis if basis.add(v)]
     ok = anf.truth_table(f) == 0
     for b in kept:
         ok = ok & ok[np.arange(ok.size) ^ b]
@@ -270,15 +271,16 @@ def cw_shift_count(
 
 
 def sample_vanishing_poly(
-    n: int, d: int, v_basis: Sequence[BitVector], stream: Random
+    n: int, d: int, v_basis: Sequence[int], stream: Random
 ) -> Polynomial:
-    """Uniform degree-<=d polynomial vanishing on span(V), via the constraint nullspace.
+    """Uniform degree-<=d polynomial vanishing on span(V), V given as n-bit words.
 
     The constraints are the evaluation vectors of every span point; a uniform
     combination of the nullspace basis is exact by construction.
     """
+    check_words(n, v_basis)
     order = monomial_order(n, d)
-    span = enumerate_span(v.bits for v in v_basis)
+    span = enumerate_span(v_basis)
     rows = [eval_bits(p, order) for p in span]
     basis = nullspace_basis(rows, order.size)
     coeffs = subset_xor(basis, stream.getrandbits(len(basis)))
@@ -287,22 +289,23 @@ def sample_vanishing_poly(
 
 @dataclass(frozen=True)
 class AttackWitness:
-    """Two point sets on which the attacked function is constant.
+    """Two sets of n-bit words on which the attacked function is constant.
 
     ``verified`` is only ever True after an exhaustive re-evaluation of every
     pair confirmed the constant value.
     """
 
-    set_a: tuple[BitVector, ...]
-    set_b: tuple[BitVector, ...]
+    n: int
+    set_a: tuple[int, ...]
+    set_b: tuple[int, ...]
     value: int
     verified: bool
     params: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
-            "set_a": [v.to_string() for v in self.set_a],
-            "set_b": [v.to_string() for v in self.set_b],
+            "set_a": [word_string(self.n, v) for v in self.set_a],
+            "set_b": [word_string(self.n, v) for v in self.set_b],
             "value": self.value,
             "verified": self.verified,
             "params": dict(self.params),
@@ -311,17 +314,19 @@ class AttackWitness:
 
 def verify_constancy(
     family: Sequence[Polynomial],
-    xs: Sequence[BitVector],
-    ys: Sequence[BitVector],
+    n: int,
+    xs: Sequence[int],
+    ys: Sequence[int],
     value: int,
 ) -> bool:
-    """Exhaustively confirm f_y(x) = value for all x in X, y in Y."""
+    """Exhaustively confirm f_y(x) = value for all x in X, y in Y, both sets of n-bit words."""
     if not xs or not ys:
         return False
+    check_words(n, xs, ys)
     order = family[0].order
-    evals = [eval_bits(x.bits, order) for x in xs]
-    for yv in ys:
-        coeffs = family[yv.bits].coeffs.bits
+    evals = [eval_bits(x, order) for x in xs]
+    for y in ys:
+        coeffs = family[y].coeffs.bits
         for e in evals:
             if ((coeffs & e).bit_count() & 1) != value:
                 return False
@@ -352,10 +357,10 @@ def disperser_attack(
         raise PreconditionError("family members must share one monomial order")
     if not 1 <= t <= n:
         raise PreconditionError("need 1 <= t <= n")
-    ones = sum(f.coeffs.bits & 1 for f in family)
-    b = 1 if 2 * ones > size else 0
-    pool = [y for y in range(size) if (family[y].coeffs.bits & 1) == b]
     coeff_by_y = [f.coeffs.bits for f in family]
+    ones = sum(c & 1 for c in coeff_by_y)
+    b = 1 if 2 * ones > size else 0
+    pool = [y for y in range(size) if (coeff_by_y[y] & 1) == b]
     target = 1 << t
     best_y: list[int] = []
     best_span: list[int] = []
@@ -387,12 +392,12 @@ def disperser_attack(
             break
     if not best_y:
         raise RetryExhaustedError(f"no constant witness in {budget} subspace trials")
-    xs = tuple(BitVector(n, p) for p in best_span)
-    ys = tuple(BitVector(n, y) for y in best_y)
-    verified = verify_constancy(family, xs, ys, b)
+    xs, ys = tuple(best_span), tuple(best_y)
+    verified = verify_constancy(family, n, xs, ys, b)
     if not verified:
         raise AssertionError("survivor set failed re-verification; this is a bug")
     return AttackWitness(
+        n=n,
         set_a=xs,
         set_b=ys,
         value=b,
@@ -478,8 +483,9 @@ def monochromatic_sumset_search(
         return None
     xs, ys = found
     return AttackWitness(
-        set_a=tuple(BitVector(n, x) for x in xs),
-        set_b=tuple(BitVector(n, y) for y in ys),
+        n=n,
+        set_a=tuple(xs),
+        set_b=tuple(ys),
         value=val(xs[0] ^ ys[0]),
         verified=True,
         params={"target": s, "n": n, "evaluations": spent},
@@ -517,27 +523,26 @@ def _rref_subspaces(ambient: int, ell: int):
             yield rows
 
 
-def _ambient(subject: Union[EvasiveDescriptor, Sequence[BitVector]]) -> int:
-    """Length of the audited points, read without building them."""
+def _ambient(subject: Union[EvasiveDescriptor, tuple[int, Sequence[int]]]) -> int:
+    """Length of the audited points, read without building them; refuses a bad explicit set."""
     if isinstance(subject, EvasiveDescriptor):
         return subject.k + subject.r
-    if not subject:
+    n, words = subject
+    if not words:
         raise PreconditionError("point set must be nonempty")
-    return subject[0].n
+    check_words(n, words)
+    return n
 
 
-def _evasive_point_set(subject: Union[EvasiveDescriptor, Sequence[BitVector]]) -> set[int]:
+def _evasive_point_set(subject: Union[EvasiveDescriptor, tuple[int, Sequence[int]]]) -> set[int]:
     """The audited set as packed words; a descriptor lifts all 2^k domain points."""
     if isinstance(subject, EvasiveDescriptor):
-        return {
-            lift_point(subject.polys, BitVector(subject.k, xb))
-            for xb in range(1 << subject.k)
-        }
-    return {v.bits for v in subject}
+        return {lift_point(subject.polys, xb) for xb in range(1 << subject.k)}
+    return set(subject[1])
 
 
 def subspace_evasive_audit(
-    subject: Union[EvasiveDescriptor, Sequence[BitVector]],
+    subject: Union[EvasiveDescriptor, tuple[int, Sequence[int]]],
     ell: int,
     threshold: int,
     mode: str = "exhaustive",
@@ -583,11 +588,7 @@ def subspace_evasive_audit(
             "ambient": amb,
             "subspaces": total,
             "max_intersection": worst,
-            "witness_basis": (
-                [BitVector(amb, r).to_string() for r in witness_rows]
-                if witness_rows
-                else None
-            ),
+            "witness_basis": [word_string(amb, r) for r in witness_rows] if witness_rows else None,
         }
         return AuditReport(
             kind="subspace-evasive",
@@ -607,7 +608,7 @@ def subspace_evasive_audit(
             chosen: set[int] = set()
             while len(chosen) < threshold:
                 chosen.add(stream.getrandbits(k))
-            return [lift_point(polys, BitVector(k, xb)) for xb in chosen]
+            return [lift_point(polys, xb) for xb in chosen]
     else:
         pts_list = sorted(_evasive_point_set(subject))
         if threshold > len(pts_list):
@@ -620,7 +621,7 @@ def subspace_evasive_audit(
         if span_rank(image) <= ell:
             flags += 1
             if first_flag is None:
-                first_flag = [BitVector(amb, p).to_string() for p in image]
+                first_flag = [word_string(amb, p) for p in image]
     extra = {
         "mode": "randomized",
         "ell": ell,
@@ -638,7 +639,7 @@ def subspace_evasive_audit(
 
 
 def sumset_evasive_audit(
-    subject: Union[EvasiveDescriptor, Sequence[BitVector]],
+    subject: Union[EvasiveDescriptor, tuple[int, Sequence[int]]],
     t: int,
     budget: int,
     stream: Random,
@@ -657,14 +658,15 @@ def sumset_evasive_audit(
     points = _evasive_point_set(subject)
     if isinstance(subject, EvasiveDescriptor):
         k, polys = subject.k, subject.polys
-        draw = lambda: lift_point(polys, BitVector(k, stream.getrandbits(k)))
+        draw = lambda: lift_point(polys, stream.getrandbits(k))
     else:
         pts_list = sorted(points)
         draw = lambda: pts_list[stream.randrange(len(pts_list))]
     found, spent = _grow_sumset(draw, lambda _seed_sum: points.__contains__, 1 << t, budget)
     witness = None if found is None else AttackWitness(
-        set_a=tuple(BitVector(amb, x) for x in found[0]),
-        set_b=tuple(BitVector(amb, y) for y in found[1]),
+        n=amb,
+        set_a=tuple(found[0]),
+        set_b=tuple(found[1]),
         value=0,
         verified=True,
         params={"t": t, "evaluations": spent},
@@ -682,20 +684,17 @@ def sumset_evasive_audit(
     )
 
 
-def dichotomy_check(
-    a: Sequence[BitVector], b: Sequence[BitVector]
-) -> tuple[int, int, set[int]]:
-    """Span dimensions of both sets and the exact set of inner-product values."""
-    common_length(a, b)
+def dichotomy_check(n: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, int, set[int]]:
+    """Span dimensions of two nonempty n-bit word sets and their exact inner-product values."""
+    if not a or not b:
+        raise PreconditionError("both sets must be nonempty")
+    check_words(n, a, b)
     check_budget("pair enumeration", PAIR_BUDGET, len(a) * len(b))
-    dim_a = span_rank(v.bits for v in a)
-    dim_b = span_rank(v.bits for v in b)
+    dim_a, dim_b = span_rank(a), span_rank(b)
     values: set[int] = set()
-    bbits = [v.bits for v in b]
-    for av in a:
-        ab = av.bits
-        for yb in bbits:
-            values.add((ab & yb).bit_count() & 1)
+    for x in a:
+        for y in b:
+            values.add((x & y).bit_count() & 1)
             if len(values) == 2:
                 return dim_a, dim_b, values
     return dim_a, dim_b, values

@@ -26,13 +26,14 @@ from .gf2 import (
     BitVector,
     binom_sum,
     canonical_key,
-    common_length,
+    check_words,
     hamming_ball,
     sample_invertible,
     sample_uniform_matrix,
     span_rank,
     subset_xors,
     weight_slice,
+    word_string,
 )
 from .sources import Flat
 
@@ -41,6 +42,7 @@ __all__ = [
     "HighRankSelection",
     "SpecialSumsetDraw",
     "eval_rank",
+    "eval_rank_words",
     "full_rank_check",
     "find_high_rank_subsets",
     "special_sumset_sampler",
@@ -51,16 +53,16 @@ __all__ = [
 class RankCertificate:
     """Evaluation rank of a point set, with an independence witness.
 
-    ``witness`` lists points whose evaluation vectors are linearly
-    independent; there are exactly ``rank`` of them and they were verified
-    independent when the certificate was built.
+    ``witness`` lists the packed n-bit words of points whose evaluation
+    vectors are linearly independent; there are exactly ``rank`` of them and
+    they were verified independent when the certificate was built.
     """
 
     n: int
     degree: int
     point_count: int
     rank: int
-    witness: tuple[BitVector, ...]
+    witness: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -68,7 +70,7 @@ class RankCertificate:
             "degree": self.degree,
             "point_count": self.point_count,
             "rank": self.rank,
-            "witness": [v.to_string() for v in self.witness],
+            "witness": [word_string(self.n, w) for w in self.witness],
         }
 
 
@@ -113,12 +115,16 @@ def _sumset_witness(xs: Sequence[int], ys: Sequence[int], n: int, d: int) -> tup
     return sums, _independent_points(sums, n, d)
 
 
-def _certificate(n: int, d: int, point_count: int, witness: list[int]) -> RankCertificate:
-    return RankCertificate(n, d, point_count, len(witness), tuple(BitVector(n, w) for w in witness))
-
-
 def eval_rank(points: Sequence[BitVector], d: int) -> RankCertificate:
-    """Rank of the degree-<=d evaluation vectors of the given points.
+    """:func:`eval_rank_words` of the points' words; they must share one length."""
+    n = points[0].n if points else 0
+    if any(p.n != n for p in points):
+        raise PreconditionError("points must share one ambient length")
+    return eval_rank_words(n, [p.bits for p in points], d)
+
+
+def eval_rank_words(n: int, points: Sequence[int], d: int) -> RankCertificate:
+    """Rank of the degree-<=d evaluation vectors of the given n-bit words.
 
     Duplicates are ignored.  The witness is the greedy independent subset in
     input order, found by the packed core's elimination and re-checked by a
@@ -128,49 +134,56 @@ def eval_rank(points: Sequence[BitVector], d: int) -> RankCertificate:
     pts = list(dict.fromkeys(points))
     if not pts:
         raise PreconditionError("need at least one point")
-    n = pts[0].n
-    if any(p.n != n for p in pts):
-        raise PreconditionError("points must share one ambient length")
+    check_words(n, pts)
     check_order(n, d, f"evaluation rank: n={n}, d={d}")
-    return _certificate(n, d, len(pts), _independent_points([p.bits for p in pts], n, d))
+    witness = _independent_points(pts, n, d)
+    return RankCertificate(n, d, len(pts), len(witness), tuple(witness))
 
 
 def full_rank_check(
-    a: Sequence[BitVector], b: Sequence[BitVector], d: int
+    n: int, a: Sequence[int], b: Sequence[int], d: int
 ) -> tuple[bool, RankCertificate]:
     """Does eval-rank of A+B equal |A| * |B|?  Collisions alone already fail.
 
-    The packed core forms the sums as ints, sorts them canonically,
-    eliminates their evaluation words and re-verifies the witness; this
-    wrapper returns the verdict together with the rank certificate of the
-    (distinct) sums, so a failure is inspectable.
+    A and B are nonempty sets of n-bit words.  The packed core forms the
+    sums, sorts them canonically, eliminates their evaluation words and
+    re-verifies the witness; the verdict comes with the rank certificate of
+    the (distinct) sums, so a failure is inspectable.
     """
-    n = common_length(a, b)
-    sums, witness = _sumset_witness([v.bits for v in a], [v.bits for v in b], n, d)
-    return len(witness) == len(a) * len(b), _certificate(n, d, len(sums), witness)
+    _check_sets(n, a, b)
+    sums, witness = _sumset_witness(a, b, n, d)
+    cert = RankCertificate(n, d, len(sums), len(witness), tuple(witness))
+    return len(witness) == len(a) * len(b), cert
+
+
+def _check_sets(n: int, a: Sequence[int], b: Sequence[int]) -> None:
+    if not a or not b:
+        raise PreconditionError("both sets must be nonempty")
+    check_words(n, a, b)
 
 
 @dataclass(frozen=True)
 class HighRankSelection:
     """Hamming-ball preimage subsets with their sumset rank certificate."""
 
-    a_points: tuple[BitVector, ...]
-    b_points: tuple[BitVector, ...]
+    a_points: tuple[int, ...]
+    b_points: tuple[int, ...]
     certificate: RankCertificate
     attempts: int
 
 
-def _image_index(points: Sequence[BitVector], image: Callable[[int], int]) -> dict[int, BitVector]:
+def _image_index(points: Sequence[int], image: Callable[[int], int]) -> dict[int, int]:
     """First preimage, in the order given, for each attained image value."""
-    fibers: dict[int, BitVector] = {}
+    fibers: dict[int, int] = {}
     for p in points:
-        fibers.setdefault(image(p.bits), p)
+        fibers.setdefault(image(p), p)
     return fibers
 
 
 def find_high_rank_subsets(
-    a: Sequence[BitVector],
-    b: Sequence[BitVector],
+    n: int,
+    a: Sequence[int],
+    b: Sequence[int],
     d: int,
     m: int,
     trials: int,
@@ -190,16 +203,15 @@ def find_high_rank_subsets(
     """
     if d % 2 != 0 or d <= 0:
         raise PreconditionError("the ball-splitting argument needs even d >= 2")
-    n = common_length(a, b)
+    _check_sets(n, a, b)
     if m > n or m <= 0:
         raise PreconditionError("need 1 <= m <= n")
     need = binom_sum(m, d // 2)
     if len(a) < need or len(b) < need:
         raise PreconditionError(f"sets must have at least binom_sum(m, d/2) = {need} points")
-    ball_half = hamming_ball(m, d // 2)
+    ball_half = [z.bits for z in hamming_ball(m, d // 2)]
     key = canonical_key(n)
-    a = sorted(a, key=lambda p: key(p.bits))
-    b = sorted(b, key=lambda p: key(p.bits))
+    a, b = sorted(a, key=key), sorted(b, key=key)
     # One entry of a table of all 2^n images costs one XOR in subset_xors,
     # about an eighth of one apply_word, so the table (built once per map and
     # shared by A and B) replaces the per-point calls only where
@@ -212,14 +224,14 @@ def find_high_rank_subsets(
         else:
             image = matrix.apply_word
         fibers_a = _image_index(a, image)
-        if any(z.bits not in fibers_a for z in ball_half):
+        if any(z not in fibers_a for z in ball_half):
             continue
         fibers_b = _image_index(b, image)
-        if any(z.bits not in fibers_b for z in ball_half):
+        if any(z not in fibers_b for z in ball_half):
             continue
-        a_sel = tuple(fibers_a[z.bits] for z in ball_half)
-        b_sel = tuple(fibers_b[z.bits] for z in ball_half)
-        _full, cert = full_rank_check(a_sel, b_sel, d)
+        a_sel = tuple(fibers_a[z] for z in ball_half)
+        b_sel = tuple(fibers_b[z] for z in ball_half)
+        _full, cert = full_rank_check(n, a_sel, b_sel, d)
         if cert.rank < binom_sum(m, d):
             raise AssertionError("sumset rank fell below the guaranteed floor; this is a bug")
         return HighRankSelection(a_sel, b_sel, cert, attempts)
@@ -280,11 +292,9 @@ def _onto_fibers(
     return fibers if fibers.covers(matrix.rows) else None
 
 
-def _support_bits(source: Flat) -> Optional[list[int]]:
+def _support_bits(source: Flat) -> Optional[Sequence[int]]:
     """Packed support words, or None when the support is all of F_2^n."""
-    if len(source.support) == 1 << source.n:
-        return None
-    return [v.bits for v in source.support]
+    return None if len(source.support) == 1 << source.n else source.support
 
 
 @lru_cache(maxsize=64)

@@ -60,34 +60,42 @@ def _hashed_once(cls):
     return cls
 
 
+def _words(n: int, points: Sequence) -> tuple[int, ...]:
+    """Each point as its packed word: a length-n :class:`BitVector`'s bits, or an int
+    in [0, 2^n) as it is; ValueError for anything else, so no int is masked."""
+    words = tuple([p.bits if type(p) is BitVector and p.n == n else p for p in points])
+    if words and not (set(map(type, words)) <= {int} and min(words) >= 0 and max(words) >> n == 0):
+        raise ValueError(f"points must be BitVectors of length n or ints in [0, 2^n), n={n}")
+    return words
+
+
 @dataclass(frozen=True)
 class Flat:
-    """Uniform distribution over an explicit set of points."""
+    """Uniform distribution over an explicit set of points, held as packed words."""
 
     n: int
-    support: tuple[BitVector, ...]
+    support: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "support", _words(self.n, self.support))
         if not self.support:
             raise ValueError("flat source needs a nonempty support")
-        if any(v.n != self.n for v in self.support):
-            raise ValueError("support vectors must all have length n")
         if len(set(self.support)) != len(self.support):
             raise ValueError("support contains duplicates")
 
 
 @dataclass(frozen=True)
 class Affine:
-    """Uniform distribution over offset + span(basis)."""
+    """Uniform distribution over offset + span(basis), held as packed words."""
 
     n: int
-    offset: BitVector
-    basis: tuple[BitVector, ...]
+    offset: int
+    basis: tuple[int, ...]
 
     def __post_init__(self):
-        if self.offset.n != self.n or any(v.n != self.n for v in self.basis):
-            raise ValueError("offset and basis vectors must have length n")
-        if span_rank(v.bits for v in self.basis) != len(self.basis):
+        object.__setattr__(self, "offset", _words(self.n, (self.offset,))[0])
+        object.__setattr__(self, "basis", _words(self.n, self.basis))
+        if span_rank(self.basis) != len(self.basis):
             raise ValueError("basis vectors must be linearly independent")
 
 
@@ -193,7 +201,7 @@ Source = Union[Flat, Affine, Sumset, Local, PolynomialImage, Variety]
 def uniform_flat(n: int) -> Flat:
     """The uniform distribution over all of F_2^n as an explicit flat source."""
     check_budget(f"uniform flat (n={n})", ENUMERATION_BUDGET, log2=n)
-    return Flat(n, tuple(BitVector(n, b) for b in range(1 << n)))
+    return Flat(n, tuple(range(1 << n)))
 
 
 def ambient_length(source: Source) -> int:
@@ -248,13 +256,13 @@ def _support_counts(source: Source) -> tuple[np.ndarray, np.ndarray, int]:
     dtype = np.uint64 if ambient_length(source) <= 64 else object
     if isinstance(source, Flat):
         check_budget("flat support", ENUMERATION_BUDGET, len(source.support))
-        raw = np.array([v.bits for v in source.support], dtype=dtype)
+        raw = np.array(source.support, dtype=dtype)
     elif isinstance(source, Affine):
         k = len(source.basis)
         check_budget(f"affine span of {k} basis vectors", ENUMERATION_BUDGET, log2=k)
-        raw = np.array(subset_xors([b.bits for b in source.basis], source.offset.bits), dtype=dtype)
+        raw = np.array(subset_xors(source.basis, source.offset), dtype=dtype)
     elif isinstance(source, Sumset):
-        xs, ys = (np.array([v.bits for v in f.support], dtype=dtype) for f in (source.x, source.y))
+        xs, ys = (np.array(f.support, dtype=dtype) for f in (source.x, source.y))
         check_budget("sumset pairs", ENUMERATION_BUDGET, xs.size * ys.size)
         raw = np.bitwise_xor.outer(xs, ys).ravel()
     else:
@@ -284,7 +292,7 @@ def sample_words(source: Source, count: int, stream: Random) -> np.ndarray:
     Reads the stream exactly as ``count`` calls of :func:`sample_source`
     would, so entry k equals the k-th of those draws.  Each kind draws its
     random words in order and then forms the outputs in one batch: support
-    words are gathered without a :class:`BitVector` per draw, a small affine
+    words are gathered as they are held, a small affine
     span is read from its subset-XOR table, and local and polynomial-image
     inputs index their kept :func:`_image_table`, or past it go through
     :func:`_image_words`.  A variety draws one point at a time through
@@ -293,10 +301,9 @@ def sample_words(source: Source, count: int, stream: Random) -> np.ndarray:
     dtype = np.uint64 if ambient_length(source) <= 64 else object
     if isinstance(source, Flat):
         sup, size = source.support, len(source.support)
-        words = [sup[stream.randrange(size)].bits for _ in range(count)]
+        words = [sup[stream.randrange(size)] for _ in range(count)]
     elif isinstance(source, Affine):
-        k, offset = len(source.basis), source.offset.bits
-        basis = [b.bits for b in source.basis]
+        k, offset, basis = len(source.basis), source.offset, source.basis
         if 1 << k <= count * k:
             # the 2^k-entry table costs less than k XORs per draw
             table = subset_xors(basis, offset)
@@ -306,7 +313,7 @@ def sample_words(source: Source, count: int, stream: Random) -> np.ndarray:
     elif isinstance(source, Sumset):
         xs, ys = source.x.support, source.y.support
         nx, ny = len(xs), len(ys)
-        words = [xs[stream.randrange(nx)].bits ^ ys[stream.randrange(ny)].bits for _ in range(count)]
+        words = [xs[stream.randrange(nx)] ^ ys[stream.randrange(ny)] for _ in range(count)]
     elif isinstance(source, (Local, PolynomialImage)):
         m, table = source.m, _image_table(source)
         draws = (stream.getrandbits(m) for _ in range(count))
@@ -365,12 +372,13 @@ def _local_layout(source: Local) -> tuple:
     index.  All tables sit end to end in ``table``, bit i's from ``base[i]``.
     """
     columns = []
-    for k in range(max(len(b.inputs) for b in source.bits)):
-        reads = [k < len(b.inputs) for b in source.bits]
-        pos = np.array([b.inputs[k] if r else 0 for b, r in zip(source.bits, reads)], dtype=np.uint64)
+    outputs = source.bits
+    for k in range(max(len(b.inputs) for b in outputs)):
+        reads = [k < len(b.inputs) for b in outputs]
+        pos = np.array([b.inputs[k] if r else 0 for b, r in zip(outputs, reads)], dtype=np.uint64)
         columns.append((pos, np.array(reads, dtype=np.uint64) << np.uint64(k)))
-    table = np.array([t for b in source.bits for t in b.table], dtype=np.uint64)
-    base = np.cumsum([0] + [len(b.table) for b in source.bits[:-1]]).astype(np.uint64)
+    table = np.array([t for b in outputs for t in b.table], dtype=np.uint64)
+    base = np.cumsum([0] + [len(b.table) for b in outputs[:-1]]).astype(np.uint64)
     return tuple(columns), table, base
 
 

@@ -24,13 +24,9 @@ from polyext.constructions import (
 )
 from polyext.errors import BudgetExceededError, PreconditionError
 from polyext.experiments import _seeded_left_linear, _seeded_right_degree
-from polyext.gf2 import BitMatrix, BitVector, binom_sum, rank, span_rank
+from polyext.gf2 import BitMatrix, binom_sum, rank, span_rank
 
 MASTER = 20260823
-
-
-def bv(text: str) -> BitVector:
-    return BitVector.from_string(text)
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +51,7 @@ def test_two_source_coefficient_lengths():
 
 def test_two_source_self_product_is_weight_parity():
     desc = build_two_source(4, seed=3)
-    for xb in range(16):
-        x = BitVector(4, xb)
+    for x in range(16):
         h = lift_point(desc.polys, x)
         assert eval_two_source(desc, x, x) == h.bit_count() % 2
 
@@ -65,19 +60,16 @@ def test_two_source_zero_lift_kills_output():
     from polyext.constructions import TwoSourceDescriptor
 
     desc = TwoSourceDescriptor(n=2, r=1, polys=(Polynomial.from_monomials(2, 2, []),), seed=0)
-    zero = bv("00")
-    assert lift_point(desc.polys, zero) == 0
+    assert lift_point(desc.polys, 0) == 0
     for yb in range(4):
-        assert eval_two_source(desc, zero, BitVector(2, yb)) == 0
+        assert eval_two_source(desc, 0, yb) == 0
 
 
 def _two_source_anf_degree(desc):
     n = desc.n
     table = []
     for combined in range(1 << (2 * n)):
-        x = BitVector(n, combined & ((1 << n) - 1))
-        y = BitVector(n, combined >> n)
-        table.append(eval_two_source(desc, x, y))
+        table.append(eval_two_source(desc, combined & ((1 << n) - 1), combined >> n))
     return anf_from_truth_table(table).degree()
 
 
@@ -133,16 +125,16 @@ def test_seeded_zero_compressor_gives_zero():
     )
     for xb in range(16):
         for yb in range(4):
-            assert eval_seeded(desc, BitVector(4, xb), BitVector(2, yb)) == 0
+            assert eval_seeded(desc, xb, yb) == 0
 
 
 def test_seeded_is_linear_in_x():
     desc = build_seeded(n=6, t=3, d=2, seed=9)
     stream = rng.derive(MASTER, "constructions", "linear")
     for _ in range(200):
-        x1 = BitVector(6, stream.getrandbits(6))
-        x2 = BitVector(6, stream.getrandbits(6))
-        y = BitVector(3, stream.getrandbits(3))
+        x1 = stream.getrandbits(6)
+        x2 = stream.getrandbits(6)
+        y = stream.getrandbits(3)
         assert eval_seeded(desc, x1 ^ x2, y) == eval_seeded(desc, x1, y) ^ eval_seeded(
             desc, x2, y
         )
@@ -155,7 +147,7 @@ def test_seeded_matches_monomial_formula():
         w = desc.compressor.apply_word(xb)
         for yb in range(4):
             expected = (w & 1) ^ ((yb & 1) * (w >> 1) & 1) ^ (((yb >> 1) & 1) * (w >> 2) & 1)
-            got = eval_seeded(desc, BitVector(5, xb), BitVector(2, yb))
+            got = eval_seeded(desc, xb, yb)
             assert got == expected
 
 
@@ -164,9 +156,7 @@ def _seeded_joint_anf(desc):
     n, t = desc.n, desc.t
     table = []
     for combined in range(1 << (n + t)):
-        x = BitVector(n, combined & ((1 << n) - 1))
-        y = BitVector(t, combined >> n)
-        table.append(eval_seeded(desc, x, y))
+        table.append(eval_seeded(desc, combined & ((1 << n) - 1), combined >> n))
     return anf_from_truth_table(table)
 
 
@@ -202,8 +192,7 @@ def _assert_table_is_eval_seeded(desc):
     table = seeded_table(desc)
     assert table.dtype == np.uint8 and table.shape == (1 << desc.t, 1 << desc.n)
     for yb in range(1 << desc.t):
-        y = BitVector(desc.t, yb)
-        row = [eval_seeded(desc, BitVector(desc.n, xb), y) for xb in range(1 << desc.n)]
+        row = [eval_seeded(desc, xb, yb) for xb in range(1 << desc.n)]
         assert table[yb].tolist() == row
 
 
@@ -264,15 +253,13 @@ def test_seeded_right_degree_is_the_worst_column_degree():
         (lambda: EvasiveDescriptor(k=2, d=1, r=0, polys=(), seed=0), "r >= 1"),
         (lambda: EvasiveDescriptor(k=2, d=1, r=1, polys=(Polynomial.from_monomials(2, 2, []),),
                                    seed=0), "degree <= d over k"),
-        (lambda: eval_two_source(build_two_source(2, seed=1), BitVector(2, 0), BitVector(3, 0)),
-         "length n"),
-        (lambda: eval_seeded(build_seeded(n=4, t=2, d=1, seed=1), BitVector(3, 0),
-                             BitVector(2, 0)), "length n"),
-        (lambda: eval_seeded(build_seeded(n=4, t=2, d=1, seed=1), BitVector(4, 0),
-                             BitVector(3, 0)), "length t"),
+        (lambda: eval_two_source(build_two_source(2, seed=1), 0, 0b100), "length n"),
+        (lambda: eval_two_source(build_two_source(2, seed=1), -1, 0), "length n"),
+        (lambda: eval_seeded(build_seeded(n=4, t=2, d=1, seed=1), 0b10000, 0), "length n"),
+        (lambda: eval_seeded(build_seeded(n=4, t=2, d=1, seed=1), 0, 0b100), "length t"),
     ],
     ids=["two-source-r", "two-source-degree", "evasive-r", "evasive-degree",
-         "two-source-input", "seeded-input", "seeded-seed"],
+         "two-source-input", "two-source-negative-input", "seeded-input", "seeded-seed"],
 )
 def test_malformed_descriptors_and_inputs_are_refused(call, says):
     with pytest.raises((ValueError, PreconditionError), match=says):
@@ -305,7 +292,7 @@ def test_evasive_zero_poly_gives_zero_graph():
 
     desc = EvasiveDescriptor(k=3, d=2, r=1, polys=(Polynomial.from_monomials(3, 2, []),), seed=0)
     for xb in range(8):
-        lifted = lift_point(desc.polys, BitVector(3, xb))
+        lifted = lift_point(desc.polys, xb)
         assert lifted == xb  # appended coordinate stays zero
 
 
@@ -314,8 +301,8 @@ def test_evasive_identity_block_preserves_independence():
     stream = rng.derive(MASTER, "constructions", "identity-block")
     for _ in range(30):
         size = stream.randrange(1, 9)
-        pts = [BitVector(8, b) for b in stream.sample(range(1, 256), size)]
-        if span_rank(p.bits for p in pts) != size:
+        pts = stream.sample(range(1, 256), size)
+        if span_rank(pts) != size:
             continue
         lifted = [lift_point(desc.polys, p) for p in pts]
         assert span_rank(lifted) == size
@@ -329,8 +316,8 @@ def test_evasive_appended_block_expands_dimension():
         stream = rng.derive(MASTER, "constructions", "expand", seed)
         desc = build_evasive_h(8, 2, seed=seed)
         while True:
-            pts = [BitVector(8, b) for b in stream.sample(range(256), 10)]
-            if span_rank(eval_bits(p.bits, order) for p in pts) == 10:
+            pts = stream.sample(range(256), 10)
+            if span_rank(eval_bits(p, order) for p in pts) == 10:
                 break
         appended = [lift_point(desc.polys, p) >> 8 for p in pts]
         if span_rank(appended) >= 8:

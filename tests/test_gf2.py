@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from itertools import combinations
 from random import Random
 
@@ -47,8 +48,18 @@ def test_vector_string_round_trip():
 
 
 def test_vector_rejects_bad_characters():
-    with pytest.raises(ValueError):
-        BitVector.from_string("01x0")
+    for text, bad in (("01x0", "x"), ("1_0", "_"), (" 10", " "), ("-1", "-"), ("10+", "+")):
+        with pytest.raises(ValueError, match=re.escape(f"invalid bit character '{bad}'")):
+            BitVector.from_string(text)
+
+
+@given(st.integers(min_value=0, max_value=80).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))))
+def test_word_string_and_parse_word_are_inverse(case):
+    n, word = case
+    text = gf2.word_string(n, word)
+    assert len(text) == n and text == "".join(str((word >> i) & 1) for i in range(n))
+    assert gf2.parse_word(text) == word
 
 
 def support(v: BitVector) -> tuple[int, ...]:
@@ -87,8 +98,8 @@ def test_vector_xor_commutes(a, b):
         (lambda: bv("010")[3], IndexError, "3"),
         (lambda: BitMatrix(-1, 2, []), ValueError, "nonnegative"),
         (lambda: BitMatrix(2, 2, [1]), ValueError, "row count"),
-        (lambda: BitMatrix.from_rows([]), ValueError, "empty matrix"),
-        (lambda: BitMatrix.from_rows([bv("01"), bv("1")]), ValueError, "ragged"),
+        (lambda: BitMatrix.from_string("\n"), ValueError, "empty matrix"),
+        (lambda: BitMatrix.from_string("01\n1"), ValueError, "ragged"),
         (lambda: hamming_ball(-1, 0), ValueError, "nonnegative"),
     ],
     ids=["vector-length", "support-index", "coordinate", "matrix-shape", "row-count",
@@ -101,15 +112,15 @@ def test_malformed_shapes_are_refused(call, error, says):
 
 def test_matrix_row_column_consistency():
     m = BitMatrix.from_string("110\n011")
-    assert m.row(0) == bv("110")
-    assert [m.row(i)[1] for i in range(m.rows)] == [1, 1]  # middle column hits both rows
+    assert m.row_words[0] == bv("110").bits
+    assert [(w >> 1) & 1 for w in m.row_words] == [1, 1]  # middle column hits both rows
 
 
 def test_matrix_apply_is_row_dot():
     m = BitMatrix.from_string("110\n011\n101")
     x = bv("101")
     out = BitVector(m.rows, m.apply_word(x.bits))
-    expected = [(m.row(i).bits & x.bits).bit_count() & 1 for i in range(3)]
+    expected = [(w & x.bits).bit_count() & 1 for w in m.row_words]
     assert [out[i] for i in range(3)] == expected
 
 

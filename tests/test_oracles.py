@@ -33,12 +33,13 @@ from polyext.oracles import (
 MASTER = 20260823
 
 
-def bv(text: str) -> BitVector:
-    return BitVector.from_string(text)
+def word(text: str) -> int:
+    return BitVector.from_string(text).bits
 
 
-def vecs(n: int, values) -> list[BitVector]:
-    return [BitVector(n, v) for v in values]
+def point_set(n: int, values) -> tuple[int, list[int]]:
+    """An explicit audit subject: n and the n-bit words."""
+    return n, list(values)
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +107,11 @@ def test_energy_pair_budget():
 
 
 def test_pair_oracles_refuse_sets_of_different_lengths():
-    x, y = vecs(3, [5, 6]), vecs(2, [1, 2])
+    x, y = [5, 6], [1, 2]
     for call in (
-        lambda: dichotomy_check(x, y),
-        lambda: dichotomy_check(x, x + y),
+        lambda: dichotomy_check(2, x, y),
+        lambda: dichotomy_check(2, y, x + y),
+        lambda: dichotomy_check(2, y, [-1]),
     ):
         with pytest.raises(PreconditionError, match="one ambient length"):
             call()
@@ -433,20 +435,20 @@ def test_partition_oracles_refuse_negative_words_and_ragged_parts(monkeypatch):
 
 def test_shift_count_zero_polynomial():
     f = Polynomial.from_monomials(3, 2, [])
-    count, bound, ok = cw_shift_count(f, [bv("100")])
+    count, bound, ok = cw_shift_count(f, 3, [word("100")])
     assert (count, bound, ok) == (8, 8, True)
 
 
 def test_shift_count_linear_example():
     f = Polynomial.from_monomials(3, 1, [[0]])  # x1 over three variables
-    count, bound, ok = cw_shift_count(f, [bv("010")])
+    count, bound, ok = cw_shift_count(f, 3, [word("010")])
     assert (count, bound, ok) == (4, 4, True)
 
 
 def test_shift_count_fractional_bound():
     f = Polynomial.from_monomials(4, 2, [[0, 1]])  # x1 x2
-    basis = [bv("0100"), bv("0010"), bv("0001")]
-    count, bound, ok = cw_shift_count(f, basis)
+    basis = [word("0100"), word("0010"), word("0001")]
+    count, bound, ok = cw_shift_count(f, 4, basis)
     assert count == 8
     assert bound == Fraction(1, 2)
     assert ok
@@ -455,17 +457,19 @@ def test_shift_count_fractional_bound():
 def test_shift_count_requires_vanishing():
     f = Polynomial.from_monomials(2, 1, [[0]])
     with pytest.raises(PreconditionError):
-        cw_shift_count(f, [bv("10")])
+        cw_shift_count(f, 2, [word("10")])
 
 
 def test_shift_count_rejects_width_mismatch():
-    with pytest.raises(PreconditionError):
-        cw_shift_count(Polynomial.from_monomials(3, 1, []), [bv("10")])
+    with pytest.raises(PreconditionError, match="width"):
+        cw_shift_count(Polynomial.from_monomials(3, 1, []), 2, [word("10")])
+    with pytest.raises(PreconditionError, match="one ambient length"):
+        cw_shift_count(Polynomial.from_monomials(3, 1, []), 3, [0b1000])
 
 
 def test_shift_count_budget():
     with pytest.raises(BudgetExceededError):
-        cw_shift_count(Polynomial.from_monomials(25, 1, []), [BitVector(25, 1)])
+        cw_shift_count(Polynomial.from_monomials(25, 1, []), 25, [1])
 
 
 def test_shift_count_random_vanishing_trials():
@@ -474,13 +478,13 @@ def test_shift_count_random_vanishing_trials():
         n = stream.randrange(2, 9)
         d = stream.randrange(1, min(n, 3) + 1)
         t = stream.randrange(1, min(n, 3) + 1)
-        basis = [BitVector(n, 1 << i) for i in stream.sample(range(n), t)]
+        basis = [1 << i for i in stream.sample(range(n), t)]
         f = sample_vanishing_poly(n, d, basis, stream)
-        count, bound, ok = cw_shift_count(f, basis)
+        count, bound, ok = cw_shift_count(f, n, basis)
         assert ok, f"count {count} fell below {bound}"
         # independent recount without the vectorized path
         table = truth_table(f)
-        span = enumerate_span(v.bits for v in basis)
+        span = enumerate_span(basis)
         slow = sum(
             1 for x in range(1 << n) if all(table[x ^ v] == 0 for v in span)
         )
@@ -496,9 +500,8 @@ def test_shift_count_matches_a_recount_on_dependent_bases():
         d = stream.randrange(1, min(n, 3) + 1)
         words = [stream.getrandbits(n) for _ in range(stream.randrange(1, 4))]
         words += [words[0], words[0] ^ words[-1], 0][: stream.randrange(0, 4)]
-        basis = [BitVector(n, w) for w in words]
-        f = sample_vanishing_poly(n, d, basis, stream)
-        count, bound, ok = cw_shift_count(f, basis)
+        f = sample_vanishing_poly(n, d, words, stream)
+        count, bound, ok = cw_shift_count(f, n, words)
         table = truth_table(f)
         span = enumerate_span(words)
         assert count == sum(1 for x in range(1 << n) if all(table[x ^ v] == 0 for v in span))
@@ -514,10 +517,10 @@ def test_vanishing_sampler_vanishes():
         n = stream.randrange(1, 8)
         d = stream.randrange(1, min(n, 3) + 1)
         width = stream.randrange(0, min(n, 3) + 1)
-        basis = [BitVector(n, stream.getrandbits(n)) for _ in range(width)]
+        basis = [stream.getrandbits(n) for _ in range(width)]
         f = sample_vanishing_poly(n, d, basis, stream)
         table = truth_table(f)
-        for p in enumerate_span(v.bits for v in basis):
+        for p in enumerate_span(basis):
             assert table[p] == 0
 
 
@@ -534,8 +537,10 @@ def test_vanishing_sampler_empty_basis_only_pins_origin():
 def test_vanishing_sampler_full_span_forces_zero():
     stream = rng.derive(MASTER, "oracles", "vanish-full")
     for _ in range(20):
-        f = sample_vanishing_poly(2, 2, [bv("10"), bv("01")], stream)
+        f = sample_vanishing_poly(2, 2, [word("10"), word("01")], stream)
         assert f.coeffs.bits == 0
+    with pytest.raises(PreconditionError, match="one ambient length"):
+        sample_vanishing_poly(2, 2, [0b100], stream)
 
 
 # ---------------------------------------------------------------------------
@@ -570,20 +575,25 @@ def test_disperser_attack_linear_family_finds_dual():
     dual = {
         y
         for y in range(16)
-        if all((y & x.bits).bit_count() & 1 == 0 for x in w.set_a)
+        if all((y & x).bit_count() & 1 == 0 for x in w.set_a)
     }
-    assert {y.bits for y in w.set_b} == dual
+    assert set(w.set_b) == dual
 
 
 def test_disperser_attack_witness_reverifies():
     family = _linear_family(3)
     stream = rng.derive(MASTER, "oracles", "disperser-verify")
     w = disperser_attack(family, t=1, budget=20, stream=stream)
-    assert verify_constancy(family, w.set_a, w.set_b, w.value)
-    assert not verify_constancy(family, w.set_a, w.set_b, 1 - w.value)
+    assert w.n == 3
+    assert verify_constancy(family, 3, w.set_a, w.set_b, w.value)
+    assert not verify_constancy(family, 3, w.set_a, w.set_b, 1 - w.value)
     # an empty side certifies nothing
-    assert not verify_constancy(family, (), w.set_b, w.value)
-    assert not verify_constancy(family, w.set_a, (), w.value)
+    assert not verify_constancy(family, 3, (), w.set_b, w.value)
+    assert not verify_constancy(family, 3, w.set_a, (), w.value)
+    # a word outside F_2^3 is refused, not read
+    for xs, ys in (((0b1000,), w.set_b), (w.set_a, (-1,))):
+        with pytest.raises(PreconditionError, match="one ambient length"):
+            verify_constancy(family, 3, xs, ys, w.value)
 
 
 def test_disperser_attack_exhausts_on_affine_family():
@@ -647,7 +657,7 @@ def test_mono_search_linear_function():
     table = truth_table(f)
     for a in w.set_a:
         for b in w.set_b:
-            assert table[a.bits ^ b.bits] == w.value
+            assert table[a ^ b] == w.value
 
 
 def test_mono_search_gives_up_on_random_cubic():
@@ -685,18 +695,18 @@ def test_rref_enumeration_is_complete():
 
 
 def test_subspace_audit_flags_a_subspace():
-    spanned = vecs(4, enumerate_span([0b0001, 0b0010]))
+    spanned = point_set(4, enumerate_span([0b0001, 0b0010]))
     report = subspace_evasive_audit(spanned, ell=2, threshold=4)
     assert not report.verdict
     extra = report.per_source[0]
     assert extra["max_intersection"] == 4
-    rows = [BitVector.from_string(s).bits for s in extra["witness_basis"]]
-    hits = sum(1 for p in enumerate_span(rows) if p in {v.bits for v in spanned})
+    rows = [word(s) for s in extra["witness_basis"]]
+    hits = sum(1 for p in enumerate_span(rows) if p in set(spanned[1]))
     assert hits >= 4
 
 
 def test_subspace_audit_standard_basis_is_evasive():
-    basis_pts = [BitVector(4, 1 << i) for i in range(4)]
+    basis_pts = point_set(4, [1 << i for i in range(4)])
     report = subspace_evasive_audit(basis_pts, ell=2, threshold=3)
     assert report.verdict
     assert report.per_source[0]["max_intersection"] == 2
@@ -727,14 +737,15 @@ def test_subspace_audit_randomized_identity_block():
 def test_subspace_audit_randomized_on_a_point_set():
     stream = rng.derive(MASTER, "oracles", "audit-random-points")
     # any 3 points of a 2-dimensional subspace span at most 2 dimensions
-    spanned = vecs(4, enumerate_span([0b0001, 0b0010]))
+    spanned = point_set(4, enumerate_span([0b0001, 0b0010]))
     report = subspace_evasive_audit(spanned, 2, 3, mode="randomized", budget=10, stream=stream)
     extra = report.per_source[0]
     assert not report.verdict and extra["flag_rate"] == 1.0
     flagged = extra["first_flagged_image"]
-    assert len(set(flagged)) == 3 and {bv(p) for p in flagged} <= set(spanned)
+    assert len(set(flagged)) == 3 and all(len(p) == 4 for p in flagged)
+    assert {word(p) for p in flagged} <= set(spanned[1])
     # any 3 unit vectors span 3 dimensions
-    units = vecs(4, [1, 2, 4, 8])
+    units = point_set(4, [1, 2, 4, 8])
     report = subspace_evasive_audit(units, 2, 3, mode="randomized", budget=10, stream=stream)
     assert report.verdict and report.per_source[0]["first_flagged_image"] is None
     with pytest.raises(PreconditionError, match="more points than the set holds"):
@@ -742,19 +753,19 @@ def test_subspace_audit_randomized_on_a_point_set():
 
 
 def test_subspace_audit_mode_errors():
-    pts = [BitVector(4, 1)]
+    pts = point_set(4, [1])
     with pytest.raises(PreconditionError):
         subspace_evasive_audit(pts, ell=2, threshold=2, mode="guess")
     with pytest.raises(PreconditionError):
         subspace_evasive_audit(pts, ell=2, threshold=2, mode="randomized")
     with pytest.raises(PreconditionError):
-        subspace_evasive_audit([BitVector(11, 1)], ell=2, threshold=2)
+        subspace_evasive_audit(point_set(11, [1]), ell=2, threshold=2)
     with pytest.raises(PreconditionError):
         subspace_evasive_audit(pts, ell=4, threshold=2)
     with pytest.raises(PreconditionError):
         subspace_evasive_audit(pts, ell=2, threshold=0)
     with pytest.raises(PreconditionError, match="nonempty"):
-        subspace_evasive_audit([], ell=2, threshold=2)
+        subspace_evasive_audit(point_set(4, []), ell=2, threshold=2)
 
 
 @pytest.mark.parametrize(
@@ -780,7 +791,25 @@ def test_subspace_audit_refuses_before_it_lifts_a_point(monkeypatch, kwargs):
 
 def test_subspace_audit_budget():
     with pytest.raises(BudgetExceededError):
-        subspace_evasive_audit([BitVector(10, 1)], ell=3, threshold=2)
+        subspace_evasive_audit(point_set(10, [1]), ell=3, threshold=2)
+
+
+@pytest.mark.parametrize(
+    "audit",
+    [
+        lambda subject: subspace_evasive_audit(subject, 1, 2),
+        lambda subject: subspace_evasive_audit(
+            subject, 1, 2, mode="randomized", budget=10, stream=rng.derive(MASTER, "wide")
+        ),
+        lambda subject: sumset_evasive_audit(subject, 1, 100, rng.derive(MASTER, "wide")),
+    ],
+    ids=["subspace-exhaustive", "subspace-randomized", "sumset"],
+)
+@pytest.mark.parametrize("stray", [31, 8, -1])
+def test_evasive_audits_refuse_a_word_outside_the_ambient_space(audit, stray):
+    """A 5-bit point in a set over F_2^3 was audited, and printed, masked to 3 bits."""
+    with pytest.raises(PreconditionError, match="one ambient length"):
+        audit(point_set(3, [1, stray, 6]))
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +817,7 @@ def test_subspace_audit_budget():
 
 
 def test_sumset_audit_full_space_fails():
-    full = vecs(3, range(8))
+    full = point_set(3, range(8))
     stream = rng.derive(MASTER, "oracles", "sumset-full")
     report = sumset_evasive_audit(full, t=1, budget=2000, stream=stream)
     assert not report.verdict
@@ -803,11 +832,11 @@ def test_sumset_audit_linear_graph_fails():
     report = sumset_evasive_audit(desc, t=1, budget=2000, stream=stream)
     assert not report.verdict  # the graph of a linear map is closed under sums
     witness = report.per_source[0]["witness"]
-    pts = {lift_point(desc.polys, BitVector(3, xb)) for xb in range(8)}
+    pts = {lift_point(desc.polys, xb) for xb in range(8)}
     for a in witness["set_a"]:
         for b in witness["set_b"]:
-            s = BitVector.from_string(a).bits ^ BitVector.from_string(b).bits
-            assert s in pts
+            assert len(a) == len(b) == 4
+            assert word(a) ^ word(b) in pts
 
 
 def test_sumset_audit_single_quadratic_is_breakable():
@@ -828,7 +857,7 @@ def test_sumset_audit_many_appendices_hold():
 def test_sumset_audit_rejects_negative_t():
     stream = rng.derive(MASTER, "oracles", "sumset-pre")
     with pytest.raises(PreconditionError):
-        sumset_evasive_audit(vecs(2, [0]), t=-1, budget=1, stream=stream)
+        sumset_evasive_audit(point_set(2, [0]), t=-1, budget=1, stream=stream)
 
 
 # sha256 of the witness (or null) and the stream's next getrandbits(64):
@@ -864,7 +893,7 @@ def test_sumset_audit_is_pinned(case):
     restarts) and r = 8 (holds), and a 40-point set."""
     s = rng.derive(MASTER, "oracles", "pinned-audit", case)
     if case == "points":
-        subject, t = vecs(6, s.sample(range(64), 40)), 1
+        subject, t = point_set(6, s.sample(range(64), 40)), 1
     else:
         subject, t = build_evasive_h(6, 2, seed=17, r=int(case[1:])), 2
     text = sumset_evasive_audit(subject, t, 5000, s).to_json() + str(s.getrandbits(64))
@@ -876,22 +905,22 @@ def test_sumset_audit_is_pinned(case):
 
 
 def test_dichotomy_on_origin():
-    assert dichotomy_check([bv("00")], [bv("00")]) == (0, 0, {0})
+    assert dichotomy_check(2, [word("00")], [word("00")]) == (0, 0, {0})
 
 
 def test_dichotomy_single_overlap():
-    assert dichotomy_check([bv("10")], [bv("10")]) == (1, 1, {1})
+    assert dichotomy_check(2, [word("10")], [word("10")]) == (1, 1, {1})
 
 
 def test_dichotomy_mixed_values():
-    dims_a, dims_b, values = dichotomy_check(vecs(2, [0, 1]), vecs(2, [1]))
+    dims_a, dims_b, values = dichotomy_check(2, [0, 1], [1])
     assert (dims_a, dims_b) == (1, 1)
     assert values == {0, 1}
 
 
 def test_dichotomy_rejects_empty():
     with pytest.raises(PreconditionError):
-        dichotomy_check([], [bv("1")])
+        dichotomy_check(1, [], [word("1")])
 
 
 def test_dichotomy_large_spans_see_both_values():
@@ -899,9 +928,9 @@ def test_dichotomy_large_spans_see_both_values():
     accepted = 0
     while accepted < 100:
         n = stream.randrange(2, 7)
-        a = vecs(n, [stream.getrandbits(n) for _ in range(2 * n)])
-        b = vecs(n, [stream.getrandbits(n) for _ in range(2 * n)])
-        dim_a, dim_b, values = dichotomy_check(a, b)
+        a = [stream.getrandbits(n) for _ in range(2 * n)]
+        b = [stream.getrandbits(n) for _ in range(2 * n)]
+        dim_a, dim_b, values = dichotomy_check(n, a, b)
         if dim_a + dim_b <= n + 1:
             continue
         assert values == {0, 1}

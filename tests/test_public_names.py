@@ -23,6 +23,12 @@ other file under those directories may use an owned identifier (as a name,
 an attribute, an import or its alias, or a definition) or define a function
 whose name contains an owned fragment.  The same parsed trees decide this, so
 a comment, a docstring or a string that names a rule never breaks it.
+
+Inside ``src/`` a point is a packed int word beside its length n.  A
+``BitVector`` is built (called, or made by ``.from_string`` or
+``.from_support``) only in the functions of ``BITVECTOR_EDGES``, each with
+the reason it sits at an edge: a test-pinned view, a polynomial's
+coefficient vector, or a result type kept as it is.
 """
 
 from __future__ import annotations
@@ -91,8 +97,8 @@ OWNERS = (
     ),
     (
         {"full_rank_check"}, None, "ranklab",
-        "full_rank_check wraps ranklab's packed core in BitVectors; "
-        "check sumset rank inside ranklab",
+        "full_rank_check validates both word sets and builds a certificate on every call; "
+        "other modules reach sumset rank through ranklab's samplers and selections",
     ),
     (
         {"canonical_index"}, "canonical", "gf2",
@@ -339,3 +345,73 @@ def test_the_ownership_guard_flags_uses_and_passes_mentions(row):
     if fragment:  # a fragment row owns definitions; using the owner's functions is the point
         for kind, text in _USES.items():
             assert not _ownership_breaches(other, ast.parse(text.format(fragment))), kind
+
+
+#: The src/ functions that build a BitVector, each with why it sits at the edge.
+_COEFFS = "a Polynomial holds its coefficients as a BitVector against its monomial order"
+BITVECTOR_EDGES = {
+    "gf2.BitVector.__xor__": "the vector type's own sum",
+    "gf2.hamming_ball": "the canonical ball as vectors, which the acceptance criteria read",
+    "gf2.weight_slice": "the slices a SpecialSumsetDraw reports",
+    "anf.Polynomial.from_monomials": _COEFFS,
+    "anf.sample_poly": _COEFFS,
+    "anf.anf_from_truth_table": _COEFFS,
+    "anf.compose_linear": _COEFFS,
+    "oracles.sample_vanishing_poly": _COEFFS,
+    "sources.variety_reduce": _COEFFS,
+    "sources.support_of": "the per-point distribution view, pinned by the tests as strings",
+    "sources.sample_source": "the one-draw view, pinned by the tests as strings",
+    "ranklab.special_sumset_sampler": "SpecialSumsetDraw keeps its vector fields",
+}
+
+
+def _builds_bitvector(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("from_string", "from_support"):
+        func = func.value
+    return getattr(func, "id", None) == "BitVector" or getattr(func, "attr", None) == "BitVector"
+
+
+def _bitvector_sites(module: str, tree: ast.AST) -> set[str]:
+    """'module.qualified.function' (or 'module.<module>') for each BitVector built in ``tree``."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and _builds_bitvector(child):
+                found.add(".".join([module] + (scope or ["<module>"])))
+            walk(child, scope)
+
+    walk(tree, [])
+    return found
+
+
+def test_bitvectors_are_built_only_at_the_edge():
+    found = set().union(*(
+        _bitvector_sites(path.stem, ast.parse(path.read_text(), str(path)))
+        for path in sorted(PACKAGE.glob("*.py"))
+    ))
+    _check(found, BITVECTOR_EDGES, "src/ functions that build a BitVector off the edge")
+
+
+@pytest.mark.parametrize(
+    "text, sites",
+    [
+        ("def f(n):\n    return BitVector(n, 1)\n", {"m.f"}),
+        ("def f(t):\n    return gf2.BitVector.from_string(t)\n", {"m.f"}),
+        ("class C:\n    def g(self):\n        return [BitVector.from_support(3, s) for s in x]\n",
+         {"m.C.g"}),
+        ("def f():\n    def inner():\n        return BitVector(1, 0)\n    return inner\n",
+         {"m.f.inner"}),
+        ("ZERO = BitVector(1, 0)\n", {"m.<module>"}),
+        ("def f(v):\n    return v.bits, v.to_string(), BitMatrix.from_string('1')\n", set()),
+        ('def f():\n    """Build a BitVector(n, w) here."""\n    # BitVector(1, 0)\n', set()),
+    ],
+    ids=["call", "from-string", "from-support-in-method", "nested", "module-level",
+         "reads-only", "mentions"],
+)
+def test_the_bitvector_guard_flags_builds_and_passes_reads(text, sites):
+    assert _bitvector_sites("m", ast.parse(text)) == sites

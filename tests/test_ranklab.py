@@ -19,6 +19,7 @@ from polyext.gf2 import (
 )
 from polyext.ranklab import (
     eval_rank,
+    eval_rank_words,
     find_high_rank_subsets,
     full_rank_check,
     special_sumset_sampler,
@@ -32,17 +33,21 @@ def bv(text: str) -> BitVector:
     return BitVector.from_string(text)
 
 
+def word(text: str) -> int:
+    return bv(text).bits
+
+
 def full_space(n):
-    return [BitVector(n, b) for b in range(1 << n)]
+    return list(range(1 << n))
 
 
-def support(v: BitVector) -> tuple[int, ...]:
-    return tuple(i for i in range(v.n) if v[i])
+def support(v: int) -> tuple[int, ...]:
+    return tuple(i for i in range(v.bit_length()) if (v >> i) & 1)
 
 
-def reference_key(v: BitVector) -> tuple[int, tuple[int, ...]]:
+def reference_key(v: int) -> tuple[int, tuple[int, ...]]:
     """The canonical order by its definition: weight, then the sorted support."""
-    return (v.bits.bit_count(), support(v))
+    return (v.bit_count(), support(v))
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +64,20 @@ def test_eval_rank_refuses_an_empty_or_mixed_point_set():
         eval_rank([], 1)
     with pytest.raises(PreconditionError, match="one ambient length"):
         eval_rank([bv("01"), bv("011")], 1)
+    with pytest.raises(PreconditionError, match="at least one point"):
+        eval_rank_words(2, [], 1)
+    for bad in (0b100, -1):
+        with pytest.raises(PreconditionError, match="one ambient length"):
+            eval_rank_words(2, [0b01, bad], 1)
+
+
+def test_eval_rank_is_eval_rank_words_of_the_points():
+    stream = rng.derive(MASTER, "ranklab", "words")
+    for _ in range(30):
+        n = stream.randrange(1, 9)
+        pts = [stream.getrandbits(n) for _ in range(stream.randrange(1, 20))]
+        d = stream.randrange(0, 3)
+        assert eval_rank([BitVector(n, p) for p in pts], d) == eval_rank_words(n, pts, d)
 
 
 def test_single_zero_point_has_rank_one():
@@ -80,13 +99,13 @@ def test_eval_rank_witness_is_independent_and_sized():
     stream = rng.derive(MASTER, "ranklab", "witness")
     for _ in range(30):
         n = stream.randrange(2, 9)
-        pts = [BitVector(n, stream.getrandbits(n)) for _ in range(stream.randrange(1, 20))]
+        pts = [stream.getrandbits(n) for _ in range(stream.randrange(1, 20))]
         d = stream.randrange(0, 3)
-        cert = eval_rank(pts, d)
+        cert = eval_rank_words(n, pts, d)
         assert len(cert.witness) == cert.rank
         order = monomial_order(n, d)
         basis = XorBasis()
-        assert all(basis.add(eval_bits(p.bits, order)) for p in cert.witness)
+        assert all(basis.add(eval_bits(p, order)) for p in cert.witness)
 
 
 def test_eval_rank_evaluates_each_point_once(monkeypatch):
@@ -148,10 +167,10 @@ def test_rank_monotone_under_linear_maps():
         n = stream.randrange(1, 9)
         m = stream.randrange(1, 9)
         d = stream.randrange(0, 4)
-        pts = [BitVector(n, stream.getrandbits(n)) for _ in range(stream.randrange(1, 16))]
+        pts = [stream.getrandbits(n) for _ in range(stream.randrange(1, 16))]
         mat = sample_uniform_matrix(m, n, stream)
-        mapped = [BitVector(mat.rows, mat.apply_word(p.bits)) for p in pts]
-        assert eval_rank(pts, d).rank >= eval_rank(mapped, d).rank
+        mapped = [mat.apply_word(p) for p in pts]
+        assert eval_rank_words(n, pts, d).rank >= eval_rank_words(m, mapped, d).rank
 
 
 def test_large_sets_have_high_rank():
@@ -161,8 +180,8 @@ def test_large_sets_have_high_rank():
         n = stream.randrange(2, 11)
         k = stream.randrange(1, min(n, 6) + 1)
         d = stream.randrange(0, 3)
-        pts = [BitVector(n, b) for b in stream.sample(range(1 << n), 1 << k)]
-        assert eval_rank(pts, d).rank >= binom_sum(k, d)
+        pts = stream.sample(range(1 << n), 1 << k)
+        assert eval_rank_words(n, pts, d).rank >= binom_sum(k, d)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +189,8 @@ def test_large_sets_have_high_rank():
 
 
 def test_sumset_with_zero_is_identity():
-    b = [bv("011"), bv("101"), bv("110")]
-    ok, cert = full_rank_check([bv("000")], b, 3)
+    b = [word("011"), word("101"), word("110")]
+    ok, cert = full_rank_check(3, [word("000")], b, 3)
     assert ok
     assert cert.point_count == 3 and set(cert.witness) == set(b)
 
@@ -183,38 +202,39 @@ def test_sums_come_in_canonical_order():
     """
     for n in range(1, 11):
         space = full_space(n)
-        _, cert = full_rank_check(space, [BitVector(n, 0)], n)
+        _, cert = full_rank_check(n, space, [0], n)
         assert list(cert.witness) == sorted(space, key=reference_key)
     stream = rng.derive(MASTER, "ranklab", "canonical-order")
-    a = [BitVector(20, stream.getrandbits(20)) for _ in range(30)]
-    b = [BitVector(20, stream.getrandbits(20)) for _ in range(30)]
-    _, cert = full_rank_check(a, b, 2)
+    a = [stream.getrandbits(20) for _ in range(30)]
+    b = [stream.getrandbits(20) for _ in range(30)]
+    _, cert = full_rank_check(20, a, b, 2)
     assert cert.point_count == len({x ^ y for x in a for y in b})
     assert cert.rank == binom_sum(20, 2)
     assert list(cert.witness) == sorted(cert.witness, key=reference_key)
 
 
 def test_full_rank_on_a_transversal_pair():
-    ok, cert = full_rank_check([bv("00"), bv("10")], [bv("00"), bv("01")], 2)
+    ok, cert = full_rank_check(2, [word("00"), word("10")], [word("00"), word("01")], 2)
     assert ok
     assert set(cert.witness) == set(full_space(2))
 
 
 def test_full_rank_on_unit_vectors():
-    ok, cert = full_rank_check([bv("100")], [bv("010")], 2)
+    ok, cert = full_rank_check(3, [word("100")], [word("010")], 2)
     assert ok
     assert cert.rank == 1
 
 
 def test_full_rank_fails_on_subspace():
-    span = [BitVector(3, b) for b in (0, 1, 2, 3)]
-    ok, cert = full_rank_check(span, span, 2)
+    span = [0, 1, 2, 3]
+    ok, cert = full_rank_check(3, span, span, 2)
     assert not ok
     assert cert.point_count == 4  # 16 pairs, 4 distinct sums
 
 
 def test_full_rank_on_disjoint_weight_slices():
-    ok, cert = full_rank_check(weight_slice(6, 1, 1, 2), weight_slice(6, 1, 5, 6), 2)
+    low, high = ([v.bits for v in weight_slice(6, 1, lo, hi)] for lo, hi in ((1, 2), (5, 6)))
+    ok, cert = full_rank_check(6, low, high, 2)
     assert ok
     assert cert.rank == 4
 
@@ -225,7 +245,7 @@ def test_full_rank_on_disjoint_weight_slices():
 
 def _reference_core(xs, ys, n, d):
     """The BitVector path: XorBasis elimination of eval_bits over canonically sorted sums."""
-    sums = sorted({BitVector(n, x ^ y) for x in xs for y in ys}, key=reference_key)
+    sums = sorted({BitVector(n, x ^ y) for x in xs for y in ys}, key=lambda v: reference_key(v.bits))
     order = monomial_order(n, d)
     basis = XorBasis()
     witness = [s.bits for s in sums if basis.add(eval_bits(s.bits, order))]
@@ -278,17 +298,17 @@ def _always_map(monkeypatch, matrix: BitMatrix) -> None:
 def test_high_rank_identity_map_on_full_space(monkeypatch):
     _always_map(monkeypatch, BitMatrix(4, 4, [1 << i for i in range(4)]))
     sel = find_high_rank_subsets(
-        full_space(4), full_space(4), 2, 4, 1, rng.derive(MASTER, "ranklab", "identity")
+        4, full_space(4), full_space(4), 2, 4, 1, rng.derive(MASTER, "ranklab", "identity")
     )
-    assert sel.a_points == tuple(hamming_ball(4, 1))
-    assert sel.b_points == tuple(hamming_ball(4, 1))
+    assert sel.a_points == tuple(v.bits for v in hamming_ball(4, 1))
+    assert sel.b_points == tuple(v.bits for v in hamming_ball(4, 1))
     assert sel.certificate.rank >= binom_sum(4, 2)
 
 
 def test_high_rank_with_coordinate_projection(monkeypatch):
     _always_map(monkeypatch, BitMatrix(4, 8, [1 << i for i in range(4)]))
     sel = find_high_rank_subsets(
-        full_space(8), full_space(8), 2, 4, 1, rng.derive(MASTER, "ranklab", "projection")
+        8, full_space(8), full_space(8), 2, 4, 1, rng.derive(MASTER, "ranklab", "projection")
     )
     assert len(sel.a_points) == len(sel.b_points) == 5 == binom_sum(4, 1)
     assert sel.certificate.rank >= 11 == binom_sum(4, 2)
@@ -297,9 +317,9 @@ def test_high_rank_with_coordinate_projection(monkeypatch):
 def test_high_rank_random_sets_succeed():
     for seed in range(20):
         stream = rng.derive(MASTER, "ranklab", "random-sets", seed)
-        a = [BitVector(8, b) for b in stream.sample(range(256), 32)]
-        b = [BitVector(8, b) for b in stream.sample(range(256), 32)]
-        sel = find_high_rank_subsets(a, b, 2, 4, 50, stream)
+        a = stream.sample(range(256), 32)
+        b = stream.sample(range(256), 32)
+        sel = find_high_rank_subsets(8, a, b, 2, 4, 50, stream)
         assert len(sel.a_points) == len(sel.b_points) == 5
         assert sel.certificate.rank >= 11
         assert set(sel.a_points) <= set(a) and set(sel.b_points) <= set(b)
@@ -310,34 +330,36 @@ def test_high_rank_images_each_point_past_the_table_threshold(monkeypatch):
     """With 2^n > 8 (|A| + |B|) each image is one apply_word: the selection is
     still the canonically-first preimage of every ball point."""
     stream = rng.derive(MASTER, "ranklab", "per-point")
-    a, b = ([BitVector(10, w) for w in stream.sample(range(1 << 10), 32)] for _ in range(2))
+    a, b = (stream.sample(range(1 << 10), 32) for _ in range(2))
     matrix = sample_uniform_matrix(3, 10, stream)
     _always_map(monkeypatch, matrix)
-    sel = find_high_rank_subsets(a, b, 2, 3, 1, stream)
+    sel = find_high_rank_subsets(10, a, b, 2, 3, 1, stream)
     for points, chosen in ((a, sel.a_points), (b, sel.b_points)):
-        first: dict[int, BitVector] = {}
+        first: dict[int, int] = {}
         for p in sorted(points, key=reference_key):
-            first.setdefault(matrix.apply_word(p.bits), p)
+            first.setdefault(matrix.apply_word(p), p)
         assert chosen == tuple(first[z.bits] for z in hamming_ball(3, 1))
 
 
 def test_high_rank_refuses_sets_of_different_lengths():
     stream = rng.derive(MASTER, "ranklab", "lengths")
     with pytest.raises(PreconditionError, match="one ambient length"):
-        find_high_rank_subsets(full_space(4), full_space(5), 2, 3, 5, stream)
+        find_high_rank_subsets(4, full_space(4), full_space(5), 2, 3, 5, stream)
+    with pytest.raises(PreconditionError, match="one ambient length"):
+        find_high_rank_subsets(4, full_space(4), [-1] * 16, 2, 3, 5, stream)
     with pytest.raises(PreconditionError, match="both sets must be nonempty"):
-        find_high_rank_subsets(full_space(4), [], 2, 3, 5, stream)
+        find_high_rank_subsets(4, full_space(4), [], 2, 3, 5, stream)
 
 
 def test_high_rank_requires_even_degree():
     with pytest.raises(PreconditionError):
-        find_high_rank_subsets(full_space(3), full_space(3), 1, 3, 5, rng.derive(MASTER, "x"))
+        find_high_rank_subsets(3, full_space(3), full_space(3), 1, 3, 5, rng.derive(MASTER, "x"))
 
 
 def test_high_rank_rejects_tiny_sets():
-    pts = [bv("0000"), bv("1000")]
+    pts = [word("0000"), word("1000")]
     with pytest.raises(PreconditionError):
-        find_high_rank_subsets(pts, pts, 2, 4, 5, rng.derive(MASTER, "y"))
+        find_high_rank_subsets(4, pts, pts, 2, 4, 5, rng.derive(MASTER, "y"))
 
 
 def test_high_rank_gives_up_when_no_map_covers_the_ball(monkeypatch):
@@ -345,7 +367,7 @@ def test_high_rank_gives_up_when_no_map_covers_the_ball(monkeypatch):
     _always_map(monkeypatch, BitMatrix(3, 4, [0] * 3))
     pts = full_space(4)
     with pytest.raises(RetryExhaustedError, match="within 5 samples"):
-        find_high_rank_subsets(pts, pts, 2, 3, 5, rng.derive(MASTER, "z"))
+        find_high_rank_subsets(4, pts, pts, 2, 3, 5, rng.derive(MASTER, "z"))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +382,7 @@ def test_special_draw_shape_and_full_rank():
         assert draw.full_rank
         assert len(draw.x_star) == len(draw.b_zero) == 2
         assert len(draw.y_star) == len(draw.b_one) == 2
-        ok, _ = full_rank_check(draw.x_star, draw.y_star, 2)
+        ok, _ = full_rank_check(6, [v.bits for v in draw.x_star], [v.bits for v in draw.y_star], 2)
         assert ok
 
 
@@ -370,8 +392,8 @@ def test_special_draw_slices_have_disjoint_support():
     )
     assert draw.b_zero == tuple(weight_slice(6, 1, 1, 2))
     assert draw.b_one == tuple(weight_slice(6, 1, 5, 6))
-    lo = set().union(*(support(v) for v in draw.b_zero))
-    hi = set().union(*(support(v) for v in draw.b_one))
+    lo = set().union(*(support(v.bits) for v in draw.b_zero))
+    hi = set().union(*(support(v.bits) for v in draw.b_one))
     assert not lo & hi
 
 
@@ -386,11 +408,11 @@ def test_special_draw_surjection_pairs_preimages():
 
 def test_special_draw_on_proper_subsets():
     stream = rng.derive(MASTER, "ranklab", "subset-support")
-    pts = tuple(BitVector(8, b) for b in stream.sample(range(256), 240))
+    pts = tuple(stream.sample(range(256), 240))
     src = Flat(8, pts)
     draw = special_sumset_sampler(src, src, 2, 6, 400, stream)
-    assert set(draw.x_star) <= set(pts)
-    assert set(draw.y_star) <= set(pts)
+    assert {v.bits for v in draw.x_star} <= set(pts)
+    assert {v.bits for v in draw.y_star} <= set(pts)
     assert draw.full_rank
 
 
@@ -456,21 +478,21 @@ def test_special_sampler_refuses_sources_of_different_lengths():
 
 def test_full_rank_pair_gives_uniform_joint_outputs():
     """On a rank-4 pair, the four output bits of a random f are jointly uniform."""
-    a = [bv("0000"), bv("1000")]
-    b = [bv("0000"), bv("0100")]
-    ok, _ = full_rank_check(a, b, 2)
+    a = [word("0000"), word("1000")]
+    b = [word("0000"), word("0100")]
+    ok, _ = full_rank_check(4, a, b, 2)
     assert ok
     sums = [(x ^ y) for x in a for y in b]
     counts = [0] * 16
     for seed in range(10**4):
         f = sample_poly(4, 2, rng.derive(MASTER, "ranklab", "joint", seed))
-        word = 0
+        outputs = 0
         for j, s in enumerate(sums):
             coeffs = f.coeffs.bits
             order = f.order
-            val = (coeffs & eval_bits(s.bits, order)).bit_count() & 1
-            word |= val << j
-        counts[word] += 1
+            val = (coeffs & eval_bits(s, order)).bit_count() & 1
+            outputs |= val << j
+        counts[outputs] += 1
     expected = 10**4 / 16
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     assert chi2 < 37.70  # 0.999 quantile, 15 degrees of freedom

@@ -142,6 +142,42 @@ def test_affine_requires_independent_basis():
         Affine(3, bv("000"), (bv("110"), bv("110")))
     with pytest.raises(ValueError, match="length n"):
         Affine(3, bv("000"), (bv("11"),))
+    with pytest.raises(ValueError):
+        Affine(3, 0, (0b011, 0b011))
+
+
+@pytest.mark.parametrize("stray", [-1, 0b100, 0b101, 1 << 70, "01", 1.0, None])
+def test_flat_and_affine_refuse_a_point_outside_f_2_n(stray):
+    """An int is stored as it is, never masked as BitVector(2, 5) masks 5 to 1."""
+    for build in (
+        lambda: Flat(2, (0b01, stray)),
+        lambda: Affine(2, stray, (0b01,)),
+        lambda: Affine(2, 0, (0b01, stray)),
+    ):
+        with pytest.raises(ValueError, match="length n or ints in"):
+            build()
+
+
+def test_a_source_from_bitvectors_is_the_source_from_their_words():
+    stream = rng.derive(MASTER, "sources", "words-vs-vectors")
+    words = tuple(stream.sample(range(1 << 10), 50))
+    basis = (0b0000000011, 0b0000011000, 0b1100000000)
+    vectors = tuple(BitVector(10, w) for w in basis)
+    pairs = [
+        (Flat(10, tuple(BitVector(10, w) for w in words)), Flat(10, words)),
+        (Affine(10, BitVector(10, 0b1010), vectors), Affine(10, 0b1010, basis)),
+    ]
+    pairs.append((Sumset(pairs[0][0], pairs[0][0]), Sumset(pairs[0][1], pairs[0][1])))
+    for from_vectors, from_words in pairs:
+        assert from_vectors == from_words and hash(from_vectors) == hash(from_words)
+        a, b = rng.derive(MASTER, "twin"), rng.derive(MASTER, "twin")
+        draws = [sample_words(src, 200, stream).tolist() for src, stream in ((from_vectors, a), (from_words, b))]
+        assert draws[0] == draws[1]
+        assert [sample_source(from_vectors, a) for _ in range(20)] == [
+            sample_source(from_words, b) for _ in range(20)
+        ]
+        assert support_of(from_vectors) == support_of(from_words)
+    assert Flat(10, words).support == words and Affine(10, 0b1010, basis).basis == basis
 
 
 # ---------------------------------------------------------------------------
