@@ -103,23 +103,31 @@ def check_order(n: int, d: int, what: str, polys: int = 1) -> None:
 class Polynomial:
     """GF(2) polynomial as a coefficient vector against a monomial order.
 
-    The active monomials are kept packed as ints.  Two more slots are filled
-    on first use and kept for f's lifetime: the masks as an array, by
-    :func:`eval_words`, and for n <= 16 the read-only truth table, by
-    :func:`truth_table`.
+    Three slots are filled on first use and kept for f's lifetime: the active
+    monomials packed as ints, on the first read of ``_active_masks``; the
+    masks as an array, by :func:`eval_words`; and for n <= 16 the read-only
+    truth table, by :func:`truth_table`.  A polynomial that is only compared,
+    hashed or read through ``coeffs`` never builds them.
     """
 
-    __slots__ = ("order", "coeffs", "_active_masks", "_mask_array", "_table")
+    __slots__ = ("order", "coeffs", "_mask_tuple", "_mask_array", "_table")
 
     def __init__(self, order: MonomialOrder, coeffs: BitVector):
         if coeffs.n != order.size:
             raise ValueError("coefficient vector length must match the monomial order")
         self.order = order
         self.coeffs = coeffs
-        flags = f"{coeffs.bits:b}"[::-1].encode().translate(_BIT_BYTES)
-        self._active_masks = tuple(compress(order.masks, flags))
+        self._mask_tuple: tuple[int, ...] | None = None
         self._mask_array: np.ndarray | None = None
         self._table: np.ndarray | None = None
+
+    @property
+    def _active_masks(self) -> tuple[int, ...]:
+        """The order's masks at the set bits of ``coeffs``, built on first read."""
+        if self._mask_tuple is None:
+            flags = f"{self.coeffs.bits:b}"[::-1].encode().translate(_BIT_BYTES)
+            self._mask_tuple = tuple(compress(self.order.masks, flags))
+        return self._mask_tuple
 
     @classmethod
     def from_monomials(cls, n: int, d: int, monomials: Sequence[Sequence[int]]) -> "Polynomial":
@@ -259,21 +267,21 @@ def sample_poly(n: int, d: int, stream: Random) -> Polynomial:
     return Polynomial(order, BitVector(order.size, stream.getrandbits(order.size)))
 
 
-#: (mask, shift) of the in-word levels: bit i feeds bit i + 2^l when bit l of
-#: i is clear, i.e. the mask keeps the low half of every 2^(l+1)-bit block.
-_IN_WORD_LEVELS = tuple(
-    (np.uint64(mask), np.uint64(1 << level))
-    for level, mask in enumerate(
-        (
-            0x5555555555555555,
-            0x3333333333333333,
-            0x0F0F0F0F0F0F0F0F,
-            0x00FF00FF00FF00FF,
-            0x0000FFFF0000FFFF,
-            0x00000000FFFFFFFF,
-        )
-    )
-)
+@lru_cache(maxsize=None)
+def _int_levels(size: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of every level on a ``size``-bit int: bit i feeds bit
+    i + 2^l when bit l of i is clear, so the mask keeps the low half of every
+    2^(l+1)-bit block."""
+    levels = []
+    for level in range(size.bit_length() - 1):
+        half = 1 << level
+        blocks = ((1 << size) - 1) // ((1 << 2 * half) - 1)  # bit 0 of every block
+        levels.append((half, ((1 << half) - 1) * blocks))
+    return tuple(levels)
+
+
+#: (mask, shift) of the six levels inside a 64-bit word.
+_IN_WORD_LEVELS = tuple((np.uint64(mask), np.uint64(shift)) for shift, mask in _int_levels(64))
 
 
 def mobius_transform(table: np.ndarray | Sequence[int]) -> np.ndarray:
@@ -281,9 +289,10 @@ def mobius_transform(table: np.ndarray | Sequence[int]) -> np.ndarray:
 
     Maps ANF coefficient arrays (indexed by packed monomial mask) to truth
     tables and back — it is its own inverse over GF(2).  The 0/1 entries are
-    packed into little-endian 64-bit words (zero-padded to 64 entries): the
-    first min(n, 6) levels, inside a word, are one mask-and-shift each, and
-    the levels above XOR whole words.
+    packed little-endian.  A table of at most ``EVAL_BLOCK`` entries becomes
+    one Python int, and each of its n levels is one mask-and-shift of that
+    int.  A larger one is read as 64-bit words: the first six levels, inside
+    a word, are one mask-and-shift each, and the levels above XOR whole words.
     """
     bits = np.asarray(table)
     size = bits.size
@@ -291,17 +300,22 @@ def mobius_transform(table: np.ndarray | Sequence[int]) -> np.ndarray:
         raise ValueError("table length must be a power of two")
     if size and (bits.min() < 0 or bits.max() > 1):
         raise ValueError("table entries must be 0 or 1")
-    words = np.zeros(max(1, size >> 6), dtype="<u8")
     packed = np.packbits(bits, bitorder="little")
-    words.view(np.uint8)[: packed.size] = packed
-    for mask, shift in _IN_WORD_LEVELS[: size.bit_length() - 1]:
-        words ^= (words & mask) << shift
-    half = 1
-    while half < words.size:
-        v = words.reshape(-1, 2 * half)
-        v[:, half:] ^= v[:, :half]
-        half <<= 1
-    return np.unpackbits(words.view(np.uint8), count=size, bitorder="little")
+    if size <= EVAL_BLOCK:
+        x = int.from_bytes(packed.tobytes(), "little")
+        for shift, mask in _int_levels(size):
+            x ^= (x & mask) << shift
+        packed = np.frombuffer(x.to_bytes(packed.size, "little"), dtype=np.uint8)
+    else:
+        words = packed.view("<u8")
+        for mask, shift in _IN_WORD_LEVELS:
+            words ^= (words & mask) << shift
+        half = 1
+        while half < words.size:
+            v = words.reshape(-1, 2 * half)
+            v[:, half:] ^= v[:, :half]
+            half <<= 1
+    return np.unpackbits(packed, count=size, bitorder="little")
 
 
 def truth_table(f: Polynomial) -> np.ndarray:
@@ -315,8 +329,7 @@ def truth_table(f: Polynomial) -> np.ndarray:
     if f._table is not None:
         return f._table
     dense = np.zeros(1 << f.order.n, dtype=np.uint8)
-    for mask in f._active_masks:
-        dense[mask] = 1
+    dense[_mask_array(f)] = 1
     table = mobius_transform(dense)
     table.setflags(write=False)
     if table.size <= EVAL_BLOCK:

@@ -63,11 +63,12 @@ def balancedness_report(generator: BitMatrix, eps: RationalLike) -> BalanceRepor
     """
     epsf = Fraction(eps)
     t = generator.cols
-    lo, hi = (1 - epsf) * t / 2, (1 + epsf) * t / 2
     nonzero = [w for w in codewords(generator) if w]
     if not nonzero:
         return BalanceReport(Fraction(0), None)
-    bad = sum(1 for w in nonzero if not lo <= w.bit_count() <= hi)
+    # wt lies in the window iff |2 wt - T| <= eps T, i.e. |2 wt - T| q <= p T for eps = p/q
+    p, q = epsf.numerator, epsf.denominator
+    bad = sum(1 for w in nonzero if abs(2 * w.bit_count() - t) * q > p * t)
     worst = max(nonzero, key=lambda w: (abs(2 * w.bit_count() - t), w))
     return BalanceReport(Fraction(bad, len(nonzero)), worst)
 
@@ -75,11 +76,8 @@ def balancedness_report(generator: BitMatrix, eps: RationalLike) -> BalanceRepor
 def measured_imbalance(generator: BitMatrix) -> Fraction:
     """Smallest eps for which the code is eps-balanced (0 for no nonzero words)."""
     t = generator.cols
-    worst = Fraction(0)
-    for w in codewords(generator):
-        if w:
-            worst = max(worst, Fraction(abs(2 * w.bit_count() - t), t))
-    return worst
+    worst = max((abs(2 * w.bit_count() - t) for w in codewords(generator) if w), default=0)
+    return Fraction(worst, t) if worst else Fraction(0)
 
 
 def _wht(values: np.ndarray) -> np.ndarray:
@@ -107,8 +105,7 @@ def list_size_exhaustive(
     """
     t = generator.cols
     check_budget("exact list-size enumeration", 1 << LIST_SIZE_LIMIT, log2=max(t, generator.rows))
-    rho = Fraction(radius)
-    cutoff = rho * t
+    cutoff = math.floor(Fraction(radius) * t)  # an integer weight is <= rho T iff <= this
     size = 1 << t
     indicator = np.zeros(size, dtype=np.int64)
     for w in codewords(generator):

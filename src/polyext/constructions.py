@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng, sources
-from .anf import Polynomial, eval_bits, eval_polys, monomial_order, sample_poly
+from .anf import Polynomial, check_order, eval_bits, eval_polys, monomial_order, sample_poly
 from .errors import PreconditionError, check_budget
 from .gf2 import BitMatrix, binom_sum, rank, sample_uniform_matrix
 
@@ -29,6 +29,7 @@ __all__ = [
     "EvasiveDescriptor",
     "build_two_source",
     "eval_two_source",
+    "two_source_table",
     "build_seeded",
     "eval_seeded",
     "seeded_table",
@@ -94,7 +95,8 @@ def build_two_source(n: int, seed: int, r: int | None = None) -> TwoSourceDescri
     """Sample the degree-4 two-source extractor descriptor.
 
     ``r`` defaults to 11n.  Build cost is O(r * binom_sum(n, 2)) coefficient
-    draws, i.e. cubic in n at the default r.
+    draws, i.e. cubic in n at the default r, refused by
+    :func:`anf.check_order` before the order is built.
     """
     if n < 1:
         raise PreconditionError("n must be positive")
@@ -102,6 +104,7 @@ def build_two_source(n: int, seed: int, r: int | None = None) -> TwoSourceDescri
         r = 11 * n
     if r < 1:
         raise PreconditionError("r must be positive")
+    check_order(n, 2, f"two-source descriptor: n={n}, degree 2, r={r}", r)
     stream = rng.derive(seed, "two-source", n, r)
     polys = tuple(sample_poly(n, 2, stream) for _ in range(r))
     return TwoSourceDescriptor(n=n, r=r, polys=polys, seed=seed)
@@ -119,6 +122,20 @@ def eval_two_source(desc: TwoSourceDescriptor, x: int, y: int) -> int:
     hx = lift_point(desc.polys, x)
     hy = lift_point(desc.polys, y)
     return (hx & hy).bit_count() & 1
+
+
+def two_source_table(desc: TwoSourceDescriptor) -> np.ndarray:
+    """Every output bit at once, as a uint8 array of length 2^(2n).
+
+    Entry ``x | y << n`` equals ``eval_two_source(desc, x, y)``.  Each of
+    the 2^n points is lifted once, and an entry is the parity of its two
+    lifts' AND.  Refuses through :func:`errors.check_budget` when 2^(2n)
+    exceeds ``sources.ENUMERATION_BUDGET``.
+    """
+    n = desc.n
+    check_budget(f"two-source joint table (n={n})", sources.ENUMERATION_BUDGET, log2=2 * n)
+    lifts = [lift_point(desc.polys, x) for x in range(1 << n)]
+    return np.array([(hx & hy).bit_count() & 1 for hy in lifts for hx in lifts], dtype=np.uint8)
 
 
 def build_seeded(n: int, t: int, d: int, seed: int) -> SeededDescriptor:
@@ -194,7 +211,8 @@ def _parity(words: np.ndarray) -> np.ndarray:
 def build_evasive_h(k: int, d: int, seed: int, r: int | None = None) -> EvasiveDescriptor:
     """Sample the evasive lifting map with r degree-<=d appended polynomials.
 
-    ``r`` defaults to 11k (the subspace-evasive setting).
+    ``r`` defaults to 11k (the subspace-evasive setting).  The r polynomials'
+    monomials are refused by :func:`anf.check_order` before the order is built.
     """
     if k < 1 or d < 1:
         raise PreconditionError("need k >= 1 and d >= 1")
@@ -202,6 +220,7 @@ def build_evasive_h(k: int, d: int, seed: int, r: int | None = None) -> EvasiveD
         r = 11 * k
     if r < 1:
         raise PreconditionError("r must be positive")
+    check_order(k, d, f"evasive descriptor: k={k}, d={d}, r={r}", r)
     stream = rng.derive(seed, "evasive", k, d, r)
     polys = tuple(sample_poly(k, d, stream) for _ in range(r))
     return EvasiveDescriptor(k=k, d=d, r=r, polys=polys, seed=seed)

@@ -22,8 +22,8 @@ from .codes import johnson_check, measured_imbalance
 from .constructions import (
     build_seeded,
     build_two_source,
-    eval_two_source,
     seeded_table,
+    two_source_table,
 )
 from .errors import PreconditionError, RetryExhaustedError, check_budget
 from .gf2 import (
@@ -194,7 +194,7 @@ def _bias_trial(params, stream):
     f = sample_poly(n, d, stream)
     table = truth_table(f)
     size = table.size
-    bias = 1.0 - 2.0 * int(table.sum()) / size
+    bias = 1.0 - 2.0 * int(np.count_nonzero(table)) / size
     threshold = 2.0 ** (-n / (4.0 * d))
     return {"bias": bias, "exceed": abs(bias) > threshold}
 
@@ -212,10 +212,7 @@ def _two_source_trial(params, stream):
     n, r = params["n"], params["r"]
     check_budget(f"two-source joint table (n={n})", sources.ENUMERATION_BUDGET, log2=2 * n)
     desc = build_two_source(n, stream.getrandbits(63), r=r)
-    table = np.zeros(1 << (2 * n), dtype=np.uint8)
-    for w in range(table.size):
-        table[w] = eval_two_source(desc, w & ((1 << n) - 1), w >> n)
-    degree = anf_from_truth_table(table).degree()
+    degree = anf_from_truth_table(two_source_table(desc)).degree()
     return {"degree": degree, "ok": degree <= 4}
 
 

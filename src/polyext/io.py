@@ -243,19 +243,16 @@ def descriptor_from_dict(data: dict) -> Descriptor:
     kind = _field(data, "kind", str)
     num = partial(_field, data, kind=int)
     # Each builder draws r polynomials over (or evaluates) one monomial order;
-    # all of them are budgeted like a polynomial file's before the builder runs.
+    # all of them are budgeted like a polynomial file's before the order is
+    # built: the two-source and evasive builders do it themselves.
     if kind == "two-source":
-        n, r = num("n"), num("r")
-        check_order(n, 2, f"two-source descriptor: n={n}, degree 2, r={r}", r)
-        return build_two_source(n, num("seed"), r=r)
+        return build_two_source(num("n"), num("seed"), r=num("r"))
     if kind == "seeded":
         t, d = num("t"), num("d")
         check_order(t, d, f"seeded descriptor: t={t}, d={d}")
         return build_seeded(num("n"), t, d, num("seed"))
     if kind == "evasive":
-        k, d, r = num("k"), num("d"), num("r")
-        check_order(k, d, f"evasive descriptor: k={k}, d={d}, r={r}", r)
-        return build_evasive_h(k, d, num("seed"), r=r)
+        return build_evasive_h(num("k"), num("d"), num("seed"), r=num("r"))
     raise ValueError(f"unknown descriptor kind {kind!r}")
 
 

@@ -86,6 +86,19 @@ def test_active_masks_are_the_orders_masks_at_the_coefficients_set_bits(n, d):
         assert Polynomial(order, BitVector(order.size, c))._active_masks == expected
 
 
+def test_masks_are_built_on_first_read_and_kept():
+    order = monomial_order(8, 2)
+    f = sample_poly(8, 2, rng.derive(MASTER, "anf", "lazy-masks"))
+    g = Polynomial(order, BitVector(order.size, f.coeffs.bits))
+    assert f == g and hash(f) == hash(g)
+    assert f._mask_tuple is None and g._mask_tuple is None
+    c = f.coeffs.bits
+    expected = tuple(order.masks[j] for j in range(order.size) if (c >> j) & 1)
+    assert f._active_masks == expected
+    assert f._mask_tuple is f._active_masks  # later reads return the kept tuple
+    assert g._mask_tuple is None
+
+
 def test_order_is_interned():
     assert monomial_order(4, 2) is monomial_order(4, 2)
 
@@ -432,6 +445,15 @@ def test_mobius_transform_matches_the_reference_at_every_size():
         assert np.array_equal(table, before)  # the input is left as it was
     listed = [stream.randrange(2) for _ in range(32)]
     assert np.array_equal(mobius_transform(listed), mobius_by_halves(listed))
+
+
+@pytest.mark.parametrize("n", [16, 17])  # the two sides of EVAL_BLOCK
+def test_truth_table_on_both_sides_of_the_int_path(n):
+    assert 1 << 16 == anf.EVAL_BLOCK
+    f = sample_poly(n, 4, rng.derive(MASTER, "anf", "int-path", n))
+    dense = np.zeros(1 << n, dtype=np.uint8)
+    dense[list(f._active_masks)] = 1
+    assert np.array_equal(truth_table(f), mobius_by_halves(dense))
 
 
 def test_mobius_transform_rejects_non_bits():

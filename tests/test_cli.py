@@ -413,6 +413,25 @@ def test_cli_construct_two_source(capsys):
     assert data == {"kind": "two-source", "n": 2, "r": 22, "seed": 3}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["two-source", "--n", "600"],
+        ["two-source", "--n", "100000"],
+        ["evasive", "--k", "100000", "--d", "3"],
+    ],
+    ids=lambda v: "-".join(v),
+)
+def test_cli_construct_past_the_monomial_budget_is_bad_input(capsys, argv):
+    """The builders budget their monomial order before they build it, as a
+    descriptor file's is budgeted."""
+    start = time.perf_counter()
+    assert cli.main(["construct", *argv, "--seed", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "monomials" in err
+
+
 def test_cli_construct_seeded_missing_flag(capsys):
     assert cli.main(["construct", "seeded", "--n", "4", "--seed", "1"]) == 2
     assert "needs" in capsys.readouterr().err

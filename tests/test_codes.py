@@ -125,6 +125,38 @@ def test_list_size_brute_force_agreement():
         assert at_center == count
 
 
+def _fraction_reference(code: BitMatrix, eps: Fraction, rho: Fraction):
+    """(unbalanced fraction, measured imbalance, list size) with every weight
+    compared against a Fraction, as the window and the radius are defined."""
+    t = code.cols
+    nonzero = [w for w in codewords(code) if w]
+    lo, hi = (1 - eps) * t / 2, (1 + eps) * t / 2
+    bad = Fraction(sum(1 for w in nonzero if not lo <= w.bit_count() <= hi), len(nonzero) or 1)
+    imbalance = max((Fraction(abs(2 * w.bit_count() - t), t) for w in nonzero), default=Fraction(0))
+    words = codewords(code)
+    size = max(
+        sum(1 for w in words if (w ^ x).bit_count() <= rho * t) for x in range(1 << t)
+    )
+    return bad, imbalance, size
+
+
+def test_integer_weight_comparisons_match_the_fraction_reference():
+    stream = rng.derive(MASTER, "codes", "fraction-reference")
+    integral = 0
+    for _ in range(40):
+        dim = stream.randrange(1, 6)
+        t = stream.randrange(max(dim, 2), 9)
+        code = sample_uniform_matrix(dim, t, stream)
+        eps = Fraction(stream.randrange(0, 2 * t + 1), stream.choice([t, 2 * t, 3, 7]))
+        rho = Fraction(stream.randrange(0, 3 * t + 1), stream.choice([2, 3, t, 2 * t]))
+        integral += (rho * t).denominator == 1
+        bad, imbalance, size = _fraction_reference(code, eps, rho)
+        assert balancedness_report(code, eps).delta == bad
+        assert measured_imbalance(code) == imbalance
+        assert list_size_exhaustive(code, rho)[0] == size
+    assert 5 <= integral <= 35  # both radii where rho T is an integer and where it is not
+
+
 # ---------------------------------------------------------------------------
 # Johnson verdicts
 

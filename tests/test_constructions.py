@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from polyext import rng, sources
+from polyext import constructions, rng, sources
 from polyext.anf import (
     Polynomial,
     anf_from_truth_table,
@@ -21,6 +21,7 @@ from polyext.constructions import (
     eval_two_source,
     lift_point,
     seeded_table,
+    two_source_table,
 )
 from polyext.errors import BudgetExceededError, PreconditionError
 from polyext.experiments import _seeded_left_linear, _seeded_right_degree
@@ -82,6 +83,30 @@ def test_two_source_degree_bound_exhaustive_small_n():
     for n in (1, 2, 4):
         for seed in (0, 1):
             assert _two_source_anf_degree(build_two_source(n, seed=seed)) <= 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 33, 70])  # r = 70 lifts past 64 bits
+def test_two_source_table_is_eval_two_source_everywhere(n, r):
+    desc = build_two_source(n, seed=31 + n + r, r=r)
+    table = two_source_table(desc)
+    assert table.dtype == np.uint8 and table.shape == (1 << 2 * n,)
+    for y in range(1 << n):
+        for x in range(1 << n):
+            assert table[x | y << n] == eval_two_source(desc, x, y)
+
+
+def test_two_source_table_refuses_past_the_budget_before_lifting(monkeypatch):
+    monkeypatch.setattr(sources, "ENUMERATION_BUDGET", 1 << 6)
+    assert two_source_table(build_two_source(3, seed=0, r=2)).size == 64
+    desc = build_two_source(4, seed=0, r=2)
+
+    def no_lift(polys, x):
+        raise AssertionError("lifted a point past the budget")
+
+    monkeypatch.setattr(constructions, "lift_point", no_lift)
+    with pytest.raises(BudgetExceededError):
+        two_source_table(desc)
 
 
 # ---------------------------------------------------------------------------

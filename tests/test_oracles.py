@@ -566,6 +566,13 @@ def test_disperser_attack_zero_family():
     assert w.params["success"]
 
 
+def test_disperser_attack_leaves_the_family_masks_unbuilt():
+    stream = rng.derive(MASTER, "oracles", "disperser-lazy-masks")
+    family = [sample_poly(5, 2, stream) for _ in range(32)]
+    assert disperser_attack(family, t=2, budget=20, stream=stream).verified
+    assert all(f._mask_tuple is None for f in family)
+
+
 def test_disperser_attack_linear_family_finds_dual():
     family = _linear_family(4)
     stream = rng.derive(MASTER, "oracles", "disperser-linear")

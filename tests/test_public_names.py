@@ -54,6 +54,10 @@ ALLOWED = {
     "anf.evaluate": "the scalar evaluator f(x) that the tests check eval_polys against",
     "io.emit_matrix": "canonical matrix emitter used by the parse/emit round-trip tests",
     "io.emit_source": "canonical source emitter used by the parse/emit round-trip tests",
+    "constructions.eval_two_source": (
+        "the scalar form that the README shows and that the tests check two_source_table "
+        "against; perfbench/tracer.py still targets it"
+    ),
     "anf.compose_linear": _TRACER_ONLY,
     "constructions.eval_seeded": _TRACER_ONLY,
     "sources.support_of": _TRACER_ONLY,
@@ -78,7 +82,7 @@ ALLOWED_DEFAULTS = {
 #: owner module, why), read by :func:`_ownership_breaches`.
 OWNERS = (
     (
-        {"_active_masks", "_mask_array", "_table"}, None, "anf",
+        {"_active_masks", "_mask_tuple", "_mask_array", "_table"}, None, "anf",
         "evaluate with anf.eval_polys or anf.eval_words instead of reading "
         "a polynomial's masks or cached table",
     ),
