@@ -1,10 +1,10 @@
 """Algebraic normal form of GF(2) polynomials with a fixed degree cap.
 
-A degree-<=d polynomial over n variables is a coefficient :class:`BitVector`
-against the shared monomial order: monomials sorted by degree ascending, ties
-broken lexicographically on the sorted 0-based variable lists, so the constant
-monomial (empty set) always comes first and there are ``binom_sum(n, d)``
-coordinates in total.
+A degree-<=d polynomial over n variables is a coefficient word, an int whose
+bit j is the coefficient of monomial j in the shared monomial order: monomials
+sorted by degree ascending, ties broken lexicographically on the sorted
+0-based variable lists, so the constant monomial (empty set) always comes
+first and there are ``binom_sum(n, d)`` coefficients in total.
 
 The evaluation map sends a point x to the vector of all its monomial values;
 its first coordinate is always 1.  Truth tables are numpy uint8 arrays of
@@ -101,20 +101,22 @@ def check_order(n: int, d: int, what: str, polys: int = 1) -> None:
 
 
 class Polynomial:
-    """GF(2) polynomial as a coefficient vector against a monomial order.
+    """GF(2) polynomial as a coefficient word against a monomial order.
 
-    Three slots are filled on first use and kept for f's lifetime: the active
-    monomials packed as ints, on the first read of ``_active_masks``; the
-    masks as an array, by :func:`eval_words`; and for n <= 16 the read-only
-    truth table, by :func:`truth_table`.  A polynomial that is only compared,
+    ``coeffs`` is an int in [0, 2^order.size): bit j is the coefficient of
+    ``order.monomials[j]``, so the sum of two polynomials is the XOR of their
+    words.  Three slots are filled on first use and kept for f's lifetime:
+    the active monomials packed as ints, on the first read of
+    ``_active_masks``; the masks as an array, by :func:`eval_words`; and for
+    n <= 16 the read-only truth table, by :func:`truth_table`.  A polynomial that is only compared,
     hashed or read through ``coeffs`` never builds them.
     """
 
     __slots__ = ("order", "coeffs", "_mask_tuple", "_mask_array", "_table")
 
-    def __init__(self, order: MonomialOrder, coeffs: BitVector):
-        if coeffs.n != order.size:
-            raise ValueError("coefficient vector length must match the monomial order")
+    def __init__(self, order: MonomialOrder, coeffs: int):
+        if type(coeffs) is not int or coeffs < 0 or coeffs >> order.size:
+            raise ValueError(f"coefficients must be an int in [0, 2^{order.size})")
         self.order = order
         self.coeffs = coeffs
         self._mask_tuple: tuple[int, ...] | None = None
@@ -125,34 +127,33 @@ class Polynomial:
     def _active_masks(self) -> tuple[int, ...]:
         """The order's masks at the set bits of ``coeffs``, built on first read."""
         if self._mask_tuple is None:
-            flags = f"{self.coeffs.bits:b}"[::-1].encode().translate(_BIT_BYTES)
-            self._mask_tuple = tuple(compress(self.order.masks, flags))
+            self._mask_tuple = self._at_coefficients(self.order.masks)
         return self._mask_tuple
+
+    def _at_coefficients(self, per_monomial: tuple) -> tuple:
+        """The entries of a per-monomial tuple at the set bits of ``coeffs``."""
+        flags = f"{self.coeffs:b}"[::-1].encode().translate(_BIT_BYTES)
+        return tuple(compress(per_monomial, flags))
 
     @classmethod
     def from_monomials(cls, n: int, d: int, monomials: Sequence[Sequence[int]]) -> "Polynomial":
+        """The sum of the listed monomials; ValueError if one is listed twice,
+        since over GF(2) a repeated monomial would cancel rather than count."""
         order = monomial_order(n, d)
         bits = 0
         for mon in monomials:
-            bits |= 1 << order.index_of(mon)
-        return cls(order, BitVector(order.size, bits))
+            bit = 1 << order.index_of(mon)
+            if bits & bit:
+                raise ValueError(f"monomial {sorted(mon)} is listed twice")
+            bits |= bit
+        return cls(order, bits)
 
     def active_monomials(self) -> tuple[tuple[int, ...], ...]:
-        c = self.coeffs.bits
-        return tuple(
-            self.order.monomials[j] for j in range(self.order.size) if (c >> j) & 1
-        )
+        return self._at_coefficients(self.order.monomials)
 
     def degree(self) -> int:
         """Largest active monomial size; 0 for the zero polynomial."""
         return max((m.bit_count() for m in self._active_masks), default=0)
-
-    def __xor__(self, other: "Polynomial") -> "Polynomial":
-        if self.order is not other.order:
-            raise ValueError("polynomials use different monomial orders")
-        return Polynomial(self.order, self.coeffs ^ other.coeffs)
-
-    __add__ = __xor__
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -264,7 +265,7 @@ def evaluate(f: Polynomial, x: BitVector) -> int:
 def sample_poly(n: int, d: int, stream: Random) -> Polynomial:
     """Uniformly random degree-<=d polynomial (all coefficients fair bits)."""
     order = monomial_order(n, d)
-    return Polynomial(order, BitVector(order.size, stream.getrandbits(order.size)))
+    return Polynomial(order, stream.getrandbits(order.size))
 
 
 @lru_cache(maxsize=None)
@@ -350,7 +351,7 @@ def anf_from_truth_table(table: np.ndarray | Sequence[int]) -> Polynomial:
     for j, mask in enumerate(order.masks):
         if dense[mask]:
             bits |= 1 << j
-    return Polynomial(order, BitVector(order.size, bits))
+    return Polynomial(order, bits)
 
 
 def compose_linear(q: Polynomial, matrix: BitMatrix) -> Polynomial:
@@ -397,4 +398,4 @@ def compose_linear(q: Polynomial, matrix: BitMatrix) -> Polynomial:
             tuple(j for j in range(n_out) if (mask >> j) & 1)
         )
         bits |= 1 << idx
-    return Polynomial(out_order, BitVector(out_order.size, bits))
+    return Polynomial(out_order, bits)

@@ -134,7 +134,7 @@ def moment_walk(n: int, d: int, points: int, what: str) -> int:
 def moment_by_poly_enumeration(source: Source, n: int, d: int, t: int) -> Fraction:
     """E over all degree-<=d polynomials of bias(f)^t, by direct enumeration.
 
-    Walks every one of the 2^binom_sum(n, d) coefficient vectors against
+    Walks every one of the 2^binom_sum(n, d) coefficient words against
     every support point, within the budgets of :func:`moment_walk`.
     """
     if t < 0:

@@ -59,8 +59,10 @@ class BitVector:
     def __init__(self, n: int, bits: int = 0):
         if n < 0:
             raise ValueError("vector length must be nonnegative")
+        if type(bits) is not int or bits < 0 or bits >> n:
+            raise ValueError(f"bits must be an int in [0, 2^{n})")
         self.n = n
-        self.bits = bits & ((1 << n) - 1)
+        self.bits = bits
 
     @classmethod
     def from_string(cls, text: str) -> "BitVector":
@@ -79,18 +81,6 @@ class BitVector:
 
     def to_string(self) -> str:
         return word_string(self.n, self.bits)
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVector(self.n, self.bits ^ other.bits)
-
-    __add__ = __xor__  # addition over GF(2) is XOR
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -179,9 +169,6 @@ class XorBasis:
                 return True
             word ^= pivot
         return False
-
-    def __len__(self) -> int:
-        return len(self._pivots)
 
 
 def word_string(n: int, word: int) -> str:

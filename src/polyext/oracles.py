@@ -25,7 +25,6 @@ from .anf import Polynomial, eval_bits, monomial_order
 from .constructions import EvasiveDescriptor, lift_point
 from .errors import PreconditionError, RetryExhaustedError, check_budget
 from .gf2 import (
-    BitVector,
     XorBasis,
     check_words,
     enumerate_span,
@@ -283,8 +282,7 @@ def sample_vanishing_poly(
     span = enumerate_span(v_basis)
     rows = [eval_bits(p, order) for p in span]
     basis = nullspace_basis(rows, order.size)
-    coeffs = subset_xor(basis, stream.getrandbits(len(basis)))
-    return Polynomial(order, BitVector(order.size, coeffs))
+    return Polynomial(order, subset_xor(basis, stream.getrandbits(len(basis))))
 
 
 @dataclass(frozen=True)
@@ -326,7 +324,7 @@ def verify_constancy(
     order = family[0].order
     evals = [eval_bits(x, order) for x in xs]
     for y in ys:
-        coeffs = family[y].coeffs.bits
+        coeffs = family[y].coeffs
         for e in evals:
             if ((coeffs & e).bit_count() & 1) != value:
                 return False
@@ -357,7 +355,7 @@ def disperser_attack(
         raise PreconditionError("family members must share one monomial order")
     if not 1 <= t <= n:
         raise PreconditionError("need 1 <= t <= n")
-    coeff_by_y = [f.coeffs.bits for f in family]
+    coeff_by_y = [f.coeffs for f in family]
     ones = sum(c & 1 for c in coeff_by_y)
     b = 1 if 2 * ones > size else 0
     pool = [y for y in range(size) if (coeff_by_y[y] & 1) == b]
@@ -468,7 +466,7 @@ def monochromatic_sumset_search(
     if s < 1:
         raise PreconditionError("target size must be positive")
     n = f.order.n
-    coeffs = f.coeffs.bits
+    coeffs = f.coeffs
     order = f.order
 
     def val(xb: int) -> int:

@@ -435,7 +435,7 @@ def variety_reduce(
     for attempt in range(budget):
         rows = [stream.getrandbits(len(polys)) for _ in range(n + 1)]
         if np.array_equal(zeros(rows), target):
-            coeffs = [p.coeffs.bits for p in polys]
-            out = [Polynomial(order, BitVector(order.size, subset_xor(coeffs, row))) for row in rows]
+            coeffs = [p.coeffs for p in polys]
+            out = [Polynomial(order, subset_xor(coeffs, row)) for row in rows]
             return out, attempt
     raise RetryExhaustedError(f"no exact reduction in {budget} rounds")

@@ -45,7 +45,7 @@ def compose_linear_by_table(q: Polynomial, matrix: BitMatrix) -> Polynomial:
     for mon in anf_from_truth_table(table).active_monomials():
         assert len(mon) <= q.order.d, "linear composition raised the degree"
         bits |= 1 << out_order.index_of(mon)
-    return Polynomial(out_order, BitVector(out_order.size, bits))
+    return Polynomial(out_order, bits)
 
 
 def mobius_by_halves(table) -> np.ndarray:
@@ -82,17 +82,19 @@ def test_active_masks_are_the_orders_masks_at_the_coefficients_set_bits(n, d):
     s = rng.derive(MASTER, "anf", "active-masks", n, d)
     top = 1 << (order.size - 1)  # a single set bit as far from bit 0 as the order allows
     for c in [0, (1 << order.size) - 1, 1, top] + [s.getrandbits(order.size) for _ in range(20)]:
-        expected = tuple(order.masks[j] for j in range(order.size) if (c >> j) & 1)
-        assert Polynomial(order, BitVector(order.size, c))._active_masks == expected
+        at_set_bits = [j for j in range(order.size) if (c >> j) & 1]
+        f = Polynomial(order, c)
+        assert f._active_masks == tuple(order.masks[j] for j in at_set_bits)
+        assert f.active_monomials() == tuple(order.monomials[j] for j in at_set_bits)
 
 
 def test_masks_are_built_on_first_read_and_kept():
     order = monomial_order(8, 2)
     f = sample_poly(8, 2, rng.derive(MASTER, "anf", "lazy-masks"))
-    g = Polynomial(order, BitVector(order.size, f.coeffs.bits))
+    g = Polynomial(order, f.coeffs)
     assert f == g and hash(f) == hash(g)
     assert f._mask_tuple is None and g._mask_tuple is None
-    c = f.coeffs.bits
+    c = f.coeffs
     expected = tuple(order.masks[j] for j in range(order.size) if (c >> j) & 1)
     assert f._active_masks == expected
     assert f._mask_tuple is f._active_masks  # later reads return the kept tuple
@@ -123,12 +125,19 @@ def test_repr_is_what_a_failed_assertion_prints(value, text):
     "call, says",
     [
         (lambda: monomial_order(-1, 1), "nonnegative"),
-        (lambda: Polynomial(monomial_order(2, 1), BitVector(2, 0)), "length must match"),
-        (lambda: Polynomial.from_monomials(2, 1, []) ^ Polynomial.from_monomials(2, 2, []),
-         "different monomial orders"),
+        (lambda: Polynomial(monomial_order(2, 1), -1), r"an int in \[0, 2\^3\)"),
+        (lambda: Polynomial(monomial_order(2, 1), 1 << 3), r"an int in \[0, 2\^3\)"),
+        (lambda: Polynomial(monomial_order(2, 1), True), r"an int in \[0, 2\^3\)"),
+        (lambda: Polynomial(monomial_order(2, 1), 1.0), r"an int in \[0, 2\^3\)"),
+        (lambda: Polynomial(monomial_order(2, 1), BitVector(3, 1)), r"an int in \[0, 2\^3\)"),
+        (lambda: Polynomial.from_monomials(2, 2, [[0], [0]]), r"monomial \[0\] is listed twice"),
+        (lambda: Polynomial.from_monomials(2, 2, [[0, 1], [1, 0]]),
+         r"monomial \[0, 1\] is listed twice"),
         (lambda: eval_words((Polynomial.from_monomials(1, 1, []),) * 65, [0]), "at most 64"),
     ],
-    ids=["order-shape", "coefficient-length", "mixed-orders", "65-outputs"],
+    ids=["order-shape", "coefficient-negative", "coefficient-length", "coefficient-bool",
+         "coefficient-float", "coefficient-bitvector", "repeated-monomial",
+         "repeated-monomial-reordered", "65-outputs"],
 )
 def test_malformed_polynomials_are_refused(call, says):
     with pytest.raises(ValueError, match=says):
@@ -162,8 +171,8 @@ def test_eval_vector_is_monomial_products():
         for j, mon in enumerate(order.monomials):
             prod = 1
             for i in mon:
-                prod &= x[i]
-            assert vec[j] == prod
+                prod &= (x.bits >> i) & 1
+            assert (vec.bits >> j) & 1 == prod
 
 
 def test_eval_memo_is_bounded_and_agrees():
@@ -198,7 +207,7 @@ def test_evaluate_matches_term_summation_oracle():
         x = BitVector(n, stream.getrandbits(n))
         acc = 0
         for mon in f.active_monomials():
-            if all(x[i] for i in mon):
+            if all((x.bits >> i) & 1 for i in mon):
                 acc ^= 1
         assert evaluate(f, x) == acc
 
@@ -210,14 +219,16 @@ def test_evaluate_rejects_length_mismatch():
 
 
 def test_evaluate_additive_in_coefficients():
-    """evaluate(f + g, x) = evaluate(f, x) XOR evaluate(g, x), all x, n <= 8."""
+    """evaluate(f + g, x) = evaluate(f, x) XOR evaluate(g, x), all x, n <= 8; f + g is
+    the polynomial whose coefficient word is the XOR of theirs."""
     stream = rng.derive(MASTER, "anf", "linearity")
     for n in (2, 5, 8):
         f = sample_poly(n, 2, stream)
         g = sample_poly(n, 2, stream)
+        total = Polynomial(f.order, f.coeffs ^ g.coeffs)
         for xb in range(1 << n):
             x = BitVector(n, xb)
-            assert evaluate(f ^ g, x) == evaluate(f, x) ^ evaluate(g, x)
+            assert evaluate(total, x) == evaluate(f, x) ^ evaluate(g, x)
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +381,16 @@ def test_sample_poly_deterministic():
 
 def test_sample_poly_coefficient_count():
     f = sample_poly(3, 2, rng.derive(MASTER, "anf", "count"))
-    assert f.coeffs.n == 7 == binom_sum(3, 2)
+    assert f.order.size == 7 == binom_sum(3, 2)
+    assert 0 <= f.coeffs < 1 << 7
 
 
 def test_sample_poly_degree_zero_is_fair_coin():
     ones = 0
     for seed in range(10**4):
         f = sample_poly(4, 0, rng.derive(MASTER, "anf", "coin", seed))
-        assert f.coeffs.n == 1
-        ones += f.coeffs[0]
+        assert f.order.size == 1 and f.coeffs in (0, 1)
+        ones += f.coeffs
     assert abs(ones / 10**4 - 0.5) <= 0.02
 
 
@@ -393,7 +405,7 @@ def test_truth_table_of_zero():
 
 def test_anf_from_all_zero_table():
     f = anf_from_truth_table(np.zeros(8, dtype=np.uint8))
-    assert f.coeffs.bits == 0
+    assert f.coeffs == 0
     assert f.degree() == 0
 
 

@@ -587,6 +587,8 @@ def _refusal_files(tmp_path) -> dict[str, str]:
         "not-json": write(tmp_path / "s.json", "flat 2 00 11"),
         "poly": write(tmp_path / "f.json", '{"d":1,"monomials":[[0]],"n":2}'),
         "poly-d2": write(tmp_path / "f2.json", '{"d":2,"monomials":[[0]],"n":2}'),
+        "poly-twice": write(tmp_path / "f3.json", '{"n":2,"d":2,"monomials":[[0],[0]]}'),
+        "poly-swapped": write(tmp_path / "f4.json", '{"n":2,"d":2,"monomials":[[0,1],[1,0]]}'),
         "uniform": write(tmp_path / "u.json", '{"type":"flat","n":2,"support":["00","11"]}'),
         # 2^m does not fit in memory, and 2^n has more decimal digits than
         # Python will print; the budget checks must refuse both without
@@ -674,6 +676,9 @@ def _refusal_files(tmp_path) -> dict[str, str]:
          "need 1 <= m <= n"),
         (["experiment", "moment-identity", "--config", "moment-t", "--seed", "1"],
          "moment index must be nonnegative"),
+        (["bias", "--poly", "poly-twice", "--source", "uniform"], "monomial [0] is listed twice"),
+        (["bias", "--poly", "poly-swapped", "--source", "uniform"],
+         "monomial [0, 1] is listed twice"),
     ],
     ids=["energy-mixed-lengths", "partition-mixed-lengths", "evasive-r-20000",
          "descriptor-and-points", "ragged-matrix", "non-json-source",
@@ -684,7 +689,8 @@ def _refusal_files(tmp_path) -> dict[str, str]:
          "two-source-without-n", "evasive-without-d", "two-source-n-0", "two-source-r-0",
          "seeded-n-0", "evasive-k-0", "evasive-r-0", "bias-samples-0", "audit-17-outputs",
          "audit-mixed-orders", "special-sumset-d-0", "special-sumset-d-8",
-         "special-sumset-map_trials-0", "high-rank-subsets-m-6", "moment-identity-t-negative"],
+         "special-sumset-map_trials-0", "high-rank-subsets-m-6", "moment-identity-t-negative",
+         "bias-repeated-monomial", "bias-reordered-repeated-monomial"],
 )
 def test_cli_refuses_bad_input_files_quickly(tmp_path, capsys, argv, says):
     """Every refusal of a file-reading verb exits 2 within a second with an

@@ -47,7 +47,8 @@ def test_two_source_default_r():
 
 def test_two_source_coefficient_lengths():
     desc = build_two_source(3, seed=2)
-    assert all(f.coeffs.n == 7 == binom_sum(3, 2) for f in desc.polys)
+    assert all(f.order.size == 7 == binom_sum(3, 2) for f in desc.polys)
+    assert all(0 <= f.coeffs < 1 << 7 for f in desc.polys)
 
 
 def test_two_source_self_product_is_weight_parity():

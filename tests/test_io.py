@@ -82,6 +82,19 @@ def test_polynomial_rejects_duplicate_index():
         parse_polynomial('{"d":2,"monomials":[[0,0]],"n":2}')
 
 
+@pytest.mark.parametrize(
+    "monomials, says",
+    [("[[0],[0]]", r"monomial \[0\] is listed twice"),
+     ("[[0,1],[1,0]]", r"monomial \[0, 1\] is listed twice")],
+    ids=["same-order", "reordered"],
+)
+def test_polynomial_rejects_a_repeated_monomial(monomials, says):
+    """Over GF(2) x + x = 0, so a file that lists a monomial twice is refused
+    rather than read as that monomial once."""
+    with pytest.raises(ValueError, match=says):
+        parse_polynomial(f'{{"d":2,"monomials":{monomials},"n":2}}')
+
+
 def test_polynomial_rejects_out_of_range_index():
     with pytest.raises(ValueError, match="out of range"):
         parse_polynomial('{"d":1,"monomials":[[2]],"n":2}')

@@ -24,11 +24,16 @@ an attribute, an import or its alias, or a definition) or define a function
 whose name contains an owned fragment.  The same parsed trees decide this, so
 a comment, a docstring or a string that names a rule never breaks it.
 
-Inside ``src/`` a point is a packed int word beside its length n.  A
-``BitVector`` is built (called, or made by ``.from_string`` or
-``.from_support``) only in the functions of ``BITVECTOR_EDGES``, each with
-the reason it sits at an edge: a test-pinned view, a polynomial's
-coefficient vector, or a result type kept as it is.
+Inside ``src/`` a point is a packed int word beside its length n, and a
+polynomial's coefficients are one int word.  A ``BitVector`` is built
+(called, or made by ``.from_string`` or ``.from_support``) only in the
+functions of ``BITVECTOR_EDGES``, each with the reason it sits at an edge: a
+test-pinned view or a result type kept as it is.
+
+An exported class defines no special method beyond construction, equality,
+hashing and repr (``PLAIN_DUNDERS``) unless ``ALLOWED_DUNDERS`` names the
+program use that reaches it: an operator is called through syntax, never by
+its name, so the caller checks above cannot see that only the tests use it.
 """
 
 from __future__ import annotations
@@ -352,17 +357,9 @@ def test_the_ownership_guard_flags_uses_and_passes_mentions(row):
 
 
 #: The src/ functions that build a BitVector, each with why it sits at the edge.
-_COEFFS = "a Polynomial holds its coefficients as a BitVector against its monomial order"
 BITVECTOR_EDGES = {
-    "gf2.BitVector.__xor__": "the vector type's own sum",
     "gf2.hamming_ball": "the canonical ball as vectors, which the acceptance criteria read",
     "gf2.weight_slice": "the slices a SpecialSumsetDraw reports",
-    "anf.Polynomial.from_monomials": _COEFFS,
-    "anf.sample_poly": _COEFFS,
-    "anf.anf_from_truth_table": _COEFFS,
-    "anf.compose_linear": _COEFFS,
-    "oracles.sample_vanishing_poly": _COEFFS,
-    "sources.variety_reduce": _COEFFS,
     "sources.support_of": "the per-point distribution view, pinned by the tests as strings",
     "sources.sample_source": "the one-draw view, pinned by the tests as strings",
     "ranklab.special_sumset_sampler": "SpecialSumsetDraw keeps its vector fields",
@@ -419,3 +416,64 @@ def test_bitvectors_are_built_only_at_the_edge():
 )
 def test_the_bitvector_guard_flags_builds_and_passes_reads(text, sites):
     assert _bitvector_sites("m", ast.parse(text)) == sites
+
+
+#: The special methods any exported class may define: construction, equality, hashing, repr.
+PLAIN_DUNDERS = {"__init__", "__post_init__", "__eq__", "__hash__", "__repr__"}
+
+#: Other special methods of exported classes, each with the program use that reaches it.
+ALLOWED_DUNDERS: dict[str, str] = {}
+
+
+def _special_methods(module: str, tree: ast.Module, exported: set[str]) -> set[str]:
+    """'module.Class.__name__' for each special method past PLAIN_DUNDERS that an
+    exported class in ``tree`` defines, by ``def`` or by assignment (``__add__ =
+    __xor__``); ``__slots__`` is data, not a method."""
+    found = set()
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name in exported):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found.update(
+                f"{module}.{cls.name}.{name}"
+                for name in names
+                if name.startswith("__") and name.endswith("__")
+                if name not in PLAIN_DUNDERS and name != "__slots__"
+            )
+    return found
+
+
+def test_exported_classes_define_only_plain_special_methods():
+    found = set().union(*(
+        _special_methods(path.stem, ast.parse(path.read_text(), str(path)), set(_exports(path)))
+        for path in sorted(PACKAGE.glob("*.py"))
+    ))
+    _check(found, ALLOWED_DUNDERS, "special methods of exported classes past PLAIN_DUNDERS")
+
+
+@pytest.mark.parametrize(
+    "text, found",
+    [
+        ("class C:\n    def __xor__(self, o):\n        return self\n", {"m.C.__xor__"}),
+        ("class C:\n    def __xor__(self, o):\n        return self\n\n    __add__ = __xor__\n",
+         {"m.C.__xor__", "m.C.__add__"}),
+        ("class C:\n    def __len__(self):\n        return 0\n", {"m.C.__len__"}),
+        ("class C:\n    async def __aiter__(self):\n        return self\n", {"m.C.__aiter__"}),
+        ("class C:\n" + "".join(f"    def {name}(self):\n        pass\n"
+                                 for name in sorted(PLAIN_DUNDERS)), set()),
+        ("class C:\n    __slots__ = ('a',)\n    _cache = {}\n\n    def add(self):\n        pass\n",
+         set()),
+        ("class Hidden:\n    def __len__(self):\n        return 0\n", set()),
+        ("class C:\n    def f(self):\n        def __len__():\n            return 0\n", set()),
+    ],
+    ids=["operator", "aliased-operator", "container", "async", "plain", "data-and-methods",
+         "unexported", "nested-function"],
+)
+def test_the_special_method_guard_flags_operators_and_passes_plain_methods(text, found):
+    assert _special_methods("m", ast.parse(text), {"C"}) == found

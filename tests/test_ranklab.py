@@ -488,7 +488,7 @@ def test_full_rank_pair_gives_uniform_joint_outputs():
         f = sample_poly(4, 2, rng.derive(MASTER, "ranklab", "joint", seed))
         outputs = 0
         for j, s in enumerate(sums):
-            coeffs = f.coeffs.bits
+            coeffs = f.coeffs
             order = f.order
             val = (coeffs & eval_bits(s, order)).bit_count() & 1
             outputs |= val << j

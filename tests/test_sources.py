@@ -148,7 +148,8 @@ def test_affine_requires_independent_basis():
 
 @pytest.mark.parametrize("stray", [-1, 0b100, 0b101, 1 << 70, "01", 1.0, None])
 def test_flat_and_affine_refuse_a_point_outside_f_2_n(stray):
-    """An int is stored as it is, never masked as BitVector(2, 5) masks 5 to 1."""
+    """A word outside [0, 2^n) is refused, never masked to its low n bits, just as
+    BitVector(2, 5) is refused."""
     for build in (
         lambda: Flat(2, (0b01, stray)),
         lambda: Affine(2, stray, (0b01,)),
