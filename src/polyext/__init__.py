@@ -13,7 +13,7 @@ Submodules:
 - :mod:`polyext.experiments` — the seeded experiment registry and its runner
 - :mod:`polyext.reports` — report containers, canonical JSON and CSV output
 - :mod:`polyext.io` — parsers and emitters for the on-disk formats
-- :mod:`polyext.rng` — seed derivation for independent random streams
+- :mod:`polyext.rng` — seed derivation, and exact batch draws on a stream
 - :mod:`polyext.errors` — shared exception types
 - :mod:`polyext.cli` — command-line front end
 """

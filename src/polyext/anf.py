@@ -262,9 +262,15 @@ def evaluate(f: Polynomial, x: BitVector) -> int:
     return eval_polys((f,), x.bits)
 
 
+@lru_cache(maxsize=None)
+def _sampled_order(n: int, d: int) -> MonomialOrder:
+    check_order(n, d, f"sample_poly: n={n}, d={d}")  # cached: a check per draw tripled its cost
+    return monomial_order(n, d)
+
+
 def sample_poly(n: int, d: int, stream: Random) -> Polynomial:
-    """Uniformly random degree-<=d polynomial (all coefficients fair bits)."""
-    order = monomial_order(n, d)
+    """Uniformly random degree-<=d polynomial (all coefficients fair bits), its order budgeted."""
+    order = _sampled_order(n, d)
     return Polynomial(order, stream.getrandbits(order.size))
 
 

@@ -85,7 +85,7 @@ def _moment_trial(params, stream):
     cap = min(most, 1 << min(n, most.bit_length()))
     moment_walk(n, d, cap, f"moment-identity (n={n}, d={d}, max_support={most})")
     size = stream.randint(1, cap)
-    src = Flat(n, tuple(stream.sample(range(1 << n), size)))
+    src = Flat(n, tuple(rng.sample(stream, range(1 << n), size)))
     lhs = moment_by_poly_enumeration(src, n, d, t)
     rhs = moment_by_eval_collision(src, n, d, t)
     return {"support_size": size, "moment": str(lhs), "equal": lhs == rhs}
@@ -110,7 +110,7 @@ def _mono_trial(params, stream):
     m = stream.randint(1, params["m_max"])
     d = stream.randint(1, min(params["d_max"], n, m))
     size = stream.randint(1, min(params["max_set"], 1 << n))
-    points = stream.sample(range(1 << n), size)
+    points = rng.sample(stream, range(1 << n), size)
     mat = sample_uniform_matrix(m, n, stream)
     image = [mat.apply_word(p) for p in points]
     r_before = eval_rank_words(n, points, d).rank
@@ -132,8 +132,8 @@ def _subset_trial(params, stream):
     n, m, d = params["n"], params["m"], params["d"]
     if params["set_size"] > 1 << n:
         raise PreconditionError(f"set_size={params['set_size']} exceeds the 2^{n} points of F_2^{n}")
-    a = stream.sample(range(1 << n), params["set_size"])
-    b = stream.sample(range(1 << n), params["set_size"])
+    a = rng.sample(stream, range(1 << n), params["set_size"])
+    b = rng.sample(stream, range(1 << n), params["set_size"])
     try:
         sel = find_high_rank_subsets(n, a, b, d, m, params["map_trials"], stream)
     except RetryExhaustedError:
@@ -246,7 +246,7 @@ def _seeded_subcode_check(table: np.ndarray, dim: int, stream) -> bool:
     n = table.shape[1].bit_length() - 1
     rows = [
         int.from_bytes(np.packbits(table[:, 1 << i], bitorder="little").tobytes(), "little")
-        for i in stream.sample(range(n), min(dim, n))
+        for i in rng.sample(stream, range(n), min(dim, n))
     ]
     generator = BitMatrix(len(rows), table.shape[0], rows)
     return johnson_check(generator, measured_imbalance(generator)).passed
@@ -274,8 +274,8 @@ def _seeded_trial(params, stream):
 def _energy_trial(params, stream):
     k, ell, t = params["k"], params["ell"], params["t"]
     amb = params["ambient"]
-    x = stream.sample(range(1 << amb), 1 << k)
-    y = stream.sample(range(1 << amb), 1 << k)
+    x = rng.sample(stream, range(1 << amb), 1 << k)
+    y = rng.sample(stream, range(1 << amb), 1 << k)
     try:
         part = energy_partition(x, y, t, ell, stream, retries=params["retries"])
     except RetryExhaustedError:

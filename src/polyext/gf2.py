@@ -110,10 +110,12 @@ class BitMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(row_words) != rows:
             raise ValueError("row count mismatch")
-        mask = (1 << cols) - 1
         self.rows = rows
         self.cols = cols
-        self.row_words = tuple([w & mask for w in row_words])
+        self.row_words = tuple(row_words)
+        for w in self.row_words:
+            if type(w) is not int or w < 0 or w >> cols:
+                raise ValueError(f"row words must be ints in [0, 2^{cols})")
 
     @classmethod
     def from_string(cls, text: str) -> "BitMatrix":

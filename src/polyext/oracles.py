@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import anf
+from . import anf, rng
 from .anf import Polynomial, eval_bits, monomial_order
 from .constructions import EvasiveDescriptor, lift_point
 from .errors import PreconditionError, RetryExhaustedError, check_budget
@@ -223,8 +223,8 @@ def energy_partition(
         # shuffle reads the stream by length only, so shuffling indices draws
         # the same permutations as shuffling the points themselves
         ix, iy = list(range(size)), list(range(size))
-        stream.shuffle(ix)
-        stream.shuffle(iy)
+        rng.shuffle(stream, ix)
+        rng.shuffle(stream, iy)
         xs, ys = x_words[ix].reshape(shape), y_words[iy].reshape(shape)
         max_fiber, max_energy = _max_fiber(xs, ys)
         if max_fiber <= ell:
@@ -611,7 +611,7 @@ def subspace_evasive_audit(
         pts_list = sorted(_evasive_point_set(subject))
         if threshold > len(pts_list):
             raise PreconditionError("cannot sample more points than the set holds")
-        draw_image = lambda: stream.sample(pts_list, threshold)
+        draw_image = lambda: rng.sample(stream, pts_list, threshold)
     flags = 0
     first_flag: Optional[list[str]] = None
     for _ in range(budget):

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import anf
+from . import anf, rng
 from .anf import Polynomial, eval_polys
 from .errors import PreconditionError, RetryExhaustedError, check_budget
 from .gf2 import BitVector, canonical_key, span_rank, subset_xor, subset_xors
@@ -301,7 +301,7 @@ def sample_words(source: Source, count: int, stream: Random) -> np.ndarray:
     dtype = np.uint64 if ambient_length(source) <= 64 else object
     if isinstance(source, Flat):
         sup, size = source.support, len(source.support)
-        words = [sup[stream.randrange(size)] for _ in range(count)]
+        words = [sup[i] for i in rng.below(stream, [size] * count)]
     elif isinstance(source, Affine):
         k, offset, basis = len(source.basis), source.offset, source.basis
         if 1 << k <= count * k:
@@ -313,7 +313,8 @@ def sample_words(source: Source, count: int, stream: Random) -> np.ndarray:
     elif isinstance(source, Sumset):
         xs, ys = source.x.support, source.y.support
         nx, ny = len(xs), len(ys)
-        words = [xs[stream.randrange(nx)] ^ ys[stream.randrange(ny)] for _ in range(count)]
+        draws = rng.below(stream, (nx, ny) * count)
+        words = [xs[i] ^ ys[j] for i, j in zip(draws[::2], draws[1::2])]
     elif isinstance(source, (Local, PolynomialImage)):
         m, table = source.m, _image_table(source)
         draws = (stream.getrandbits(m) for _ in range(count))

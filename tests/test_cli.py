@@ -3,7 +3,10 @@
 import hashlib
 import importlib.util
 import json
+import os
+import resource
 import runpy
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -430,6 +433,29 @@ def test_cli_construct_past_the_monomial_budget_is_bad_input(capsys, argv):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and "monomials" in err
+
+
+def _cap_address_space():
+    """Keep a child that would build an exponential order to 2 GiB."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_cli_sample_poly_past_the_monomial_budget_exits_within_a_second():
+    """sample-poly refuses its (n, d) order before building it: the whole child
+    process, interpreter start included, exits 2 within 1 s."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    argv = ["--seed", "1", "sample-poly", "--n", "24", "--d", "12"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyext.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=1.0,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "monomials" in proc.stderr
 
 
 def test_cli_construct_seeded_missing_flag(capsys):

@@ -86,13 +86,20 @@ def test_vector_support_and_weight():
         (lambda: BitVector(64, np.uint64(1)), ValueError, r"an int in \[0, 2\^64\)"),
         (lambda: BitMatrix(-1, 2, []), ValueError, "nonnegative"),
         (lambda: BitMatrix(2, 2, [1]), ValueError, "row count"),
+        (lambda: BitMatrix(1, 2, [5]), ValueError, r"ints in \[0, 2\^2\)"),
+        (lambda: BitMatrix(2, 2, [1, -1]), ValueError, r"ints in \[0, 2\^2\)"),
+        (lambda: BitMatrix(1, 1, [True]), ValueError, r"ints in \[0, 2\^1\)"),
+        (lambda: BitMatrix(1, 3, [1.0]), ValueError, r"ints in \[0, 2\^3\)"),
+        (lambda: BitMatrix(1, 64, [np.uint64(1)]), ValueError, r"ints in \[0, 2\^64\)"),
+        (lambda: BitMatrix(1, 0, [1]), ValueError, r"ints in \[0, 2\^0\)"),
         (lambda: BitMatrix.from_string("\n"), ValueError, "empty matrix"),
         (lambda: BitMatrix.from_string("01\n1"), ValueError, "ragged"),
         (lambda: hamming_ball(-1, 0), ValueError, "nonnegative"),
     ],
     ids=["vector-length", "support-index", "vector-bits-wide", "vector-bits-negative",
          "vector-bits-bool", "vector-bits-float", "vector-bits-numpy", "matrix-shape", "row-count",
-         "empty-rows", "ragged-rows", "ball-radius"],
+         "matrix-word-wide", "matrix-word-negative", "matrix-word-bool", "matrix-word-float",
+         "matrix-word-numpy", "matrix-word-no-columns", "empty-rows", "ragged-rows", "ball-radius"],
 )
 def test_malformed_shapes_are_refused(call, error, says):
     with pytest.raises(error, match=says):
