@@ -353,11 +353,8 @@ def anf_from_truth_table(table: np.ndarray | Sequence[int]) -> Polynomial:
     n = size.bit_length() - 1
     dense = mobius_transform(arr)
     order = monomial_order(n, n)
-    bits = 0
-    for j, mask in enumerate(order.masks):
-        if dense[mask]:
-            bits |= 1 << j
-    return Polynomial(order, bits)
+    bits = np.packbits(dense[np.array(order.masks)], bitorder="little")
+    return Polynomial(order, int.from_bytes(bits.tobytes(), "little"))
 
 
 def compose_linear(q: Polynomial, matrix: BitMatrix) -> Polynomial:

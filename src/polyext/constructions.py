@@ -21,7 +21,7 @@ import numpy as np
 from . import rng, sources
 from .anf import Polynomial, check_order, eval_bits, eval_polys, monomial_order, sample_poly
 from .errors import PreconditionError, check_budget
-from .gf2 import BitMatrix, binom_sum, rank, sample_uniform_matrix
+from .gf2 import BitMatrix, apply_rows, binom_sum, sample_uniform_matrix, span_rank
 
 __all__ = [
     "TwoSourceDescriptor",
@@ -154,10 +154,10 @@ def build_seeded(n: int, t: int, d: int, seed: int) -> SeededDescriptor:
     check_budget(f"generator material (t={t}, d={d})", SEEDED_BUILD_BUDGET, ((1 << t) + n) * cols)
     order = monomial_order(t, d)
     g = BitMatrix(1 << t, cols, [eval_bits(y, order) for y in range(1 << t)])
-    if rank(g) != cols:
+    if span_rank(g.row_words) != cols:
         raise AssertionError("degree-d generator lost column rank; this is a bug")
     stream = rng.derive(seed, "seeded", n, t, d)
-    h = sample_uniform_matrix(cols, n, stream)
+    h = BitMatrix(cols, n, sample_uniform_matrix(cols, n, stream))
     return SeededDescriptor(n=n, t=t, d=d, generator=g, compressor=h, seed=seed)
 
 
@@ -171,7 +171,7 @@ def eval_seeded(desc: SeededDescriptor, x: int, y: int) -> int:
         raise PreconditionError("source input must have length n")
     if not 0 <= y < 1 << desc.t:
         raise PreconditionError("seed must have length t")
-    w = desc.compressor.apply_word(x)
+    w = apply_rows(desc.compressor.row_words, x)
     row = desc.generator.row_words[y]
     return (row & w).bit_count() & 1
 

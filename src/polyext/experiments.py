@@ -29,6 +29,7 @@ from .errors import PreconditionError, RetryExhaustedError, check_budget
 from .gf2 import (
     BitMatrix,
     XorBasis,
+    apply_rows,
     binom_sum,
     enumerate_span,
     hamming_ball,
@@ -111,8 +112,8 @@ def _mono_trial(params, stream):
     d = stream.randint(1, min(params["d_max"], n, m))
     size = stream.randint(1, min(params["max_set"], 1 << n))
     points = rng.sample(stream, range(1 << n), size)
-    mat = sample_uniform_matrix(m, n, stream)
-    image = [mat.apply_word(p) for p in points]
+    rows = sample_uniform_matrix(m, n, stream)
+    image = [apply_rows(rows, p) for p in points]
     r_before = eval_rank_words(n, points, d).rank
     r_after = eval_rank_words(m, image, d).rank
     return {
@@ -324,10 +325,13 @@ def _attack_trial(params, stream):
     n, d, t = params["n"], params["d"], params["t"]
     check_budget(f"attack family (n={n})", FAMILY_BUDGET, log2=n)
     family = [sample_poly(n, d, stream) for _ in range(1 << n)]
+    exhausted = {"success": False, "survivors": 0, "verified": True}
+    if params["budget"] < 1:  # the attack refuses to search with no budget: nothing found
+        return exhausted
     try:
         witness = disperser_attack(family, t, params["budget"], stream)
     except RetryExhaustedError:
-        return {"success": False, "survivors": 0, "verified": True}
+        return exhausted
     return {
         "success": bool(witness.params["success"]),
         "survivors": len(witness.set_b),
@@ -350,10 +354,8 @@ def _dichotomy_trial(params, stream):
     n = stream.randint(2, n_max)
     dim_a = stream.randint(2, n)
     dim_b = stream.randint(n + 2 - dim_a, n)
-    mat_a = sample_invertible(n, stream)
-    mat_b = sample_invertible(n, stream)
-    a = enumerate_span(mat_a.row_words[:dim_a])
-    b = enumerate_span(mat_b.row_words[:dim_b])
+    a = enumerate_span(sample_invertible(n, stream)[:dim_a])
+    b = enumerate_span(sample_invertible(n, stream)[:dim_b])
     da, db, values = dichotomy_check(n, a, b)
     return {
         "n": n,

@@ -25,9 +25,9 @@ __all__ = [
     "BitMatrix",
     "XorBasis",
     "AffineSolver",
+    "apply_rows",
     "binom_sum",
     "check_words",
-    "rank",
     "sample_uniform_matrix",
     "sample_invertible",
     "hamming_ball",
@@ -126,13 +126,6 @@ class BitMatrix:
             raise ValueError("ragged rows")
         return cls(len(lines), len(lines[0]), [parse_word(ln) for ln in lines])
 
-    def apply_word(self, bits: int) -> int:
-        """Matrix-vector product on packed words: bit i is the parity of ``row_words[i] & bits``."""
-        out = 0
-        for i, w in enumerate(self.row_words):
-            out |= ((w & bits).bit_count() & 1) << i
-        return out
-
     def to_string(self) -> str:
         return "\n".join(word_string(self.cols, w) for w in self.row_words)
 
@@ -198,9 +191,12 @@ def binom_sum(n: int, d: int) -> int:
     return sum(math.comb(n, i) for i in range(min(n, d) + 1))
 
 
-def rank(matrix: BitMatrix) -> int:
-    """GF(2) rank by word-level XOR elimination; the input is not modified."""
-    return span_rank(matrix.row_words)
+def apply_rows(row_words: Sequence[int], word: int) -> int:
+    """Matrix-vector product on packed words: bit i is the parity of ``row_words[i] & word``."""
+    out = 0
+    for i, w in enumerate(row_words):
+        out |= ((w & word).bit_count() & 1) << i
+    return out
 
 
 def span_rank(words: Iterable[int]) -> int:
@@ -225,14 +221,17 @@ def span_rank(words: Iterable[int]) -> int:
     return rank
 
 
-def sample_uniform_matrix(rows: int, cols: int, stream: Random) -> BitMatrix:
-    """Uniformly random rows x cols matrix over GF(2)."""
+def sample_uniform_matrix(rows: int, cols: int, stream: Random) -> tuple[int, ...]:
+    """Row words of a uniformly random rows x cols matrix over GF(2), one
+    ``getrandbits(cols)`` per row; ValueError on a negative dimension."""
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
     getrandbits = stream.getrandbits
-    return BitMatrix(rows, cols, [getrandbits(cols) for _ in range(rows)])
+    return tuple([getrandbits(cols) for _ in range(rows)])
 
 
-def sample_invertible(m: int, stream: Random) -> BitMatrix:
-    """Uniformly random invertible m x m matrix over GF(2).
+def sample_invertible(m: int, stream: Random) -> tuple[int, ...]:
+    """Row words of a uniformly random invertible m x m matrix over GF(2).
 
     Columns are drawn one at a time, each uniform conditioned on being
     linearly independent of the columns already accepted; this yields the
@@ -264,7 +263,7 @@ def sample_invertible(m: int, stream: Random) -> BitMatrix:
             low = cand & -cand
             rows[low.bit_length() - 1] |= bit
             cand ^= low
-    return BitMatrix(m, m, rows)
+    return tuple(rows)
 
 
 def hamming_ball(n: int, radius: int) -> list[BitVector]:

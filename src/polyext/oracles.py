@@ -128,7 +128,7 @@ def _max_fiber(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
     """
     energies = _energies(xs, ys)
     width = xs.shape[1] * ys.shape[1]
-    live_x, live_y = np.nonzero(energies > width)
+    live_x, live_y = divmod(np.flatnonzero(energies > width), energies.shape[1])
     step = max(1, LIVE_SUMS // width)
     biggest = 1
     for at in range(0, len(live_x), step):
@@ -355,6 +355,8 @@ def disperser_attack(
         raise PreconditionError("family members must share one monomial order")
     if not 1 <= t <= n:
         raise PreconditionError("need 1 <= t <= n")
+    if budget < 1:
+        raise PreconditionError("budget must be positive")
     coeff_by_y = [f.coeffs for f in family]
     ones = sum(c & 1 for c in coeff_by_y)
     b = 1 if 2 * ones > size else 0
@@ -465,6 +467,8 @@ def monochromatic_sumset_search(
     """
     if s < 1:
         raise PreconditionError("target size must be positive")
+    if budget < 1:
+        raise PreconditionError("budget must be positive")
     n = f.order.n
     coeffs = f.coeffs
     order = f.order
@@ -597,6 +601,8 @@ def subspace_evasive_audit(
         raise PreconditionError(f"unknown mode {mode!r}")
     if stream is None:
         raise PreconditionError("randomized mode needs a stream")
+    if budget < 1:
+        raise PreconditionError("budget must be positive")
     if isinstance(subject, EvasiveDescriptor):
         k, polys = subject.k, subject.polys
         if threshold > (1 << k):
@@ -626,7 +632,7 @@ def subspace_evasive_audit(
         "threshold": threshold,
         "ambient": amb,
         "trials": budget,
-        "flag_rate": flags / budget if budget else 0.0,
+        "flag_rate": flags / budget,
         "first_flagged_image": first_flag,
     }
     return AuditReport(
@@ -652,6 +658,8 @@ def sumset_evasive_audit(
     """
     if t < 0:
         raise PreconditionError("t must be nonnegative")
+    if budget < 1:
+        raise PreconditionError("budget must be positive")
     amb = _ambient(subject)
     points = _evasive_point_set(subject)
     if isinstance(subject, EvasiveDescriptor):

@@ -14,7 +14,7 @@ evaluation matrix has full rank |A'| * |B'|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -24,6 +24,7 @@ from .gf2 import (
     AffineSolver,
     BitMatrix,
     BitVector,
+    apply_rows,
     binom_sum,
     canonical_key,
     check_words,
@@ -213,16 +214,16 @@ def find_high_rank_subsets(
     key = canonical_key(n)
     a, b = sorted(a, key=key), sorted(b, key=key)
     # One entry of a table of all 2^n images costs one XOR in subset_xors,
-    # about an eighth of one apply_word, so the table (built once per map and
+    # about an eighth of one apply_rows, so the table (built once per map and
     # shared by A and B) replaces the per-point calls only where
     # 2^n <= 8 * (|A| + |B|); the registry's n = 8 with 32 + 32 points is one.
     tabulate = 1 << n <= 8 * (len(a) + len(b))
     for attempts in range(1, trials + 1):
-        matrix = sample_uniform_matrix(m, n, stream)
+        rows = sample_uniform_matrix(m, n, stream)
         if tabulate:
-            image = subset_xors([matrix.apply_word(1 << j) for j in range(n)]).__getitem__
+            image = subset_xors([apply_rows(rows, 1 << j) for j in range(n)]).__getitem__
         else:
-            image = matrix.apply_word
+            image = partial(apply_rows, rows)
         fibers_a = _image_index(a, image)
         if any(z not in fibers_a for z in ball_half):
             continue
@@ -246,7 +247,8 @@ class SpecialSumsetDraw:
     invertible matrix applied to the two disjoint-support ball slices
     ``b_zero`` / ``b_one``; ``x_star`` and ``y_star`` are the conditional
     preimages, one per slice point, and ``surjection`` restricted to
-    ``x_star`` is a bijection onto mixer(b_zero).
+    ``x_star`` is a bijection onto mixer(b_zero).  The draw runs on row words;
+    the two matrices are built as ``BitMatrix`` only for this result.
     """
 
     surjection: BitMatrix
@@ -263,10 +265,10 @@ class _FiberSampler:
 
     __slots__ = ("_buckets",)
 
-    def __init__(self, support_bits: Sequence[int], matrix: BitMatrix):
+    def __init__(self, support_bits: Sequence[int], rows: Sequence[int]):
         buckets: dict[int, list[int]] = {}
         for xb in support_bits:
-            buckets.setdefault(matrix.apply_word(xb), []).append(xb)
+            buckets.setdefault(apply_rows(rows, xb), []).append(xb)
         self._buckets = buckets
 
     def covers(self, m: int) -> bool:
@@ -278,18 +280,18 @@ class _FiberSampler:
 
 
 def _onto_fibers(
-    support_bits: Optional[Sequence[int]], n: int, matrix: BitMatrix
+    support_bits: Optional[Sequence[int]], n: int, rows: Sequence[int]
 ) -> Optional[AffineSolver | _FiberSampler]:
-    """Fiber sampler of ``matrix`` over a support, or None unless it maps onto F_2^m.
+    """Fiber sampler of the map ``rows`` over a support, or None unless it maps onto F_2^m.
 
     ``support_bits`` None stands for all of F_2^n: the map is then onto exactly
     when it has rank m, and each fiber is an affine solution set, so one
     elimination of the map both decides that and yields the fiber solver.
     """
     if support_bits is None:
-        return AffineSolver.onto(matrix.row_words, n)
-    fibers = _FiberSampler(support_bits, matrix)
-    return fibers if fibers.covers(matrix.rows) else None
+        return AffineSolver.onto(rows, n)
+    fibers = _FiberSampler(support_bits, rows)
+    return fibers if fibers.covers(len(rows)) else None
 
 
 def _support_bits(source: Flat) -> Optional[Sequence[int]]:
@@ -324,8 +326,8 @@ def special_sumset_sampler(
     int words of X* and Y*: it sorts their sums canonically, eliminates the
     sums' evaluation words and re-checks the witness by a separate
     elimination.  Full rank holds on every draw by construction, so a failure
-    would expose a bug rather than bad luck.  BitVectors are built only for
-    the returned draw.
+    would expose a bug rather than bad luck.  BitVectors and BitMatrix
+    objects are built only for the returned draw.
     """
     if d < 1:
         raise PreconditionError("degree must be at least 1")
@@ -358,14 +360,14 @@ def special_sumset_sampler(
 
     # Both samplers cover all of F_2^m, so every fiber the mixer asks for is nonempty.
     mixer = sample_invertible(m, stream)
-    x_star_bits = [fibers_x.sample(mixer.apply_word(u.bits), stream) for u in b_zero]
-    y_star_bits = [fibers_y.sample(mixer.apply_word(v.bits), stream) for v in b_one]
+    x_star_bits = [fibers_x.sample(apply_rows(mixer, u.bits), stream) for u in b_zero]
+    y_star_bits = [fibers_y.sample(apply_rows(mixer, v.bits), stream) for v in b_one]
     _sums, witness = _sumset_witness(x_star_bits, y_star_bits, n, d)
     if len(witness) != len(x_star_bits) * len(y_star_bits):
         raise AssertionError("special draw failed the full-rank check; this is a bug")
     return SpecialSumsetDraw(
-        surjection=surjection,
-        mixer=mixer,
+        surjection=BitMatrix(m, n, surjection),
+        mixer=BitMatrix(m, m, mixer),
         b_zero=b_zero,
         b_one=b_one,
         x_star=tuple([BitVector(n, xb) for xb in x_star_bits]),

@@ -21,7 +21,7 @@ from polyext.anf import (
     sample_poly,
     truth_table,
 )
-from polyext.gf2 import BitMatrix, BitVector, binom_sum, sample_uniform_matrix
+from polyext.gf2 import BitMatrix, BitVector, apply_rows, binom_sum, sample_uniform_matrix
 
 MASTER = 20260823
 
@@ -39,7 +39,7 @@ def compose_linear_by_table(q: Polynomial, matrix: BitMatrix) -> Polynomial:
     """Reference route to compose_linear: evaluate q on L x for every x,
     interpolate, and re-express the result under q's degree cap."""
     tq = truth_table(q)
-    table = [tq[matrix.apply_word(xb)] for xb in range(1 << matrix.cols)]
+    table = [tq[apply_rows(matrix.row_words, xb)] for xb in range(1 << matrix.cols)]
     out_order = monomial_order(matrix.cols, q.order.d)
     bits = 0
     for mon in anf_from_truth_table(table).active_monomials():
@@ -557,7 +557,7 @@ def test_compose_symbolic_matches_table_path():
         n = stream.randrange(1, 9)
         d = stream.randrange(0, min(m, 3) + 1)
         q = sample_poly(m, d, stream)
-        mat = sample_uniform_matrix(m, n, stream)
+        mat = BitMatrix(m, n, sample_uniform_matrix(m, n, stream))
         a = compose_linear(q, mat)
         b = compose_linear_by_table(q, mat)
         assert a.active_monomials() == b.active_monomials()
@@ -570,7 +570,7 @@ def test_compose_never_raises_degree():
         n = stream.randrange(1, 9)
         d = stream.randrange(0, min(m, 3) + 1)
         q = sample_poly(m, d, stream)
-        mat = sample_uniform_matrix(m, n, stream)
+        mat = BitMatrix(m, n, sample_uniform_matrix(m, n, stream))
         assert compose_linear(q, mat).degree() <= q.degree()
 
 
@@ -580,9 +580,9 @@ def test_compose_evaluates_to_q_of_lx():
         m = stream.randrange(1, 6)
         n = stream.randrange(1, 7)
         q = sample_poly(m, min(m, 2), stream)
-        mat = sample_uniform_matrix(m, n, stream)
+        mat = BitMatrix(m, n, sample_uniform_matrix(m, n, stream))
         composed = compose_linear(q, mat)
         for xb in range(1 << n):
             x = BitVector(n, xb)
-            lx = BitVector(mat.rows, mat.apply_word(xb))
+            lx = BitVector(mat.rows, apply_rows(mat.row_words, xb))
             assert evaluate(composed, x) == evaluate(q, lx)

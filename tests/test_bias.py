@@ -19,7 +19,7 @@ from polyext.bias import (
     statistical_distance,
 )
 from polyext.errors import BudgetExceededError, PreconditionError
-from polyext.gf2 import BitVector, rank, sample_uniform_matrix
+from polyext.gf2 import BitVector, apply_rows, sample_uniform_matrix, span_rank
 from polyext.sources import Flat, support_of, uniform_flat
 
 MASTER = 20260823
@@ -198,7 +198,7 @@ def test_moment_monotone_under_linear_maps():
         m = stream.randrange(1, min(n, 3) + 1)
         d = stream.randrange(1, 3)
         mat = sample_uniform_matrix(m, n, stream)
-        if rank(mat) < m:
+        if span_rank(mat) < m:
             continue
         size = stream.randrange(2, (1 << n) + 1)
         pts = tuple(BitVector(n, b) for b in stream.sample(range(1 << n), size))
@@ -208,7 +208,7 @@ def test_moment_monotone_under_linear_maps():
         # image moment, computed against the exact pushforward distribution
         weights: dict[int, Fraction] = {}
         for p, prob in support_of(src):
-            img = mat.apply_word(p.bits)
+            img = apply_rows(mat, p.bits)
             weights[img] = weights.get(img, Fraction(0)) + prob
         order = monomial_order(m, d)
         total = Fraction(0)

@@ -574,6 +574,34 @@ def test_cli_oracle_sumset_evasive_audit_both_verdicts(tmp_path, capsys):
     assert witness["verified"] and len(witness["set_a"]) == len(witness["set_b"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "evasive-audit", "subspace", "--points", "units", "--mode", "randomized",
+         "--budget", "0"],
+        ["oracle", "evasive-audit", "subspace", "--points", "units", "--mode", "randomized",
+         "--budget", "-3"],
+        ["oracle", "evasive-audit", "sumset", "--points", "units", "--mode", "randomized",
+         "--budget", "-2"],
+        ["oracle", "sumset-search", "--poly", "zero", "--size", "2", "--budget", "-1"],
+        ["oracle", "attack", "--n", "3", "--d", "1", "--t", "1", "--budget", "-5"],
+    ],
+    ids=["subspace-audit-0", "subspace-audit-negative", "sumset-audit", "sumset-search",
+         "attack"],
+)
+def test_cli_search_with_no_budget_exits_2(tmp_path, capsys, argv):
+    """A search that may look at nothing is refused instead of passing, missing
+    or exhausting on zero trials."""
+    files = {
+        "units": write(tmp_path / "units.txt", "0001\n0010\n0100\n1000\n"),
+        "zero": write(tmp_path / "z.json", '{"d":2,"monomials":[],"n":3}'),
+    }
+    assert cli.main(["--seed", "1", *[files.get(a, a) for a in argv]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget must be positive" in captured.err
+
+
 @pytest.mark.parametrize("audit", ["subspace", "sumset"])
 @pytest.mark.parametrize(
     "descriptor",

@@ -14,7 +14,7 @@ from polyext.codes import (
     sqrt_widened,
 )
 from polyext.errors import BudgetExceededError, PreconditionError
-from polyext.gf2 import BitMatrix, BitVector, sample_uniform_matrix, subset_xors
+from polyext.gf2 import BitMatrix, BitVector, apply_rows, sample_uniform_matrix, subset_xors
 
 MASTER = 20260823
 
@@ -113,7 +113,7 @@ def test_list_size_brute_force_agreement():
     for _ in range(20):
         dim = stream.randrange(1, 6)
         t = stream.randrange(max(dim, 2), 9)
-        code = sample_uniform_matrix(dim, t, stream)
+        code = BitMatrix(dim, t, sample_uniform_matrix(dim, t, stream))
         rho = Fraction(stream.randrange(0, t + 1), t)
         count, center = list_size_exhaustive(code, rho)
         words = codewords(code)
@@ -146,7 +146,7 @@ def test_integer_weight_comparisons_match_the_fraction_reference():
     for _ in range(40):
         dim = stream.randrange(1, 6)
         t = stream.randrange(max(dim, 2), 9)
-        code = sample_uniform_matrix(dim, t, stream)
+        code = BitMatrix(dim, t, sample_uniform_matrix(dim, t, stream))
         eps = Fraction(stream.randrange(0, 2 * t + 1), stream.choice([t, 2 * t, 3, 7]))
         rho = Fraction(stream.randrange(0, 3 * t + 1), stream.choice([2, 3, t, 2 * t]))
         integral += (rho * t).denominator == 1
@@ -201,7 +201,7 @@ def test_johnson_never_fails_at_measured_eps():
     for _ in range(50):
         dim = stream.randrange(1, 9)
         t = stream.randrange(max(dim, 2), 13)
-        code = sample_uniform_matrix(dim, t, stream)
+        code = BitMatrix(dim, t, sample_uniform_matrix(dim, t, stream))
         verdict = johnson_check(code, measured_imbalance(code))
         assert verdict.passed
         assert verdict.max_list <= 2 * t
@@ -216,7 +216,7 @@ def test_random_subcodes_stay_balanced():
     for _ in range(1000):
         h = sample_uniform_matrix(7, 2, stream)
         for z in range(1, 4):
-            word = words[h.apply_word(z)]
+            word = words[apply_rows(h, z)]
             if word and not 2 <= word.bit_count() <= 6:
                 bad_draws += 1
                 break

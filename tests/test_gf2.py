@@ -18,12 +18,12 @@ from polyext.gf2 import (
     BitMatrix,
     BitVector,
     XorBasis,
+    apply_rows,
     binom_sum,
     canonical_key,
     enumerate_span,
     hamming_ball,
     nullspace_basis,
-    rank,
     sample_invertible,
     sample_uniform_matrix,
     span_rank,
@@ -115,7 +115,7 @@ def test_matrix_row_column_consistency():
 def test_matrix_apply_is_row_dot():
     m = BitMatrix.from_string("110\n011\n101")
     x = bv("101")
-    out = BitVector(m.rows, m.apply_word(x.bits))
+    out = BitVector(m.rows, apply_rows(m.row_words, x.bits))
     expected = [(w & x.bits).bit_count() & 1 for w in m.row_words]
     assert [(out.bits >> i) & 1 for i in range(3)] == expected
 
@@ -125,17 +125,17 @@ def test_matrix_apply_is_row_dot():
 
 
 def test_rank_identity():
-    assert rank(BitMatrix(3, 3, [1 << i for i in range(3)])) == 3
+    assert span_rank([1 << i for i in range(3)]) == 3
 
 
 def test_rank_zero_matrix():
-    assert rank(BitMatrix(4, 7, [0] * 4)) == 0
+    assert span_rank([0] * 4) == 0
 
 
 def test_rank_dependent_rows():
     # third row is the sum of the first two
     m = BitMatrix.from_string("110\n011\n101")
-    assert rank(m) == 2
+    assert span_rank(m.row_words) == 2
 
 
 def _oracle_independent_count(words):
@@ -164,7 +164,7 @@ def test_rank_matches_greedy_oracle():
         n = stream.randrange(1, 13)
         r = stream.randrange(1, 9)
         m = sample_uniform_matrix(r, n, stream)
-        assert rank(m) == _oracle_independent_count(m.row_words)
+        assert span_rank(m) == _oracle_independent_count(m)
 
 
 def test_rank_invariant_under_row_operations():
@@ -175,13 +175,13 @@ def test_rank_invariant_under_row_operations():
         m = sample_uniform_matrix(r, c, stream)
         perm = list(range(r))
         stream.shuffle(perm)
-        permuted = BitMatrix(r, c, [m.row_words[i] for i in perm])
-        assert rank(permuted) == rank(m)
+        permuted = [m[i] for i in perm]
+        assert span_rank(permuted) == span_rank(m)
         if r >= 2:
             i, j = stream.sample(range(r), 2)
-            added = list(m.row_words)
+            added = list(m)
             added[i] ^= added[j]
-            assert rank(BitMatrix(r, c, added)) == rank(m)
+            assert span_rank(added) == span_rank(m)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +189,38 @@ def test_rank_invariant_under_row_operations():
 
 
 def test_sample_uniform_matrix_zero_rows():
-    m = sample_uniform_matrix(0, 5, rng.derive(MASTER, "gf2", "empty"))
-    assert (m.rows, m.cols) == (0, 5)
+    stream = rng.derive(MASTER, "gf2", "empty")
+    state = stream.getstate()
+    assert sample_uniform_matrix(0, 5, stream) == ()
+    assert stream.getstate() == state
+
+
+@pytest.mark.parametrize("rows, cols", [(-1, 5), (5, -1)], ids=["rows", "cols"])
+def test_sample_uniform_matrix_refuses_a_negative_dimension_before_any_draw(rows, cols):
+    stream = rng.derive(MASTER, "gf2", "negative")
+    state = stream.getstate()
+    with pytest.raises(ValueError, match="matrix dimensions must be nonnegative"):
+        sample_uniform_matrix(rows, cols, stream)
+    assert stream.getstate() == state
+
+
+def test_matrix_samplers_are_pinned():
+    """sha256 of the row words of 500 draws of each sampler shape, then of the
+    stream state: each row is the same getrandbits call, in the same order,
+    as when the samplers returned matrices."""
+    stream = rng.derive(MASTER, "gf2", "sampler-pin")
+    h = hashlib.sha256()
+    for draw, args in (
+        (sample_uniform_matrix, (6, 6)),
+        (sample_uniform_matrix, (4, 8)),
+        (sample_invertible, (1,)),
+        (sample_invertible, (6,)),
+        (sample_invertible, (8,)),
+    ):
+        for _ in range(500):
+            h.update(f"{draw(*args, stream)}\n".encode())
+    h.update(f"{stream.getstate()}".encode())
+    assert h.hexdigest() == "81bacf01e3d7292965a97f15e0911471cf0800bffa7870a9ee04a43570a60d1a"
 
 
 def test_sample_uniform_matrix_deterministic():
@@ -204,21 +234,20 @@ def test_sample_uniform_matrix_rank_rarely_deficient():
     hits = 0
     for trial in range(1000):
         stream = rng.derive(MASTER, "gf2", "rank64", trial)
-        if rank(sample_uniform_matrix(64, 64, stream)) >= 58:
+        if span_rank(sample_uniform_matrix(64, 64, stream)) >= 58:
             hits += 1
     assert hits >= 990
 
 
 def test_sample_invertible_one_by_one():
-    m = sample_invertible(1, rng.derive(MASTER, "gf2", "inv1"))
-    assert m.row_words == (1,)
+    assert sample_invertible(1, rng.derive(MASTER, "gf2", "inv1")) == (1,)
 
 
 def test_sample_invertible_always_full_rank():
     stream = rng.derive(MASTER, "gf2", "invrank")
     for _ in range(50):
         m = stream.randrange(1, 12)
-        assert rank(sample_invertible(m, stream)) == m
+        assert span_rank(sample_invertible(m, stream)) == m
 
 
 def test_sample_invertible_uniform_over_gl2():
@@ -227,15 +256,14 @@ def test_sample_invertible_uniform_over_gl2():
         (a, b)
         for a in range(4)
         for b in range(4)
-        if rank(BitMatrix(2, 2, (a, b))) == 2
+        if span_rank((a, b)) == 2
     ]
     assert len(invertible) == 6
     counts = dict.fromkeys(invertible, 0)
     stream = rng.derive(MASTER, "gf2", "gl2-histogram")
     draws = 60000
     for _ in range(draws):
-        m = sample_invertible(2, stream)
-        counts[(m.row_words[0], m.row_words[1])] += 1
+        counts[sample_invertible(2, stream)] += 1
     for key in invertible:
         assert abs(counts[key] / draws - 1 / 6) <= 0.01
 
@@ -266,7 +294,7 @@ def _invert(m: BitMatrix) -> BitMatrix:
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16, 33, 64])
 def test_sample_invertible_times_inverse_is_identity(m):
-    mat = sample_invertible(m, rng.derive(MASTER, "gf2", "inverse", m))
+    mat = BitMatrix(m, m, sample_invertible(m, rng.derive(MASTER, "gf2", "inverse", m)))
     assert _matmul(mat, _invert(mat)) == BitMatrix(m, m, [1 << i for i in range(m)])
 
 
@@ -484,4 +512,4 @@ def test_xor_basis_tracks_span():
 def test_span_rank_never_exceeds_word_count(words):
     r = span_rank(words)
     assert 0 <= r <= len(words)
-    assert r == rank(BitMatrix(len(words), 12, words))
+    assert r == _oracle_independent_count(words)

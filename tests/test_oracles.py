@@ -625,6 +625,38 @@ def test_disperser_attack_gives_up_when_no_subspace_is_drawn():
         disperser_attack(family, t=1, budget=3, stream=_ZeroBits())
 
 
+class _Unread:
+    """A stream whose first read fails the test."""
+
+    def __getattr__(self, name):
+        pytest.fail(f"read the stream ({name}) before refusing")
+
+
+_UNIT_POINTS = (4, (0b0001, 0b0010, 0b0100, 0b1000))
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda budget, s: disperser_attack(_linear_family(2), t=1, budget=budget, stream=s),
+        lambda budget, s: monochromatic_sumset_search(
+            Polynomial.from_monomials(3, 2, []), 2, budget, s
+        ),
+        lambda budget, s: subspace_evasive_audit(
+            _UNIT_POINTS, 1, 2, mode="randomized", budget=budget, stream=s
+        ),
+        lambda budget, s: sumset_evasive_audit(_UNIT_POINTS, 1, budget, s),
+    ],
+    ids=["disperser-attack", "sumset-search", "subspace-audit", "sumset-audit"],
+)
+def test_a_search_with_no_budget_is_refused_before_any_draw(search, budget):
+    """A search that may look at nothing has no verdict: it used to pass an
+    audit, report a miss or exhaust, each on zero trials."""
+    with pytest.raises(PreconditionError, match="budget must be positive"):
+        search(budget, _Unread())
+
+
 def test_disperser_attack_preconditions():
     stream = rng.derive(MASTER, "oracles", "disperser-pre")
     family = _linear_family(2)

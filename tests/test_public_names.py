@@ -24,11 +24,13 @@ an attribute, an import or its alias, or a definition) or define a function
 whose name contains an owned fragment.  The same parsed trees decide this, so
 a comment, a docstring or a string that names a rule never breaks it.
 
-Inside ``src/`` a point is a packed int word beside its length n, and a
-polynomial's coefficients are one int word.  A ``BitVector`` is built
-(called, or made by ``.from_string`` or ``.from_support``) only in the
-functions of ``BITVECTOR_EDGES``, each with the reason it sits at an edge: a
-test-pinned view or a result type kept as it is.
+Inside ``src/`` a point is a packed int word beside its length n, a
+polynomial's coefficients are one int word, and a matrix is a tuple of row
+words.  A ``BitVector`` is built (called, or made by ``.from_string`` or
+``.from_support``) only in the functions of ``BITVECTOR_EDGES``, and a
+``BitMatrix`` only in those of ``BITMATRIX_EDGES``, each with the reason it
+sits at an edge: a parsed file, a test-pinned view or a result type kept as
+it is.
 
 An exported class defines no special method beyond construction, equality,
 hashing and repr (``PLAIN_DUNDERS``) unless ``ALLOWED_DUNDERS`` names the
@@ -366,15 +368,26 @@ BITVECTOR_EDGES = {
 }
 
 
-def _builds_bitvector(call: ast.Call) -> bool:
+#: The src/ functions that build a BitMatrix, each with why it sits at the edge.
+BITMATRIX_EDGES = {
+    "io.parse_matrix": "a matrix file, read for the CLI",
+    "constructions.build_seeded": "SeededDescriptor keeps its generator and compressor matrices",
+    "experiments._seeded_subcode_check": "the codes functions take a generator matrix",
+    "ranklab.special_sumset_sampler": (
+        "the surjection and mixer a SpecialSumsetDraw returns, which the pinned draws render"
+    ),
+}
+
+
+def _builds(call: ast.Call, cls: str) -> bool:
     func = call.func
     if isinstance(func, ast.Attribute) and func.attr in ("from_string", "from_support"):
         func = func.value
-    return getattr(func, "id", None) == "BitVector" or getattr(func, "attr", None) == "BitVector"
+    return getattr(func, "id", None) == cls or getattr(func, "attr", None) == cls
 
 
-def _bitvector_sites(module: str, tree: ast.AST) -> set[str]:
-    """'module.qualified.function' (or 'module.<module>') for each BitVector built in ``tree``."""
+def _build_sites(module: str, tree: ast.AST, cls: str) -> set[str]:
+    """'module.qualified.function' (or 'module.<module>') for each ``cls`` built in ``tree``."""
     found = set()
 
     def walk(node, scope):
@@ -382,7 +395,7 @@ def _bitvector_sites(module: str, tree: ast.AST) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 walk(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and _builds_bitvector(child):
+            if isinstance(child, ast.Call) and _builds(child, cls):
                 found.add(".".join([module] + (scope or ["<module>"])))
             walk(child, scope)
 
@@ -390,12 +403,21 @@ def _bitvector_sites(module: str, tree: ast.AST) -> set[str]:
     return found
 
 
-def test_bitvectors_are_built_only_at_the_edge():
-    found = set().union(*(
-        _bitvector_sites(path.stem, ast.parse(path.read_text(), str(path)))
+def _package_build_sites(cls: str) -> set[str]:
+    return set().union(*(
+        _build_sites(path.stem, ast.parse(path.read_text(), str(path)), cls)
         for path in sorted(PACKAGE.glob("*.py"))
     ))
+
+
+def test_bitvectors_are_built_only_at_the_edge():
+    found = _package_build_sites("BitVector")
     _check(found, BITVECTOR_EDGES, "src/ functions that build a BitVector off the edge")
+
+
+def test_bitmatrices_are_built_only_at_the_edge():
+    found = _package_build_sites("BitMatrix")
+    _check(found, BITMATRIX_EDGES, "src/ functions that build a BitMatrix off the edge")
 
 
 @pytest.mark.parametrize(
@@ -415,7 +437,24 @@ def test_bitvectors_are_built_only_at_the_edge():
          "reads-only", "mentions"],
 )
 def test_the_bitvector_guard_flags_builds_and_passes_reads(text, sites):
-    assert _bitvector_sites("m", ast.parse(text)) == sites
+    assert _build_sites("m", ast.parse(text), "BitVector") == sites
+
+
+@pytest.mark.parametrize(
+    "text, sites",
+    [
+        ("def f(r):\n    return BitMatrix(len(r), 4, r)\n", {"m.f"}),
+        ("def f(t):\n    return gf2.BitMatrix.from_string(t)\n", {"m.f"}),
+        ("def f(s):\n    return g(BitMatrix(2, 3, sample_uniform_matrix(2, 3, s)))\n", {"m.f"}),
+        ("def f(m, x):\n    return apply_rows(m.row_words, x), m.to_string(), BitVector(1, 0)\n",
+         set()),
+        ('def f():\n    """Build a BitMatrix(r, c, rows) here."""\n    # BitMatrix(1, 1, [0])\n',
+         set()),
+    ],
+    ids=["call", "from-string", "argument", "reads-only", "mentions"],
+)
+def test_the_bitmatrix_guard_flags_builds_and_passes_reads(text, sites):
+    assert _build_sites("m", ast.parse(text), "BitMatrix") == sites
 
 
 #: The special methods any exported class may define: construction, equality, hashing, repr.

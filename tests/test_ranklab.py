@@ -12,6 +12,7 @@ from polyext.gf2 import (
     BitMatrix,
     BitVector,
     XorBasis,
+    apply_rows,
     binom_sum,
     hamming_ball,
     sample_uniform_matrix,
@@ -169,7 +170,7 @@ def test_rank_monotone_under_linear_maps():
         d = stream.randrange(0, 4)
         pts = [stream.getrandbits(n) for _ in range(stream.randrange(1, 16))]
         mat = sample_uniform_matrix(m, n, stream)
-        mapped = [mat.apply_word(p) for p in pts]
+        mapped = [apply_rows(mat, p) for p in pts]
         assert eval_rank_words(n, pts, d).rank >= eval_rank_words(m, mapped, d).rank
 
 
@@ -290,13 +291,13 @@ def test_special_draw_raises_when_the_witness_recheck_fails(monkeypatch):
 # find_high_rank_subsets
 
 
-def _always_map(monkeypatch, matrix: BitMatrix) -> None:
-    """Make every map the search samples equal to ``matrix``."""
-    monkeypatch.setattr(ranklab, "sample_uniform_matrix", lambda rows, cols, stream: matrix)
+def _always_map(monkeypatch, row_words: tuple[int, ...]) -> None:
+    """Make every map the search samples the one with these row words."""
+    monkeypatch.setattr(ranklab, "sample_uniform_matrix", lambda rows, cols, stream: row_words)
 
 
 def test_high_rank_identity_map_on_full_space(monkeypatch):
-    _always_map(monkeypatch, BitMatrix(4, 4, [1 << i for i in range(4)]))
+    _always_map(monkeypatch, tuple(1 << i for i in range(4)))
     sel = find_high_rank_subsets(
         4, full_space(4), full_space(4), 2, 4, 1, rng.derive(MASTER, "ranklab", "identity")
     )
@@ -306,7 +307,7 @@ def test_high_rank_identity_map_on_full_space(monkeypatch):
 
 
 def test_high_rank_with_coordinate_projection(monkeypatch):
-    _always_map(monkeypatch, BitMatrix(4, 8, [1 << i for i in range(4)]))
+    _always_map(monkeypatch, tuple(1 << i for i in range(4)))
     sel = find_high_rank_subsets(
         8, full_space(8), full_space(8), 2, 4, 1, rng.derive(MASTER, "ranklab", "projection")
     )
@@ -327,7 +328,7 @@ def test_high_rank_random_sets_succeed():
 
 
 def test_high_rank_images_each_point_past_the_table_threshold(monkeypatch):
-    """With 2^n > 8 (|A| + |B|) each image is one apply_word: the selection is
+    """With 2^n > 8 (|A| + |B|) each image is one apply_rows: the selection is
     still the canonically-first preimage of every ball point."""
     stream = rng.derive(MASTER, "ranklab", "per-point")
     a, b = (stream.sample(range(1 << 10), 32) for _ in range(2))
@@ -337,7 +338,7 @@ def test_high_rank_images_each_point_past_the_table_threshold(monkeypatch):
     for points, chosen in ((a, sel.a_points), (b, sel.b_points)):
         first: dict[int, int] = {}
         for p in sorted(points, key=reference_key):
-            first.setdefault(matrix.apply_word(p), p)
+            first.setdefault(apply_rows(matrix, p), p)
         assert chosen == tuple(first[z.bits] for z in hamming_ball(3, 1))
 
 
@@ -364,7 +365,7 @@ def test_high_rank_rejects_tiny_sets():
 
 def test_high_rank_gives_up_when_no_map_covers_the_ball(monkeypatch):
     # the zero map sends everything to 0, never covering the ball
-    _always_map(monkeypatch, BitMatrix(3, 4, [0] * 3))
+    _always_map(monkeypatch, (0,) * 3)
     pts = full_space(4)
     with pytest.raises(RetryExhaustedError, match="within 5 samples"):
         find_high_rank_subsets(4, pts, pts, 2, 3, 5, rng.derive(MASTER, "z"))
@@ -400,10 +401,11 @@ def test_special_draw_slices_have_disjoint_support():
 def test_special_draw_surjection_pairs_preimages():
     stream = rng.derive(MASTER, "ranklab", "pairing")
     draw = special_sumset_sampler(uniform_flat(6), uniform_flat(6), 2, 6, 100, stream)
+    surjection, mixer = draw.surjection.row_words, draw.mixer.row_words
     for u, x in zip(draw.b_zero, draw.x_star):
-        assert draw.surjection.apply_word(x.bits) == draw.mixer.apply_word(u.bits)
+        assert apply_rows(surjection, x.bits) == apply_rows(mixer, u.bits)
     for v, y in zip(draw.b_one, draw.y_star):
-        assert draw.surjection.apply_word(y.bits) == draw.mixer.apply_word(v.bits)
+        assert apply_rows(surjection, y.bits) == apply_rows(mixer, v.bits)
 
 
 def test_special_draw_on_proper_subsets():
@@ -414,6 +416,27 @@ def test_special_draw_on_proper_subsets():
     assert {v.bits for v in draw.x_star} <= set(pts)
     assert {v.bits for v in draw.y_star} <= set(pts)
     assert draw.full_rank
+
+
+def test_a_special_draw_builds_only_the_two_matrices_it_returns(monkeypatch):
+    """The draw runs on row words: its surjection and mixer are its only BitMatrix
+    objects, however many candidate maps it rejects."""
+    built = []
+    init = BitMatrix.__init__
+
+    def counting_init(self, rows, cols, row_words):
+        built.append((rows, cols))
+        init(self, rows, cols, row_words)
+
+    monkeypatch.setattr(BitMatrix, "__init__", counting_init)
+    stream = rng.derive(MASTER, "ranklab", "matrix-count")
+    partial = Flat(8, tuple(stream.sample(range(256), 200)))
+    for x_source, y_source, n in ((uniform_flat(6), uniform_flat(6), 6), (partial, partial, 8)):
+        for _ in range(50):
+            built.clear()
+            draw = special_sumset_sampler(x_source, y_source, 2, 6, 1000, stream)
+            assert built == [(6, n), (6, 6)]
+            assert (draw.surjection.rows, draw.surjection.cols) == (6, n)
 
 
 def _special_draws_digest(x_source, y_source, d, m, draws, label):

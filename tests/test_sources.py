@@ -730,7 +730,7 @@ def test_min_entropy_affine_is_dimension():
         from polyext.gf2 import XorBasis
 
         basis = XorBasis()
-        for w in mat.row_words:
+        for w in mat:
             if len(rows) < dim and basis.add(w):
                 rows.append(BitVector(n, w))
         if len(rows) < dim:
